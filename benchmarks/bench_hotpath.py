@@ -3,9 +3,10 @@
 Replays a STREAM-derived cacheline request stream through each hot
 memory tier twice — once through the scalar ``access`` port (one
 ``MemoryRequest`` object, one dispatch, one ``MemoryResponse`` per
-line) and once through ``access_batch`` with columnar
-:class:`~repro.memory.batch.RequestWindow` chunks — and reports
-accesses/second for both, per tier and in aggregate.
+line) and once through ``access_batch``, whose columnar kernels serve
+zero-copy ndarray windows (:meth:`RequestWindow.from_arrays` — the
+``.coltrace`` memmap shape) — and reports accesses/second for both, per
+tier and in aggregate.
 
 Both runs start from a fresh backend instance and push the identical
 request sequence, so the timing work is the same; the measured gap is
@@ -19,17 +20,8 @@ writes ``BENCH_hotpath.json`` and exits non-zero if the aggregate
 stream speedup falls below the gate (the CI perf-smoke job runs exactly
 that).  Without ``--quick`` the stream is longer and each measurement
 is the best of three fresh runs (best of two with ``--quick``); the
-per-repeat runs interleave the scalar/batched/columnar paths so machine
-drift cannot bias the gated ratios.
-
-When numpy is importable a third measurement runs per tier: the same
-windows served by the columnar kernels (``repro._np`` mode forced to
-``"numpy"``) over zero-copy ndarray windows
-(:meth:`RequestWindow.from_arrays` — the ``.coltrace`` memmap shape).
-``batched_s`` is always measured with the kernels forced off, so the
-three tiers decompose as scalar dispatch -> batched Python loop ->
-vectorized kernels; ``--min-columnar-speedup`` gates the aggregate
-kernel-over-loop ratio.
+per-repeat runs interleave the scalar and batched paths so machine
+drift cannot bias the gated ratio.
 """
 
 from __future__ import annotations
@@ -40,13 +32,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 try:
     from repro.memory.batch import RequestWindow, backend_access_batch
 except ModuleNotFoundError:  # pragma: no cover - PYTHONPATH already set
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from repro.memory.batch import RequestWindow, backend_access_batch
-
-from repro import _np as _nphelper
 
 from repro.memory.dram import DRAMSubsystem
 from repro.memory.request import CACHELINE_BYTES, MemoryOp, MemoryRequest
@@ -104,94 +96,58 @@ def _run_scalar(backend, columns) -> float:
     return time.perf_counter() - start
 
 
-def _run_batched(backend, columns, window: int) -> float:
-    """Seconds to serve the stream in columnar windows (Python loops)."""
-    is_write, addresses, times = columns
-    _nphelper.set_kernel_mode("fallback")
-    try:
-        start = time.perf_counter()
-        for lo in range(0, len(addresses), window):
-            hi = lo + window
-            backend_access_batch(
-                backend,
-                RequestWindow(
-                    is_write[lo:hi], addresses[lo:hi], times[lo:hi]
-                ),
-            )
-        return time.perf_counter() - start
-    finally:
-        _nphelper.set_kernel_mode(None)
-
-
-def _run_columnar(backend, array_columns, window: int) -> float:
-    """Seconds to serve the stream through the numpy columnar kernels.
+def _run_batched(backend, array_columns, window: int) -> float:
+    """Seconds to serve the stream through the columnar kernels.
 
     Windows are zero-copy ndarray slices adopted via ``from_arrays`` —
     the shape a ``.coltrace`` memmap feeds the campaign fast path — so
     the measurement isolates kernel throughput, not column conversion.
     """
     is_write, addresses, times = array_columns
-    _nphelper.set_kernel_mode("numpy")
-    try:
-        start = time.perf_counter()
-        for lo in range(0, len(addresses), window):
-            hi = lo + window
-            backend_access_batch(
-                backend,
-                RequestWindow.from_arrays(
-                    is_write[lo:hi], addresses[lo:hi], times[lo:hi]
-                ),
-            )
-        return time.perf_counter() - start
-    finally:
-        _nphelper.set_kernel_mode(None)
+    start = time.perf_counter()
+    for lo in range(0, len(addresses), window):
+        hi = lo + window
+        backend_access_batch(
+            backend,
+            RequestWindow.from_arrays(
+                is_write[lo:hi], addresses[lo:hi], times[lo:hi]
+            ),
+        )
+    return time.perf_counter() - start
+
+
+def _as_arrays(columns):
+    is_write, addresses, times = columns
+    return (
+        np.asarray(is_write, dtype=np.bool_),
+        np.asarray(addresses, dtype=np.int64),
+        np.asarray(times, dtype=np.float64),
+    )
 
 
 def measure_tier(name: str, count: int, window: int, repeats: int) -> dict:
     """Best-of-``repeats`` accesses/sec for one tier, scalar vs batched."""
     capacity = _TIERS[name]().capacity if name == "psm" else (1 << 30)
     columns = stream_columns(count, capacity)
+    array_columns = _as_arrays(columns)
     # Warm the process before timing: the first kernel invocation pays
     # one-time interpreter costs (lazy numpy sub-imports, bytecode
     # warmup) that would otherwise land on whichever tier runs first.
-    head = min(len(columns[1]), 512)
-    warm = (columns[0][:head], columns[1][:head], columns[2][:head])
-    _run_batched(_TIERS[name](), warm, window)
-    if _nphelper.HAVE_NUMPY:
-        np = _nphelper.np
-        _run_columnar(
-            _TIERS[name](),
-            (
-                np.asarray(warm[0], dtype=np.bool_),
-                np.asarray(warm[1], dtype=np.int64),
-                np.asarray(warm[2], dtype=np.float64),
-            ),
-            window,
-        )
-    array_columns = None
-    if _nphelper.HAVE_NUMPY:
-        np = _nphelper.np
-        array_columns = (
-            np.asarray(columns[0], dtype=np.bool_),
-            np.asarray(columns[1], dtype=np.int64),
-            np.asarray(columns[2], dtype=np.float64),
-        )
-    # Interleave the per-repeat measurements (scalar, batched, columnar,
-    # scalar, ...) so slow phases of the machine hit every path alike;
+    head = min(count, 512)
+    _run_batched(
+        _TIERS[name](), tuple(c[:head] for c in array_columns), window
+    )
+    # Interleave the per-repeat measurements (scalar, batched, scalar,
+    # ...) so slow phases of the machine hit both paths alike;
     # back-to-back blocks would let frequency drift between the blocks
-    # masquerade as a speedup change in the gated ratios.
-    scalar_s = batched_s = columnar_s = float("inf")
+    # masquerade as a speedup change in the gated ratio.
+    scalar_s = batched_s = float("inf")
     for _ in range(repeats):
         scalar_s = min(scalar_s, _run_scalar(_TIERS[name](), columns))
         batched_s = min(
-            batched_s, _run_batched(_TIERS[name](), columns, window)
+            batched_s, _run_batched(_TIERS[name](), array_columns, window)
         )
-        if array_columns is not None:
-            columnar_s = min(
-                columnar_s,
-                _run_columnar(_TIERS[name](), array_columns, window),
-            )
-    result = {
+    return {
         "accesses": count,
         "scalar_s": scalar_s,
         "batched_s": batched_s,
@@ -199,11 +155,6 @@ def measure_tier(name: str, count: int, window: int, repeats: int) -> dict:
         "batched_aps": count / batched_s,
         "speedup": scalar_s / batched_s,
     }
-    if array_columns is not None:
-        result["columnar_s"] = columnar_s
-        result["columnar_aps"] = count / columnar_s
-        result["columnar_speedup"] = batched_s / columnar_s
-    return result
 
 
 def run(count: int, window: int, repeats: int) -> dict:
@@ -219,10 +170,6 @@ def run(count: int, window: int, repeats: int) -> dict:
         "batched_aps": total / batched_total,
         "speedup": scalar_total / batched_total,
     }
-    if _nphelper.HAVE_NUMPY:
-        columnar_total = sum(t["columnar_s"] for t in tiers.values())
-        stream["columnar_aps"] = total / columnar_total
-        stream["columnar_speedup"] = batched_total / columnar_total
     return {
         "workload": "stream-triad",
         "window": window,
@@ -249,36 +196,19 @@ def main(argv=None) -> int:
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="exit 1 if aggregate stream speedup is below "
                              "this")
-    parser.add_argument("--min-columnar-speedup", type=float, default=None,
-                        help="exit 1 if the aggregate columnar-kernel "
-                             "speedup over the batched Python loops is "
-                             "below this (requires numpy)")
     args = parser.parse_args(argv)
 
     count = args.count or (8_000 if args.quick else 40_000)
     repeats = args.repeats or (2 if args.quick else 3)
     results = run(count, args.window, repeats)
 
-    have_columnar = "columnar_speedup" in results["stream"]
-    header = (f"{'tier':<6} {'scalar acc/s':>14} {'batched acc/s':>14} "
-              f"{'speedup':>8}")
-    if have_columnar:
-        header += f" {'columnar acc/s':>15} {'kernel':>7}"
-    print(header)
-    for name, tier in results["tiers"].items():
-        line = (f"{name:<6} {tier['scalar_aps']:>14,.0f} "
-                f"{tier['batched_aps']:>14,.0f} {tier['speedup']:>7.2f}x")
-        if have_columnar:
-            line += (f" {tier['columnar_aps']:>15,.0f} "
-                     f"{tier['columnar_speedup']:>6.2f}x")
-        print(line)
+    print(f"{'tier':<6} {'scalar acc/s':>14} {'batched acc/s':>14} "
+          f"{'speedup':>8}")
     stream = results["stream"]
-    line = (f"{'stream':<6} {stream['scalar_aps']:>14,.0f} "
-            f"{stream['batched_aps']:>14,.0f} {stream['speedup']:>7.2f}x")
-    if have_columnar:
-        line += (f" {stream['columnar_aps']:>15,.0f} "
-                 f"{stream['columnar_speedup']:>6.2f}x")
-    print(line)
+    rows = dict(results["tiers"], stream=stream)
+    for name, row in rows.items():
+        print(f"{name:<6} {row['scalar_aps']:>14,.0f} "
+              f"{row['batched_aps']:>14,.0f} {row['speedup']:>7.2f}x")
 
     Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {args.out}")
@@ -287,16 +217,6 @@ def main(argv=None) -> int:
         print(f"FAIL: stream speedup {stream['speedup']:.2f}x below gate "
               f"{args.min_speedup:.2f}x", file=sys.stderr)
         return 1
-    if args.min_columnar_speedup is not None:
-        if not have_columnar:
-            print("FAIL: --min-columnar-speedup needs numpy",
-                  file=sys.stderr)
-            return 1
-        if stream["columnar_speedup"] < args.min_columnar_speedup:
-            print(f"FAIL: columnar speedup "
-                  f"{stream['columnar_speedup']:.2f}x below gate "
-                  f"{args.min_columnar_speedup:.2f}x", file=sys.stderr)
-            return 1
     return 0
 
 

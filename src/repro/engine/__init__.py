@@ -30,7 +30,6 @@ from repro.engine.base import (
     set_default_engine,
 )
 from repro.engine.columnar import (
-    HAVE_NUMPY,
     ResponseSummary,
     WindowSignature,
     signature_of_columns,
@@ -52,7 +51,6 @@ __all__ = [
     "EpochReport",
     "ExecutionEngine",
     "ExtentEngine",
-    "HAVE_NUMPY",
     "ResponseSummary",
     "ScalarEngine",
     "WindowEngine",

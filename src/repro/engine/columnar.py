@@ -1,13 +1,10 @@
-"""Columnar epoch-summarization kernels (numpy-accelerated).
+"""Columnar epoch-summarization kernels (numpy).
 
 The epoch engine decides whether a trace window belongs to the current
 steady-state phase from a compact :class:`WindowSignature` — R/W mix,
 compute density, unique-line pressure and row locality.  The request
-and response window structs are already columnar (parallel lists), so
-the kernels here vectorize straight over the columns when numpy is
-importable and fall back to pure-python reductions when it is not; the
-two paths are required (and tested) to agree exactly on counts and to
-float precision on the derived fractions.
+and response window structs are already columnar, so the kernels here
+vectorize straight over the columns.
 """
 
 from __future__ import annotations
@@ -15,13 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-# One central guard decides numpy availability (tests monkeypatch the
-# module-level HAVE_NUMPY re-export to force the pure-python branch).
-from repro._np import HAVE_NUMPY, np as _np
+import numpy as np
+
 from repro.memory.request import CACHELINE_BYTES
 
 __all__ = [
-    "HAVE_NUMPY",
     "ResponseSummary",
     "WindowSignature",
     "signature_of_columns",
@@ -101,28 +96,16 @@ def signature_of_columns(
     count = len(addresses)
     if count == 0:
         return WindowSignature(0, 0, 0, 0, 0.0)
-    if HAVE_NUMPY:
-        lines = _np.fromiter(
-            addresses, dtype=_np.int64, count=count
-        ) // CACHELINE_BYTES
-        rows = lines * CACHELINE_BYTES // _ROW_BYTES
-        same_row = int((rows[1:] == rows[:-1]).sum())
-        writes = int(_np.count_nonzero(
-            _np.fromiter(is_write, dtype=bool, count=count)))
-        instr = int(_np.fromiter(
-            instructions, dtype=_np.int64, count=count).sum())
-        unique = int(_np.unique(lines).size)
-    else:
-        lines_list = [address // CACHELINE_BYTES for address in addresses]
-        rows_list = [
-            line * CACHELINE_BYTES // _ROW_BYTES for line in lines_list
-        ]
-        same_row = sum(
-            1 for prev, cur in zip(rows_list, rows_list[1:]) if prev == cur
-        )
-        writes = sum(1 for flag in is_write if flag)
-        instr = sum(instructions)
-        unique = len(set(lines_list))
+    lines = np.fromiter(
+        addresses, dtype=np.int64, count=count
+    ) // CACHELINE_BYTES
+    rows = lines * CACHELINE_BYTES // _ROW_BYTES
+    same_row = int((rows[1:] == rows[:-1]).sum())
+    writes = int(np.count_nonzero(
+        np.fromiter(is_write, dtype=bool, count=count)))
+    instr = int(np.fromiter(
+        instructions, dtype=np.int64, count=count).sum())
+    unique = int(np.unique(lines).size)
     locality = same_row / (count - 1) if count > 1 else 1.0
     return WindowSignature(
         records=count,
@@ -169,20 +152,12 @@ def summarize_responses(responses) -> ResponseSummary:
         blocked = [response.blocked_ns for response in responses]
     if not len(latencies):
         return ResponseSummary(0, 0.0, 0.0, 0.0, 0.0)
-    if HAVE_NUMPY:
-        column = _np.asarray(latencies, dtype=float)
-        blocked_column = _np.asarray(blocked, dtype=float)
-        return ResponseSummary(
-            responses=int(column.size),
-            latency_total=float(column.sum()),
-            latency_min=float(column.min()),
-            latency_max=float(column.max()),
-            blocked_total=float(blocked_column.sum()),
-        )
+    column = np.asarray(latencies, dtype=float)
+    blocked_column = np.asarray(blocked, dtype=float)
     return ResponseSummary(
-        responses=len(latencies),
-        latency_total=sum(latencies),
-        latency_min=min(latencies),
-        latency_max=max(latencies),
-        blocked_total=sum(blocked),
+        responses=int(column.size),
+        latency_total=float(column.sum()),
+        latency_min=float(column.min()),
+        latency_max=float(column.max()),
+        blocked_total=float(blocked_column.sum()),
     )

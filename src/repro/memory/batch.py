@@ -12,7 +12,7 @@ surface:
   parallel columns (flags, addresses, issue times) instead of request
   objects.  Backends with a native ``access_batch`` iterate the columns
   directly; request objects are materialized lazily and only on fallback
-  paths.  When numpy is available the columns are mirrored as ndarrays
+  paths.  The columns are mirrored as ndarrays
   (:meth:`RequestWindow.arrays`) so the columnar kernels in
   :mod:`repro.memory.columnar` evaluate whole windows per ufunc pass;
   :meth:`RequestWindow.from_arrays` builds a window directly over
@@ -32,10 +32,9 @@ surface:
   implementation of the protocol) transparently gets the default loop.
 
 Zero-copy rules (pinned by ``tests/test_columnar_window.py``):
-:meth:`RequestWindow.subwindow` slices ndarray columns into *views* (and
-buffer-protocol columns into memoryviews) — a subwindow aliases its
-parent's memory.  Consumers must therefore never mutate a column in
-place; rebasing replaces the column object via
+:meth:`RequestWindow.subwindow` slices ndarray columns into *views* — a
+subwindow aliases its parent's memory.  Consumers must therefore never
+mutate a column in place; rebasing replaces the column object via
 :meth:`RequestWindow.replace_addresses`, which also keeps the cached
 ndarray mirror coherent.  Plain-list columns fall back to a shallow
 slice copy (Python lists have no view form).
@@ -45,7 +44,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence, Union
 
-from repro import _np as _nphelper
+import numpy as np
+
 from repro.memory.request import (
     CACHELINE_BYTES,
     MemoryOp,
@@ -63,18 +63,6 @@ __all__ = [
 
 _READ = MemoryOp.READ
 _WRITE = MemoryOp.WRITE
-
-
-def _slice_column(column, start: int, stop: int):
-    """Slice one column, zero-copy where the container allows it.
-
-    ndarrays slice into views and buffer-protocol objects into
-    memoryviews (both alias the parent's memory); plain lists fall back
-    to a shallow copy.
-    """
-    if isinstance(column, (bytes, bytearray)) or type(column) is memoryview:
-        return memoryview(column)[start:stop]
-    return column[start:stop]
 
 
 class RequestWindow:
@@ -146,9 +134,8 @@ class RequestWindow:
 
         ``asarray`` adopts the buffers without copying when the dtypes
         already match (bool / int64 / float64) — the path the
-        ``.coltrace`` memmap columns take.  Requires numpy.
+        ``.coltrace`` memmap columns take.
         """
-        np = _nphelper.np
         w = np.asarray(is_write, dtype=np.bool_)
         a = np.asarray(addresses, dtype=np.int64)
         t = np.asarray(times, dtype=np.float64)
@@ -201,12 +188,10 @@ class RequestWindow:
 
         Cached after the first call; zero-copy when the window was built
         through :meth:`from_arrays`, one ``fromiter`` pass per column
-        otherwise.  Requires numpy — callers gate on
-        ``repro._np.kernels_enabled()``.
+        otherwise.
         """
         cached = self._arrays
         if cached is None:
-            np = _nphelper.np
             n = len(self.addresses)
             cached = (
                 np.fromiter(self.is_write, dtype=np.bool_, count=n),
@@ -226,7 +211,6 @@ class RequestWindow:
         self.addresses = addresses
         cached = self._arrays
         if cached is not None:
-            np = _nphelper.np
             self._arrays = (
                 cached[0],
                 np.asarray(addresses, dtype=np.int64),
@@ -264,11 +248,11 @@ class RequestWindow:
         """
         cached = self._arrays
         return RequestWindow._bare(
-            _slice_column(self.is_write, start, stop),
-            _slice_column(self.addresses, start, stop),
-            _slice_column(self.times, start, stop),
+            self.is_write[start:stop],
+            self.addresses[start:stop],
+            self.times[start:stop],
             (
-                _slice_column(self.thread_ids, start, stop)
+                self.thread_ids[start:stop]
                 if self.thread_ids is not None else None
             ),
             self.size,
@@ -292,11 +276,11 @@ class ResponseWindow:
     Indexing materializes a :class:`MemoryResponse` through the normal
     constructor, so the ``occupied_until`` clamp and ``latency`` property
     behave exactly as on the scalar path.  ``overrides`` carries the few
-    elements a native batch loop served through scalar fallback (they may
-    hold data payloads or flag bits the columns do not model).  The
-    ``complete``/``occupied``/``blocked`` columns are lists on the
-    fallback loops and float64 ndarrays from the columnar kernels;
-    element access coerces to builtin floats either way.
+    elements a native batch path served through scalar fallback (they
+    may hold data payloads or flag bits the columns do not model).  The
+    ``complete``/``occupied``/``blocked`` columns are float64 ndarrays
+    from the columnar kernels and lists from the PSM's closed-form
+    extent flush; element access coerces to builtin floats either way.
     """
 
     __slots__ = ("window", "complete", "occupied", "blocked",
@@ -323,8 +307,11 @@ class ResponseWindow:
         return len(self.complete)
 
     def __getitem__(self, index: int) -> MemoryResponse:
+        size = len(self.complete)
         if index < 0:
-            index += len(self.complete)
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("response window index out of range")
         if self.overrides is not None:
             override = self.overrides.get(index)
             if override is not None:
@@ -357,7 +344,7 @@ class ResponseWindow:
             return cached
         complete = self.complete
         overrides = self.overrides
-        if _nphelper.HAVE_NUMPY and isinstance(complete, _nphelper.np.ndarray):
+        if isinstance(complete, np.ndarray):
             out = complete - self.window.arrays()[2]
             if overrides:
                 for index, response in overrides.items():

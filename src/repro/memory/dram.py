@@ -16,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from repro import _np as _nphelper
 from repro.memory.batch import (
     BatchRequests,
     BatchResponses,
     RequestWindow,
-    ResponseWindow,
     default_access_batch,
 )
 from repro.memory.columnar import dram_access_window
@@ -154,135 +152,30 @@ class DRAMSubsystem:
         return response
 
     def access_batch(self, requests: BatchRequests) -> BatchResponses:
-        """Serve a whole window with the per-element dispatch inlined.
+        """Serve a whole window through the columnar DRAM kernel.
 
-        Value-identical to looping :meth:`access` (same float expressions
-        in the same order); the win is amortized bookkeeping — rank busy
-        times and counters live in locals for the duration of the window,
-        latencies land in the stats via one ``record_many`` per batch.
+        Value-identical to looping :meth:`access` (see
+        :func:`~repro.memory.columnar.dram_access_window`).  Request
+        lists that are not window-shaped, and ranks holding functional
+        contents, take the scalar loop.
         """
         window = requests if isinstance(requests, RequestWindow) \
             else RequestWindow.from_requests(requests)
         if window is None or any(r.storage._bytes for r in self.ranks):
             return default_access_batch(self, requests)
-        size = window.size
-        if size > CACHELINE_BYTES:
+        if window.size > CACHELINE_BYTES:
             raise ValueError(
-                f"DRAM boundary is cacheline-granular, got {size} B"
+                f"DRAM boundary is cacheline-granular, got {window.size} B"
             )
-        if _nphelper.kernels_enabled():
-            return dram_access_window(self, window)
-        config = self.config
-        timing = config.timing
-        queue_ns = config.queue_ns
-        write_queue_ns = config.write_queue_ns
-        write_ns = timing.write_ns
-        row_hit_ns = timing.row_hit_ns
-        row_miss_ns = timing.row_miss_ns
-        miss_extra_ns = row_miss_ns - row_hit_ns
-        refresh_ns = timing.refresh_ns
-        refresh_interval_ns = timing.refresh_interval_ns
-        capacity = config.capacity
-        ranks = self.ranks
-        n_ranks = len(ranks)
-        busy = [rank.busy_until for rank in ranks]
-        read_counts = [0] * n_ranks
-        write_counts = [0] * n_ranks
-        open_rows = self.rows._open
-        row_hits = 0
-        next_refresh = self._next_refresh
-        refreshes = 0
-        addresses = window.addresses
-        times = window.times
-        is_write = window.is_write
-        n = len(addresses)
-        complete_col = [0.0] * n
-        occupied_col = [0.0] * n
-        blocked_col = [0.0] * n
-        read_latencies: list[float] = []
-        write_latencies: list[float] = []
-        served = n
-        error: Optional[AddressSpaceError] = None
-        for index in range(n):
-            address = addresses[index]
-            if address + size > capacity:
-                served = index
-                error = AddressSpaceError(
-                    f"address {address:#x} outside DRAM capacity "
-                    f"{capacity:#x}"
-                )
-                break
-            t = times[index]
-            while next_refresh <= t:
-                for rank_idx in range(n_ranks):
-                    rank_busy = busy[rank_idx]
-                    start = next_refresh if next_refresh > rank_busy \
-                        else rank_busy
-                    busy[rank_idx] = start + refresh_ns
-                refreshes += 1
-                next_refresh += refresh_interval_ns
-            row = address // ROW_BYTES
-            rank_idx = row % n_ranks
-            hit = open_rows[rank_idx] == row
-            open_rows[rank_idx] = row
-            if hit:
-                row_hits += 1
-            rank_busy = busy[rank_idx]
-            wait = rank_busy - t
-            if wait > 0.0:
-                queue_penalty = queue_ns
-            else:
-                wait = 0.0
-                queue_penalty = 0.0
-            issue = t + queue_penalty
-            start = issue if issue > rank_busy else rank_busy
-            if is_write[index]:
-                write_counts[rank_idx] += 1
-                device_complete = start + (
-                    write_ns if hit else write_ns + miss_extra_ns
-                )
-                blocked = wait - write_queue_ns
-                if blocked <= 0.0:
-                    blocked = 0.0
-                posted = issue + write_ns + blocked
-                complete = posted if posted < device_complete \
-                    else device_complete
-                write_latencies.append(complete - t)
-            else:
-                read_counts[rank_idx] += 1
-                device_complete = start + (
-                    row_hit_ns if hit else row_miss_ns
-                )
-                blocked = wait
-                complete = device_complete
-                read_latencies.append(complete - t)
-            busy[rank_idx] = device_complete
-            complete_col[index] = complete
-            occupied_col[index] = device_complete
-            blocked_col[index] = blocked
-        for rank_idx in range(n_ranks):
-            rank = ranks[rank_idx]
-            rank.busy_until = busy[rank_idx]
-            rank.read_count += read_counts[rank_idx]
-            rank.write_count += write_counts[rank_idx]
-        self._next_refresh = next_refresh
-        self.refresh_count += refreshes
-        self.rows.stats.record_many(row_hits, served)
-        if read_latencies:
-            self.read_latency.record_many(read_latencies)
-        if write_latencies:
-            self.write_latency.record_many(write_latencies)
-        if error is not None:
-            raise error
-        return ResponseWindow(window, complete_col, occupied_col, blocked_col)
+        return dram_access_window(self, window)
 
     def flush_extents(self, extents: list[Extent], time: float) -> FlushReport:
         """Drain dirty extents through the batched write path.
 
         One columnar window over all lines, one bulk stats record.  The
         functional-contents guard mirrors :meth:`access_batch`: windows
-        carry no data payloads, so backing stores fall back to the
-        scalar loop.
+        carry no data payloads, so backing stores take the scalar
+        loop.
         """
         if any(r.storage._bytes for r in self.ranks):
             return default_flush_extents(self, extents, time)

@@ -43,7 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro import _np as _nphelper
+import numpy as np
+
 from repro.memory.batch import (
     BatchResponses,
     RequestWindow,
@@ -55,6 +56,7 @@ from repro.memory.request import (
     MemoryRequest,
     MemoryResponse,
 )
+from repro.sim.stats import fold_left_sum
 
 __all__ = [
     "DirtyExtentMap",
@@ -280,20 +282,11 @@ def report_from_responses(
                     blocked += responses.blocked[index]
                 if complete > done:
                     done = complete
-        elif _nphelper.HAVE_NUMPY and isinstance(
-            responses.complete, _nphelper.np.ndarray
-        ):
+        elif len(responses):
             # max is order-insensitive and fold_left_sum replays the
             # scalar accumulation order, so this stays bit-identical.
-            if len(responses):
-                done = max(done, float(responses.complete.max()))
-            blocked = _nphelper.fold_left_sum(blocked, responses.blocked)
-        else:
-            for complete in responses.complete:
-                if complete > done:
-                    done = complete
-            for value in responses.blocked:
-                blocked += value
+            done = max(done, float(np.max(responses.complete)))
+            blocked = fold_left_sum(blocked, responses.blocked)
     else:
         for response in responses:
             complete = response.complete_time
@@ -346,9 +339,10 @@ def batched_flush_extents(
 ) -> FlushReport:
     """Flush extents through the backend's ``access_batch`` fast path.
 
-    The shared native implementation for backends whose batched loop
-    already handles uniform write windows (DRAM, the PMEM controller):
-    one columnar window for all lines, one bulk stats record, one report.
+    The shared native implementation for backends whose columnar kernel
+    already handles uniform write windows (DRAM, the PMEM controller,
+    the PSM configurations its closed-form flush does not cover): one
+    columnar window for all lines, one bulk stats record, one report.
     Falls back to the scalar loop for empty or mixed-size extent lists.
     """
     window = window_from_extents(extents, time)

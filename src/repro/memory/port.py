@@ -40,7 +40,8 @@ from typing import (
     runtime_checkable,
 )
 
-from repro import _np as _nphelper
+import numpy as np
+
 from repro.memory.batch import (
     BatchRequests,
     BatchResponses,
@@ -349,9 +350,7 @@ class LatencyTap(Interposer):
         writes: list[float] = []
         if isinstance(responses, ResponseWindow):
             latencies = responses.latencies()
-            if _nphelper.HAVE_NUMPY and isinstance(
-                latencies, _nphelper.np.ndarray
-            ):
+            if isinstance(latencies, np.ndarray):
                 # Boolean-mask selection preserves order, so each sink
                 # sees the same value sequence as the scalar partition.
                 write_mask = responses.window.arrays()[0]
@@ -676,9 +675,7 @@ class AddressRangePartition:
             # replace_addresses swaps the column object (a subwindow may
             # alias the parent's memory) and keeps the ndarray mirror
             # coherent; ndarray columns rebase in one vector op.
-            if _nphelper.HAVE_NUMPY and isinstance(
-                addresses, _nphelper.np.ndarray
-            ):
+            if isinstance(addresses, np.ndarray):
                 sub.replace_addresses(addresses - offset)
             else:
                 sub.replace_addresses(

@@ -1,9 +1,8 @@
 """Numpy-columnar kernel for the PSM's exact batch path.
 
 Same contract as :mod:`repro.memory.columnar`: observational identity
-with the Python batched loop (:meth:`PSM.access_batch`), which is itself
-value-identical to the scalar port dispatch.  The equivalence suites run
-both modes and compare ``repr``-for-``repr``.
+with looping scalar :meth:`PSM.access`, which the batch and extent
+equivalence suites diff ``repr``-for-``repr``.
 
 The PSM pipeline splits cleanly into a *translation* stage that is pure
 arithmetic and a *service* stage that is an irreducibly stateful
@@ -16,7 +15,7 @@ recurrence over shared die/buffer/channel state:
   per-randomizer lookup table; Start-Gap's ``(start, gap)`` offsets
   apply per *segment* — the window is split at gap-move boundaries
   (known in advance from the write ordinals, one ``cumsum``) and each
-  boundary replays ``StartGap._move_gap`` so registers, generation and
+  boundary replays ``StartGap._move_gap`` so the registers and
   ``background_ns`` advance exactly as in the scalar loop.
 * **Service** keeps an exact Python loop, but a lean one: the
   translated columns arrive as plain lists, the row-buffer hit paths
@@ -32,7 +31,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro._np import np
+import numpy as np
+
 from repro.memory.batch import RequestWindow, ResponseWindow
 from repro.memory.request import (
     AddressSpaceError,
@@ -52,17 +52,18 @@ def _translate_columns(psm, addr, w, served):
     the die-local page and cooling row), ``bk_arr`` the same key column
     as an ndarray (for first-touch buffer ordering), and
     ``background_adds`` is the number of gap moves replayed (their cost
-    is already applied to the wear registers via ``_move_gap``).  Must be called *before* the service loop: it
-    advances ``wear.write_count`` and replays every gap move that the
-    window's writes trigger, in element order.
+    is already applied to the wear registers via ``_move_gap``).  Must
+    be called *before* the service loop: it advances
+    ``wear.write_count`` and replays every gap move that the window's
+    writes trigger, in element order.
     """
     wear = psm.wear
     wear_lines = wear.lines
     unit_size = wear.randomize_unit
     units = wear._units
     randomizer = wear._randomizer
-    # Per-randomizer unit lookup table (ndarray analogue of the batched
-    # path's ``_unit_memo`` dict); -1 marks an unevaluated unit.
+    # Per-randomizer unit lookup table (ndarray analogue of the extent
+    # flush's ``_unit_memo`` dict); -1 marks an unevaluated unit.
     table = getattr(psm, "_unit_table", None)
     if table is None or psm._unit_table_randomizer is not randomizer \
             or len(table) != units:
@@ -149,7 +150,7 @@ def psm_access_window(psm, window: RequestWindow) -> ResponseWindow:
     — and the page-drain pipeline inlined (the same float expressions,
     in the same order, as ``_drain_page``/``_program_line``/
     ``PRAMDevice.write`` with ``early_return=True``).  Error ordering
-    matches the Python loop: the served prefix's state and stats commit
+    matches the scalar path: the served prefix's state and stats commit
     before the :class:`AddressSpaceError` is raised.
     """
     cfg = psm.config
@@ -230,10 +231,10 @@ def psm_access_window(psm, window: RequestWindow) -> ResponseWindow:
     # two list loads instead of an object deref chain.  Every request
     # probes its own (dimm, group) buffer under write aggregation, so
     # creating the touched buffers up front — in first-touch order, so
-    # ``psm._buffers`` insertion order matches the lazy loop — is
-    # state-identical to creating them inside the loop.  Absorb-path
-    # RatioStat increments are deferred per group (integer adds commute)
-    # and committed with the rest of the stats.
+    # ``psm._buffers`` insertion order matches the scalar path's lazy
+    # creation — is state-identical to creating them inside the loop.
+    # Absorb-path RatioStat increments are deferred per group (integer
+    # adds commute) and committed with the rest of the stats.
     open_flat = [-2] * (n_dimms * 4)
     dirty_flat: list = [None] * (n_dimms * 4)
     absorb_flat = [0] * (n_dimms * 4)
@@ -490,7 +491,7 @@ def psm_access_window(psm, window: RequestWindow) -> ResponseWindow:
         channel_col[dimm_index] = t + 20.0
         complete_col[index] = complete
 
-    # -- commit (same order as the batched loop) -----------------------------
+    # -- commit (same final state as the scalar path) ------------------------
     for k, die in enumerate(dies_flat):
         die.busy_until = busy_flat[k]
         die._cooling = cool_flat[k]

@@ -53,8 +53,8 @@ from repro.memory.device import PRAMTiming
 from repro.memory.extent import (
     Extent,
     FlushReport,
+    batched_flush_extents,
     default_flush_extents,
-    report_from_responses,
     window_from_extents,
 )
 from repro.memory.port import PowerPart
@@ -66,7 +66,6 @@ from repro.memory.request import (
     MemoryResponse,
 )
 from repro.memory.rowbuffer import WriteAggregationBuffer
-from repro import _np as _nphelper
 from repro.ocpmem.columnar import psm_access_window
 from repro.ocpmem.ecc import SymbolECC, XORCodec
 from repro.ocpmem.nvdimm import BareNVDIMM, Layout
@@ -160,16 +159,11 @@ class PSM:
         self.xcc = XORCodec(half_bytes=_HALF)
         self.symbol_ecc = SymbolECC() if cfg.symbol_ecc else None
         self._buffers: dict[tuple[int, int], WriteAggregationBuffer] = {}
-        #: logical line -> (physical, dimm index, local line) memo for the
-        #: batch path; valid only while the wear generation is unchanged
-        #: (the gap moves every ``wear_threshold`` writes).
-        self._translate_memo: dict[int, tuple[int, int, int]] = {}
-        self._translate_memo_gen = -1
-        #: randomize-unit -> randomized-unit memo for the batch path.  The
-        #: Feistel result depends only on the randomizer instance (not on
-        #: start/gap), so unlike :attr:`_translate_memo` this survives gap
-        #: moves — exactly what makes unique-address flush streams cheap:
-        #: one network walk covers ``randomize_unit`` adjacent lines.
+        #: randomize-unit -> randomized-unit memo for the extent flush.
+        #: The Feistel result depends only on the randomizer instance (not
+        #: on start/gap), so it survives gap moves — exactly what makes
+        #: unique-address flush streams cheap: one network walk covers
+        #: ``randomize_unit`` adjacent lines.
         self._unit_memo: dict[int, int] = {}
         self._unit_randomizer: Optional[object] = None
         #: youngest data for lines still sitting in a row buffer
@@ -242,313 +236,37 @@ class PSM:
         return self._serve_read(request)
 
     def access_batch(self, requests: BatchRequests) -> BatchResponses:
-        """Serve a whole window with the scalar dispatch inlined.
+        """Serve a whole window through the columnar PSM kernel.
 
-        Value-identical to looping :meth:`access` (same float expressions
-        in the same order).  The wins: logical->physical translation is
-        memoized per wear generation instead of re-walking the Feistel
-        network per access, per-DIMM channel occupancy and drain maxima
-        live in locals (the drain max recomputed only after a die
-        actually changed), and latencies/ratios land in the stats via one
-        bulk record per batch.  Functional mode and the strawman layout
-        keep the scalar loop.
+        Value-identical to looping :meth:`access` (see
+        :func:`~repro.ocpmem.columnar.psm_access_window`).  Functional
+        mode, the strawman layout, request lists that are not
+        window-shaped, and the configurations the kernel does not model
+        — seed rotation, Start-Gap or per-die wear tracking — take the
+        scalar loop.
         """
         window = requests if isinstance(requests, RequestWindow) \
             else RequestWindow.from_requests(requests)
-        cfg = self.config
-        if window is None or self.functional or cfg.layout != "dual_channel":
+        if (
+            window is None
+            or self.functional
+            or self.config.layout != "dual_channel"
+            or not self._plain_wear()
+        ):
             return default_access_batch(self, requests)
         if window.size > CACHELINE_BYTES:
             raise ValueError("PSM boundary is cacheline-granular")
-        if (
-            _nphelper.kernels_enabled()
-            and cfg.rotate_seed_every is None
+        return psm_access_window(self, window)
+
+    def _plain_wear(self) -> bool:
+        """No seed rotation and no wear tracing, Start-Gap or per-die:
+        the only wear configuration the fast paths model."""
+        return (
+            self.config.rotate_seed_every is None
             and not self.wear.track_wear
             and not any(
-                die.track_wear for d in self.nvdimms for die in d.dies
+                die.track_wear for dimm in self.nvdimms for die in dimm.dies
             )
-        ):
-            return psm_access_window(self, window)
-        port_ns = cfg.port_ns
-        buffer_ns = cfg.buffer_ns
-        limit_ns = cfg.write_backlog_limit_ns
-        xor_ns = cfg.xor_decode_ns
-        extra_ns = cfg.reconstruct_extra_ns
-        aggregation = cfg.write_aggregation
-        early_return = cfg.early_return_writes
-        reconstruction = cfg.ecc_reconstruction
-        wear = self.wear
-        wear_lines = wear.lines
-        record_write = wear.record_write
-        nvdimms = self.nvdimms
-        n_dimms = len(nvdimms)
-        memo = self._translate_memo
-        memo_gen = self._translate_memo_gen
-        unit_memo = self._unit_memo
-        if wear._randomizer is not self._unit_randomizer:
-            unit_memo.clear()
-            self._unit_randomizer = wear._randomizer
-        randomizer_apply = wear._randomizer.apply
-        unit_size = wear.randomize_unit
-        units = wear._units
-        buffers = self._buffers
-        pending = self._pending
-        ref_timing = nvdimms[0].dies[0].timing
-        read_ns = ref_timing.read_ns
-        half_occupancy_ns = ref_timing.write_occupancy_ns / 2.0
-        channel_col = [
-            self._channel_busy.get(d.dimm_id, 0.0) for d in nvdimms
-        ]
-        drain_cache = [0.0] * n_dimms
-        drain_dirty = [True] * n_dimms
-        background_ns = self.background_ns
-        write_stall_ns = self.write_stall_ns
-        read_blocked_ns = self.read_blocked_ns
-        buffer_hit_count = 0
-        buffer_total = 0
-        reconstructions = 0
-        addresses = window.addresses
-        times = window.times
-        is_write = window.is_write
-        n = len(addresses)
-        complete_col = [0.0] * n
-        occupied_col = [0.0] * n
-        blocked_col = [0.0] * n
-        reconstructed: set[int] = set()
-        overrides: Optional[dict[int, MemoryResponse]] = None
-        read_latencies: list[float] = []
-        write_latencies: list[float] = []
-        error: Optional[AddressSpaceError] = None
-        capacity = wear_lines * CACHELINE_BYTES
-        for index in range(n):
-            address = addresses[index]
-            time = times[index]
-            t = time + port_ns
-            logical_line = address // CACHELINE_BYTES
-            if logical_line >= wear_lines:
-                error = AddressSpaceError(
-                    f"address {address:#x} outside OC-PMEM capacity "
-                    f"{capacity:#x}"
-                )
-                break
-            generation = wear.generation
-            if generation != memo_gen:
-                memo.clear()
-                memo_gen = generation
-                if wear._randomizer is not self._unit_randomizer:
-                    # Seed rotation / register restore replaced the
-                    # network; plain gap moves keep the unit memo valid.
-                    unit_memo.clear()
-                    self._unit_randomizer = wear._randomizer
-                    randomizer_apply = wear._randomizer.apply
-            entry = memo.get(logical_line)
-            if entry is None:
-                # Inlined StartGap.map with the Feistel walk amortized
-                # over the whole randomize unit (value-identical to
-                # ``wear.map(logical_line)``).
-                unit, offset = divmod(logical_line, unit_size)
-                if unit >= units:
-                    randomized = logical_line
-                else:
-                    r = unit_memo.get(unit)
-                    if r is None:
-                        r = randomizer_apply(unit)
-                        unit_memo[unit] = r
-                    randomized = r * unit_size + offset
-                physical_line = (randomized + wear.start) % wear_lines
-                if physical_line >= wear.gap:
-                    physical_line += 1
-                dimm_index = physical_line % n_dimms
-                local_line = physical_line // n_dimms
-                memo[logical_line] = (physical_line, dimm_index, local_line)
-            else:
-                physical_line, dimm_index, local_line = entry
-            dimm = nvdimms[dimm_index]
-            dies = dimm.dies
-            group = local_line % 4
-            if is_write[index]:
-                background_ns += record_write(logical_line)
-                base = group + group
-                die0 = dies[base]
-                die1 = dies[base + 1]
-                b0 = die0.busy_until
-                b1 = die1.busy_until
-                group_max = b0 if b0 >= b1 else b1
-                backlog = group_max - t
-                if backlog < 0.0:
-                    backlog = 0.0
-                channel_wait = channel_col[dimm_index] - t
-                if channel_wait < 0.0:
-                    channel_wait = 0.0
-                if channel_wait > backlog:
-                    backlog = channel_wait
-                stall = backlog - limit_ns
-                if stall > 0.0:
-                    t = t + stall
-                else:
-                    stall = 0.0
-                write_stall_ns += stall
-                if aggregation:
-                    key = (dimm_index, group)
-                    buf = buffers.get(key)
-                    if buf is None:
-                        buf = self._buffer(dimm_index, group)
-                    absorbed, to_drain = buf.write(
-                        t, local_line * CACHELINE_BYTES
-                    )
-                    buffer_total += 1
-                    if absorbed:
-                        buffer_hit_count += 1
-                    if to_drain is not None:
-                        page, beats = to_drain
-                        self._drain_page(t, dimm, group, page, beats)
-                        drain_dirty[dimm_index] = True
-                    complete = t + buffer_ns + port_ns
-                else:
-                    channel = channel_col[dimm_index]
-                    start = t if t >= channel else channel
-                    accept, pulse_end = self._program_line(
-                        start, dimm, local_line, physical_line,
-                        data=None, staggered=False,
-                    )
-                    channel_col[dimm_index] = (
-                        accept if early_return else pulse_end
-                    )
-                    drain_dirty[dimm_index] = True
-                    complete = accept + port_ns
-                if drain_dirty[dimm_index]:
-                    dimm_max = 0.0
-                    for die in dies:
-                        if die.busy_until > dimm_max:
-                            dimm_max = die.busy_until
-                    drain_cache[dimm_index] = dimm_max
-                    drain_dirty[dimm_index] = False
-                else:
-                    dimm_max = drain_cache[dimm_index]
-                write_latencies.append(complete - time)
-                complete_col[index] = complete
-                occupied_col[index] = (
-                    complete if complete >= dimm_max else dimm_max
-                )
-                blocked_col[index] = stall
-                continue
-            # -- read --
-            if aggregation:
-                key = (dimm_index, group)
-                buf = buffers.get(key)
-                if buf is None:
-                    buf = self._buffer(dimm_index, group)
-                if buf.read_hit(local_line * CACHELINE_BYTES):
-                    complete = t + buffer_ns + port_ns
-                    read_latencies.append(complete - time)
-                    data = pending.get(physical_line)
-                    if data is not None:
-                        if overrides is None:
-                            overrides = {}
-                        overrides[index] = MemoryResponse(
-                            window.request_at(index),
-                            complete_time=complete,
-                            data=data,
-                        )
-                    complete_col[index] = complete
-                    occupied_col[index] = complete
-                    continue
-            channel_wait = channel_col[dimm_index] - t
-            if channel_wait > 0.0:
-                read_blocked_ns += channel_wait
-                t += channel_wait
-            base = group + group
-            slot_address = (local_line // 4) * 64
-            row = slot_address // 1024
-            die0 = dies[base]
-            die1 = dies[base + 1]
-            b0 = die0.busy_until
-            b1 = die1.busy_until
-            cool0 = die0._cooling.get(row, 0.0)
-            cool1 = die1._cooling.get(row, 0.0)
-            until0 = b0 if b0 >= cool0 else cool0
-            until1 = b1 if b1 >= cool1 else cool1
-            if reconstruction and (t < until0 or t < until1):
-                wait0 = until0 - t
-                if wait0 < 0.0:
-                    wait0 = 0.0
-                wait1 = until1 - t
-                if wait1 < 0.0:
-                    wait1 = 0.0
-                if wait0 <= wait1:
-                    survivor = die0
-                    survivor_wait = wait0
-                else:
-                    survivor = die1
-                    survivor_wait = wait1
-                if aggregation:
-                    wait = 0.0
-                else:
-                    wait = survivor_wait if survivor_wait <= \
-                        half_occupancy_ns else half_occupancy_ns
-                read_blocked_ns += wait
-                survivor.read_count += 2
-                complete = (
-                    t + wait + read_ns + extra_ns + xor_ns + port_ns
-                )
-                reconstructions += 1
-                channel_col[dimm_index] = t + 20.0
-                read_latencies.append(complete - time)
-                reconstructed.add(index)
-                complete_col[index] = complete
-                occupied_col[index] = complete
-                continue
-            wait0 = until0 - t
-            if wait0 < 0.0:
-                wait0 = 0.0
-            wait1 = until1 - t
-            if wait1 < 0.0:
-                wait1 = 0.0
-            wait = wait0 if wait0 >= wait1 else wait1
-            read_blocked_ns += wait
-            start0 = t
-            if b0 > start0:
-                start0 = b0
-            if cool0 > start0:
-                start0 = cool0
-            done0 = start0 + read_ns
-            die0.busy_until = done0
-            die0.read_count += 1
-            start1 = t
-            if b1 > start1:
-                start1 = b1
-            if cool1 > start1:
-                start1 = cool1
-            done1 = start1 + read_ns
-            die1.busy_until = done1
-            die1.read_count += 1
-            drain_dirty[dimm_index] = True
-            done = done0 if done0 >= done1 else done1
-            complete = done + port_ns
-            channel_col[dimm_index] = t + 20.0
-            read_latencies.append(complete - time)
-            complete_col[index] = complete
-            occupied_col[index] = complete
-            blocked_col[index] = wait
-        self._translate_memo_gen = memo_gen
-        channel_busy = self._channel_busy
-        for dimm_index in range(n_dimms):
-            channel_busy[dimm_index] = channel_col[dimm_index]
-        self.background_ns = background_ns
-        self.write_stall_ns = write_stall_ns
-        self.read_blocked_ns = read_blocked_ns
-        self.buffer_hits.record_many(buffer_hit_count, buffer_total)
-        self.reconstructions += reconstructions
-        if read_latencies:
-            self.read_latency.record_many(read_latencies)
-        if write_latencies:
-            self.write_latency.record_many(write_latencies)
-        if error is not None:
-            raise error
-        return ResponseWindow(
-            window, complete_col, occupied_col, blocked_col,
-            reconstructed=reconstructed if reconstructed else None,
-            overrides=overrides,
         )
 
     def flush_extents(self, extents: list[Extent], time: float) -> FlushReport:
@@ -561,32 +279,25 @@ class PSM:
         with the whole write pipeline — Start-Gap translation, backlog,
         row-buffer absorption, staggered page drains — inlined into one
         loop, the Feistel walk amortized per randomize unit, and stats
-        landed via bulk records.  Sweep configurations lower onto
-        :meth:`access_batch`; functional mode and the strawman layout
-        keep the scalar loop.  All three are value-identical.  Write-back
-        only: the row buffers stay open and programming keeps running in
-        the background; SnG's memory synchronization remains a separate
-        :meth:`flush` call, exactly as on the scalar path.
+        landed via bulk records.  Other configurations lower onto
+        :meth:`access_batch` (which routes the wear-tracing and
+        seed-rotation sweeps on to the scalar loop); functional mode and
+        the strawman layout keep the scalar loop.  All are
+        value-identical.  Write-back only: the row buffers stay open and
+        programming keeps running in the background; SnG's memory
+        synchronization remains a separate :meth:`flush` call, exactly
+        as on the scalar path.
         """
         cfg = self.config
         if self.functional or cfg.layout != "dual_channel" or not extents:
             return default_flush_extents(self, extents, time)
         if (
             cfg.write_aggregation
-            and cfg.rotate_seed_every is None
-            and not self.wear.track_wear
             and all(e.size == CACHELINE_BYTES for e in extents)
-            and not any(
-                die.track_wear for dimm in self.nvdimms for die in dimm.dies
-            )
+            and self._plain_wear()
         ):
             return self._flush_extents_fast(extents, time)
-        window = window_from_extents(extents, time)
-        if window is None:
-            return default_flush_extents(self, extents, time)
-        return report_from_responses(
-            len(extents), time, self.access_batch(window)
-        )
+        return batched_flush_extents(self, extents, time)
 
     def _flush_extents_fast(self, extents: list[Extent], time: float) -> FlushReport:
         """One-pass extent drain with the write pipeline fully inlined.

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro import _np as _nphelper
+import numpy as np
 
 __all__ = ["FeistelPermutation", "StartGap", "WearRegisters"]
 
@@ -85,7 +85,6 @@ class FeistelPermutation:
         with explicit 32-bit masks, so every intermediate matches the
         arbitrary-precision Python ints masked by ``& 0xFFFFFFFF``.
         """
-        np = _nphelper.np
         half_bits = np.uint64(self._half_bits)
         half_mask = np.uint64(self._half_mask)
         mask32 = np.uint64(0xFFFFFFFF)
@@ -109,7 +108,6 @@ class FeistelPermutation:
         boolean masks until all land inside ``[0, n)``; the result equals
         element-wise :meth:`apply` exactly (same network, same walk).
         """
-        np = _nphelper.np
         if self.n == 1:
             return np.zeros(len(values), dtype=np.int64)
         y = self._permute_once_many(values.astype(np.uint64))
@@ -181,11 +179,6 @@ class StartGap:
         self.gap_cycles = 0
         self.gap_moves = 0
         self.seed_rotations = 0
-        #: Bumped whenever the logical-to-physical mapping changes (gap
-        #: movement, seed rotation, register restore).  Lets callers
-        #: memoize :meth:`map` results and invalidate by comparison
-        #: instead of re-walking the Feistel network per access.
-        self.generation = 0
         self.track_wear = track_wear
         self.physical_writes: dict[int, int] = {}
 
@@ -241,7 +234,6 @@ class StartGap:
         returns to the top, and Start advances — completing one rotation
         of the whole logical-to-physical mapping.
         """
-        self.generation += 1
         if self.gap == 0:
             if self.move_fn is not None:
                 self.move_fn(self.lines, 0)
@@ -277,7 +269,6 @@ class StartGap:
         new_seed = (self._randomizer.seed * 0x9E3779B1 + 0xABCD) & 0xFFFFFFFF
         self._randomizer = FeistelPermutation(self._units, new_seed)
         self.seed_rotations += 1
-        self.generation += 1
         if old_map is not None and self.move_fn is not None:
             self._migrate(old_map)
         return self.GAP_MOVE_NS * self.lines  # bulk migration cost
@@ -329,7 +320,6 @@ class StartGap:
         self.write_count = regs.write_count
         self.gap_cycles = regs.gap_cycles
         self._randomizer = FeistelPermutation(self._units, regs.seed)
-        self.generation += 1
 
     # -- endurance analysis -----------------------------------------------------
 

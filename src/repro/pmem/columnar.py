@@ -1,8 +1,9 @@
 """Numpy-columnar kernels for the conventional-PMEM exact batch path.
 
 Same contract as :mod:`repro.memory.columnar`: observational identity
-with the Python batched loops — the same float expressions evaluated in
-the same order, the same stats/state commits, the same error ordering.
+with looping scalar ``access`` — the same float expressions evaluated
+in the same order, the same stats/state commits, the same error
+ordering.
 
 Two kernels, one per layer:
 
@@ -29,7 +30,8 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Optional
 
-from repro._np import np
+import numpy as np
+
 from repro.memory.batch import (
     RequestWindow,
     ResponseWindow,
@@ -54,7 +56,7 @@ def pmem_controller_window(
 ) -> ResponseWindow:
     """Scatter a window across the DIMMs with vectorized routing.
 
-    Mirrors ``PMEMController.access_batch`` exactly: errors — the
+    Mirrors looping ``PMEMController.access`` exactly: errors — the
     controller's capacity check, the cacheline-granularity check, and
     the DIMM-local capacity check, in that per-element priority — stop
     the scatter at the first failing element, so precisely the scalar
@@ -242,8 +244,8 @@ def pmem_dimm_window(dimm, window: RequestWindow) -> ResponseWindow:
 
     # Per-bank die maxima seed from one grouped reduce over the die
     # matrix (banks x dies-per-bank); both maxima are refreshed only
-    # after a media frame operation actually moves a die, exactly like
-    # the batched loop (die ``busy_until`` is monotonic).
+    # after a media frame operation actually moves a die (die
+    # ``busy_until`` is monotonic, so the running maxima stay exact).
     busy_matrix = np.fromiter(
         (die.busy_until for die in dimm.dies),
         dtype=np.float64, count=len(dimm.dies),
@@ -456,7 +458,7 @@ def pmem_dimm_window(dimm, window: RequestWindow) -> ResponseWindow:
         dev_append(index)
         dev_store(complete)
 
-    # -- commit (same final state as the batched loop's live updates) -------
+    # -- commit (same final state as the scalar path's live updates) --------
     lsq.combines = lsq_combines
     lsq.allocations = lsq_allocations
     lsq.evictions = lsq_evictions

@@ -21,8 +21,6 @@ from repro.memory.batch import (
     BatchRequests,
     BatchResponses,
     RequestWindow,
-    ResponseWindow,
-    backend_access_batch,
     default_access_batch,
 )
 from repro.memory.dram import DRAMSubsystem
@@ -41,7 +39,6 @@ from repro.memory.request import (
     MemoryResponse,
     cacheline_of,
 )
-from repro import _np as _nphelper
 from repro.pmem.columnar import pmem_controller_window
 from repro.pmem.dimm import PMEMDIMM
 from repro.sim.stats import LatencyStats, RatioStat, StatsRegistry
@@ -112,108 +109,14 @@ class PMEMController:
         Cachelines interleave across DIMMs and the DIMMs share no state,
         so serving each DIMM's sub-window as one contiguous batch (order
         preserved within a DIMM) is observationally identical to the
-        scalar per-request routing.  Capacity errors — the controller's
-        own and the DIMM-local one — are pre-checked in arrival order so
-        exactly the scalar prefix of side effects lands before the raise.
+        scalar per-request routing (see
+        :func:`~repro.pmem.columnar.pmem_controller_window`).
         """
         window = requests if isinstance(requests, RequestWindow) \
             else RequestWindow.from_requests(requests)
         if window is None:
             return default_access_batch(self, requests)
-        if _nphelper.kernels_enabled():
-            return pmem_controller_window(self, window)
-        dimms = self.dimms
-        n_dimms = len(dimms)
-        request_ns = self.ddrt.request_ns
-        completion_ns = self.ddrt.completion_ns
-        capacity = self.capacity
-        size = window.size
-        oversize = size > CACHELINE_BYTES
-        addresses = window.addresses
-        times = window.times
-        is_write = window.is_write
-        thread_ids = window.thread_ids
-        n = len(addresses)
-        sub_write: list[list[bool]] = [[] for _ in range(n_dimms)]
-        sub_addr: list[list[int]] = [[] for _ in range(n_dimms)]
-        sub_time: list[list[float]] = [[] for _ in range(n_dimms)]
-        sub_tid: list[list[int]] = [[] for _ in range(n_dimms)]
-        sub_index: list[list[int]] = [[] for _ in range(n_dimms)]
-        error: Optional[ValueError] = None
-        for index in range(n):
-            address = addresses[index]
-            if address + size > capacity:
-                error = AddressSpaceError(
-                    f"address {address:#x} outside PMEM capacity "
-                    f"{capacity:#x}"
-                )
-                break
-            if oversize:
-                error = ValueError(
-                    "PMEM DIMM boundary is cacheline-granular"
-                )
-                break
-            line = address // CACHELINE_BYTES
-            dimm_index = line % n_dimms
-            local = (line // n_dimms) * CACHELINE_BYTES \
-                + address % CACHELINE_BYTES
-            if local + size > dimms[dimm_index].capacity:
-                error = ValueError(
-                    f"address {local:#x} outside DIMM capacity"
-                )
-                break
-            sub_write[dimm_index].append(is_write[index])
-            sub_addr[dimm_index].append(local)
-            sub_time[dimm_index].append(times[index] + request_ns)
-            if thread_ids is not None:
-                sub_tid[dimm_index].append(thread_ids[index])
-            sub_index[dimm_index].append(index)
-        complete_col = [0.0] * n
-        occupied_col = [0.0] * n
-        blocked_col = [0.0] * n
-        overrides: dict[int, MemoryResponse] = {}
-        for dimm_index in range(n_dimms):
-            indices = sub_index[dimm_index]
-            if not indices:
-                continue
-            sub = RequestWindow._bare(
-                sub_write[dimm_index],
-                sub_addr[dimm_index],
-                sub_time[dimm_index],
-                sub_tid[dimm_index] if thread_ids is not None else None,
-                size,
-            )
-            responses = backend_access_batch(dimms[dimm_index], sub)
-            if isinstance(responses, ResponseWindow):
-                sub_complete = responses.complete
-                sub_occupied = responses.occupied
-                sub_blocked = responses.blocked
-                for position, index in enumerate(indices):
-                    complete_col[index] = \
-                        sub_complete[position] + completion_ns
-                    occupied_col[index] = sub_occupied[position]
-                    blocked_col[index] = sub_blocked[position]
-            else:
-                for position, index in enumerate(indices):
-                    response = responses[position]
-                    complete = response.complete_time + completion_ns
-                    complete_col[index] = complete
-                    occupied_col[index] = response.occupied_until
-                    blocked_col[index] = response.blocked_ns
-                    if response.data is not None:
-                        overrides[index] = MemoryResponse(
-                            window.request_at(index),
-                            complete_time=complete,
-                            occupied_until=response.occupied_until,
-                            data=response.data,
-                            blocked_ns=response.blocked_ns,
-                        )
-        if error is not None:
-            raise error
-        return ResponseWindow(
-            window, complete_col, occupied_col, blocked_col,
-            overrides=overrides if overrides else None,
-        )
+        return pmem_controller_window(self, window)
 
     def flush_extents(self, extents: list[Extent], time: float) -> FlushReport:
         """Drain dirty extents through the batched scatter/gather path.

@@ -23,7 +23,6 @@ from repro.memory.batch import (
     BatchRequests,
     BatchResponses,
     RequestWindow,
-    ResponseWindow,
     default_access_batch,
 )
 from repro.memory.device import PRAMDevice, PRAMTiming, SRAMBuffer
@@ -35,7 +34,6 @@ from repro.memory.request import (
     PMEM_INTERNAL_BYTES,
     PRAM_DEVICE_BYTES,
 )
-from repro import _np as _nphelper
 from repro.pmem.columnar import pmem_dimm_window
 from repro.pmem.lsq import LoadStoreQueue, LSQEntry
 from repro.sim.stats import LatencyStats
@@ -192,147 +190,26 @@ class PMEMDIMM:
         return self._serve_read(request)
 
     def access_batch(self, requests: BatchRequests) -> BatchResponses:
-        """Serve a whole window through the inlined lookup hierarchy.
+        """Serve a whole window through the columnar DIMM kernel.
 
-        Value-identical to looping :meth:`access`: each element walks the
-        same LSQ/SRAM/DRAM/media stages with the same float expressions in
-        the same order.  The batch form amortizes the expensive per-write
-        occupancy scans — the scalar path computes ``max`` over all 128
-        media dies per write and over one 8-die bank per backlog probe;
-        here both maxima are cached and refreshed only after a media frame
-        operation actually moves a die (die ``busy_until`` is monotonic,
-        so the running maxima stay exact).
+        Value-identical to looping :meth:`access` (see
+        :func:`~repro.pmem.columnar.pmem_dimm_window`).  Request lists
+        that are not window-shaped, functional byte images and per-die
+        wear tracking — which the kernel does not model — take the
+        scalar loop.
         """
         window = requests if isinstance(requests, RequestWindow) \
             else RequestWindow.from_requests(requests)
-        if window is None or self._volatile_data or self._durable_data:
-            return default_access_batch(self, requests)
-        size = window.size
-        if size > CACHELINE_BYTES:
-            raise ValueError("PMEM DIMM boundary is cacheline-granular")
-        if _nphelper.kernels_enabled() and not any(
-            die.track_wear for die in self.dies
+        if (
+            window is None
+            or self._volatile_data
+            or self._durable_data
+            or any(die.track_wear for die in self.dies)
         ):
-            return pmem_dimm_window(self, window)
-        timing = self.timing
-        lsq_ns = timing.lsq_ns
-        sram_lookup_ns = timing.sram_lookup_ns
-        sram_access_ns = timing.sram_access_ns
-        dram_lookup_ns = timing.dram_lookup_ns
-        dram_access_ns = timing.dram_access_ns
-        firmware_ns = timing.firmware_ns
-        limit_ns = timing.write_backlog_limit_ns
-        # The scalar paths parenthesize both sums (``t += ait + firmware``
-        # and ``t + (sram + ... + transfer)``), so pre-folding is exact.
-        read_miss_extra_ns = timing.ait_ns + timing.firmware_ns
-        write_pipeline_ns = (
-            timing.sram_access_ns
-            + timing.dram_lookup_ns
-            + timing.dram_access_ns
-            + timing.ait_ns
-            + timing.firmware_ns
-            + timing.frame_transfer_ns
-        )
-        capacity = self.capacity
-        banks = self.banks
-        n_banks = self.media_banks
-        forward_read = self.lsq.forward_read
-        push_write = self.lsq.push_write
-        sram_lookup = self.sram.lookup
-        sram_fill = self.sram.fill
-        dram_buffer_lookup = self.dram_buffer.lookup
-        dram_buffer_fill = self.dram_buffer.fill
-        media_read = self._media_read_frame
-        media_write = self._media_write_frame
-        bank_max = [
-            max(die.busy_until for die in bank) for bank in banks
-        ]
-        dies_max = max(bank_max)
-        addresses = window.addresses
-        times = window.times
-        is_write = window.is_write
-        n = len(addresses)
-        complete_col = [0.0] * n
-        occupied_col = [0.0] * n
-        blocked_col = [0.0] * n
-        read_latencies: list[float] = []
-        write_latencies: list[float] = []
-        error: Optional[ValueError] = None
-        for index in range(n):
-            address = addresses[index]
-            if address + size > capacity:
-                error = ValueError(
-                    f"address {address:#x} outside DIMM capacity"
-                )
-                break
-            time = times[index]
-            t = time + lsq_ns
-            if is_write[index]:
-                frame = address - (address % PMEM_INTERNAL_BYTES)
-                bank_index = (frame // PMEM_INTERNAL_BYTES) % n_banks
-                backlog = bank_max[bank_index] - t
-                if backlog < 0.0:
-                    backlog = 0.0
-                stall = backlog - limit_ns
-                if stall < 0.0:
-                    stall = 0.0
-                t += stall
-                evicted = push_write(t, address)
-                sram_fill(address)
-                dram_buffer_fill(address)
-                complete = t + write_pipeline_ns
-                if evicted is not None:
-                    media_write(complete + firmware_ns, evicted)
-                    hot = (evicted.frame // PMEM_INTERNAL_BYTES) % n_banks
-                    refreshed = max(
-                        die.busy_until for die in banks[hot]
-                    )
-                    bank_max[hot] = refreshed
-                    if refreshed > dies_max:
-                        dies_max = refreshed
-                write_latencies.append(complete - time)
-                complete_col[index] = complete
-                occupied_col[index] = dies_max
-                blocked_col[index] = stall
-            else:
-                if forward_read(address):
-                    complete = t + sram_access_ns
-                else:
-                    t += sram_lookup_ns
-                    if sram_lookup(address):
-                        complete = t + sram_access_ns
-                    else:
-                        t += dram_lookup_ns
-                        if dram_buffer_lookup(address):
-                            complete = t + dram_access_ns
-                            sram_fill(address)
-                        else:
-                            t += read_miss_extra_ns
-                            frame = address - (address % PMEM_INTERNAL_BYTES)
-                            complete = media_read(t, frame)
-                            bank_index = (
-                                frame // PMEM_INTERNAL_BYTES
-                            ) % n_banks
-                            refreshed = max(
-                                die.busy_until for die in banks[bank_index]
-                            )
-                            bank_max[bank_index] = refreshed
-                            if refreshed > dies_max:
-                                dies_max = refreshed
-                            sram_fill(address)
-                            dram_buffer_fill(address)
-                read_latencies.append(complete - time)
-                complete_col[index] = complete
-                # scalar read responses carry no occupancy: the default
-                # 0.0 clamps up to the completion time
-                occupied_col[index] = complete
-        if read_latencies:
-            self.read_latency.record_many(read_latencies)
-        if write_latencies:
-            self.write_latency.record_many(write_latencies)
-        if error is not None:
-            raise error
-        return ResponseWindow(window, complete_col, occupied_col, blocked_col)
+            return default_access_batch(self, requests)
+        if window.size > CACHELINE_BYTES:
+            raise ValueError("PMEM DIMM boundary is cacheline-granular")
+        return pmem_dimm_window(self, window)
 
     def _line_data(self, address: int) -> Optional[bytes]:
         line = address - address % CACHELINE_BYTES

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Union
 
-from repro import _np as _nphelper
+import numpy as np
 
 __all__ = [
     "Counter",
@@ -22,9 +22,27 @@ __all__ = [
     "RatioStat",
     "StatsRegistry",
     "TimeSeries",
+    "fold_left_sum",
     "geometric_mean",
     "weighted_mean",
 ]
+
+
+def fold_left_sum(initial: float, values) -> float:
+    """``initial + v0 + v1 + ...`` in strict left-to-right order.
+
+    Bitwise-identical to the scalar ``total += value`` loop: numpy's
+    ``add.accumulate`` is a sequential fold (unlike ``np.sum``'s
+    pairwise reduction, which associates differently).  ``values`` is
+    a 1-D float sequence (an ndarray or a list of floats).
+    """
+    n = len(values)
+    if n == 0:
+        return initial
+    buf = np.empty(n + 1, dtype=np.float64)
+    buf[0] = initial
+    buf[1:] = values
+    return float(np.add.accumulate(buf)[-1])
 
 
 class LatencyStats:
@@ -112,7 +130,7 @@ class LatencyStats:
         scalar addition order) and an arithmetic replay of the reservoir
         stride discipline — no Python-level loop over the values.
         """
-        if _nphelper.HAVE_NUMPY and isinstance(values, _nphelper.np.ndarray):
+        if isinstance(values, np.ndarray):
             self._record_array(values)
             return
         count = 0
@@ -166,16 +184,13 @@ class LatencyStats:
         outer loop runs once per wrap — ~``capacity * stride`` values
         apart — not per value.
         """
-        np = _nphelper.np
         values = np.asarray(values, dtype=np.float64)
         n = int(values.size)
         if n == 0:
             return
         self.count += n
-        self.total = _nphelper.fold_left_sum(self.total, values)
-        self.total_sq = _nphelper.fold_left_sum(
-            self.total_sq, values * values
-        )
+        self.total = fold_left_sum(self.total, values)
+        self.total_sq = fold_left_sum(self.total_sq, values * values)
         lo = float(values.min())
         hi = float(values.max())
         if lo < self.min:

@@ -10,10 +10,9 @@ tool.  Two on-disk layouts share one magic:
   offset *k* costs O(k): the stream must be parsed from the start.
 * **v2 (columnar)** — ``header | instructions u32* | addresses u64* |
   flags u8*``.  The three column blocks are fixed-offset, so a window
-  ``[lo, hi)`` is a constant-time slice; when numpy is importable the
-  columns are ``memmap``-backed and shared read-only across forked
-  campaign workers (zero copies, zero re-parsing per trial), with a
-  pure-python ``mmap`` fallback mirroring :mod:`repro.engine.columnar`.
+  ``[lo, hi)`` is a constant-time slice; the columns are
+  ``memmap``-backed and shared read-only across forked campaign workers
+  (zero copies, zero re-parsing per trial).
 
 :func:`load_trace` auto-detects the version; :func:`open_trace` returns
 a random-access :class:`ColumnarTrace` handle (process-local handles are
@@ -22,19 +21,16 @@ cached so every trial in a worker shares one mapping).
 
 from __future__ import annotations
 
-import mmap
 import struct
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
-# One central guard decides numpy availability (tests monkeypatch the
-# module-level HAVE_NUMPY re-export to force the pure-python branch).
-from repro._np import HAVE_NUMPY, np as _np
+import numpy as np
+
 from repro.workloads.trace import TraceRecord
 
 __all__ = [
     "ColumnarTrace",
-    "HAVE_NUMPY",
     "RecordStream",
     "TraceFormatError",
     "TraceWindow",
@@ -100,16 +96,10 @@ def save_trace_columnar(records, path: Union[str, Path]) -> int:
     count = len(instructions)
     with path.open("wb") as handle:
         handle.write(_HEADER.pack(_MAGIC, _VERSION_COLUMNAR, count))
-        if HAVE_NUMPY:
-            handle.write(_np.asarray(
-                instructions, dtype="<u4").tobytes())
-            handle.write(_np.asarray(addresses, dtype="<u8").tobytes())
-            handle.write(_np.asarray(
-                [1 if w else 0 for w in writes], dtype="<u1").tobytes())
-        else:
-            handle.write(struct.pack(f"<{count}I", *instructions))
-            handle.write(struct.pack(f"<{count}Q", *addresses))
-            handle.write(bytes(1 if w else 0 for w in writes))
+        handle.write(np.asarray(instructions, dtype="<u4").tobytes())
+        handle.write(np.asarray(addresses, dtype="<u8").tobytes())
+        handle.write(np.asarray(
+            [1 if w else 0 for w in writes], dtype="<u1").tobytes())
     return count
 
 
@@ -167,10 +157,9 @@ class TraceWindow:
 class ColumnarTrace:
     """Random-access handle over a v2 columnar trace file.
 
-    numpy builds get ``memmap``-backed columns (one shared page-cache
-    mapping per process, zero-copy windows); without numpy the file is
-    ``mmap``-ed read-only and records are unpacked lazily per row.  Both
-    paths yield identical :class:`TraceRecord` streams.
+    The three columns are ``memmap``-backed (one shared page-cache
+    mapping per process, zero-copy windows).  :meth:`close` drops the
+    mappings; reading through a closed handle raises ``ValueError``.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -184,24 +173,17 @@ class ColumnarTrace:
         body = count * (_INSTR_BYTES + _ADDR_BYTES + _FLAG_BYTES)
         if self.path.stat().st_size < _HEADER.size + body:
             raise TraceFormatError(f"{self.path}: truncated columns")
-        self._instr_off = _HEADER.size
-        self._addr_off = self._instr_off + count * _INSTR_BYTES
-        self._flag_off = self._addr_off + count * _ADDR_BYTES
-        if HAVE_NUMPY:
-            self._instructions = _np.memmap(
-                self.path, mode="r", dtype="<u4", offset=self._instr_off,
-                shape=(count,))
-            self._addresses = _np.memmap(
-                self.path, mode="r", dtype="<u8", offset=self._addr_off,
-                shape=(count,))
-            self._flags = _np.memmap(
-                self.path, mode="r", dtype="<u1", offset=self._flag_off,
-                shape=(count,))
-            self._mm = None
-        else:
-            self._file = self.path.open("rb")
-            self._mm = mmap.mmap(self._file.fileno(), 0,
-                                 access=mmap.ACCESS_READ)
+        instr_off = _HEADER.size
+        addr_off = instr_off + count * _INSTR_BYTES
+        flag_off = addr_off + count * _ADDR_BYTES
+        self._columns = (
+            np.memmap(self.path, mode="r", dtype="<u4", offset=instr_off,
+                      shape=(count,)),
+            np.memmap(self.path, mode="r", dtype="<u8", offset=addr_off,
+                      shape=(count,)),
+            np.memmap(self.path, mode="r", dtype="<u1", offset=flag_off,
+                      shape=(count,)),
+        )
 
     # -- views -------------------------------------------------------------
 
@@ -213,16 +195,10 @@ class ColumnarTrace:
         return self._iter_range(0, self.count)
 
     def _columns_range(self, lo: int, hi: int):
-        if HAVE_NUMPY:
-            return (self._instructions[lo:hi], self._addresses[lo:hi],
-                    self._flags[lo:hi])
-        span = hi - lo
-        instructions = struct.unpack_from(
-            f"<{span}I", self._mm, self._instr_off + lo * _INSTR_BYTES)
-        addresses = struct.unpack_from(
-            f"<{span}Q", self._mm, self._addr_off + lo * _ADDR_BYTES)
-        flags = self._mm[self._flag_off + lo:self._flag_off + hi]
-        return instructions, addresses, flags
+        if self._columns is None:
+            raise ValueError(f"{self.path}: trace handle is closed")
+        instructions, addresses, flags = self._columns
+        return instructions[lo:hi], addresses[lo:hi], flags[lo:hi]
 
     def _iter_range(self, lo: int, hi: int) -> Iterator[TraceRecord]:
         instructions, addresses, flags = self._columns_range(lo, hi)
@@ -234,9 +210,12 @@ class ColumnarTrace:
             )
 
     def close(self) -> None:
-        if self._mm is not None:
-            self._mm.close()
-            self._file.close()
+        """Drop the column mappings; a shared handle also leaves the
+        per-process cache, so the next :func:`open_trace` maps afresh."""
+        self._columns = None
+        for key, handle in list(_SHARED_HANDLES.items()):
+            if handle is self:
+                del _SHARED_HANDLES[key]
 
 
 #: process-local handle cache: every trial in a warm worker shares one

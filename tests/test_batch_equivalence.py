@@ -10,6 +10,10 @@ backend, one per path, and diff everything observable.
 The native fast paths (DRAM, PSM, PMEM controller/DIMM) are also pinned
 to actually return a :class:`ResponseWindow`, so a silent fall-back to
 the default loop fails the suite instead of quietly losing the speedup.
+The configurations the kernels do not model (PSM seed rotation, Start-Gap
+or per-die wear tracking, PMEM per-die wear tracking) are pinned the
+other way: they must reach the scalar loop, and the wear maps they keep
+are part of the diffed state.
 """
 
 from __future__ import annotations
@@ -35,48 +39,14 @@ from repro.memory.port import (
 )
 from repro.memory.request import CACHELINE_BYTES, MemoryOp, MemoryRequest
 from repro.ocpmem.psm import PSM, PSMConfig
-from repro.pmem.controller import NMEMController, PMEMController
-from repro.pmem.dimm import PMEMDIMM
-from repro.sim.stats import StatsRegistry
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _kernel_mode_matrix(kernel_mode):
-    """Run this whole suite once per columnar-kernel mode.
-
-    Scalar/batched (and scalar/extent) identity must hold both when the
-    batch path runs the pure Python loops and when it runs the numpy
-    kernels; the module-scoped matrix proves stats trees, wear
-    registers and fault splits match in either mode.
-    """
-    yield
-
-
-def _pmem():
-    return PMEMController(
-        [PMEMDIMM(capacity=1 << 22), PMEMDIMM(capacity=1 << 22)]
-    )
-
-
-BACKENDS = {
-    "dram": lambda: DRAMSubsystem(DRAMConfig(capacity=1 << 22, ranks=4)),
-    "psm": lambda: PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10)),
-    "pmem": _pmem,
-    "nmem": lambda: NMEMController(
-        DRAMSubsystem(DRAMConfig(capacity=1 << 20, ranks=4)), _pmem()
-    ),
-}
-
-#: Tiers whose ``access_batch`` is a native columnar loop (must return a
-#: ResponseWindow for window-shaped input, not fall back to the default).
-NATIVE = ("dram", "psm", "pmem")
-
-
-def _capacity(backend) -> int:
-    cap = getattr(backend, "capacity", None)
-    if cap is None:
-        cap = backend.config.capacity
-    return cap if isinstance(cap, int) else backend.config.capacity
+from tests.equivalence import (
+    BACKENDS,
+    NATIVE,
+    SCALAR_ROUTED,
+    capacity_of,
+    numpy_kernels,  # noqa: F401  (autouse fixture)
+    state_of,
+)
 
 
 def make_columns(capacity: int, count: int, seed: int):
@@ -118,14 +88,6 @@ def run_batched(backend, columns, window: int):
     return outputs, responses
 
 
-def state_of(backend):
-    """Everything observable about a backend, comparison-ready."""
-    registry = StatsRegistry()
-    backend.register_stats(registry.scoped("memory"))
-    return (registry.flat(), backend.counters(),
-            backend.capture_registers())
-
-
 def assert_equivalent(scalar_backend, batch_backend, scalar_responses,
                       batch_responses):
     assert len(scalar_responses) == len(batch_responses)
@@ -138,7 +100,7 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     @pytest.mark.parametrize("window", (1, 64, 4096))
     def test_window_batches_match_scalar(self, name, window):
-        capacity = _capacity(BACKENDS[name]())
+        capacity = capacity_of(BACKENDS[name]())
         columns = make_columns(capacity, 600, seed=hash(name) & 0xFFFF)
         scalar = BACKENDS[name]()
         batched = BACKENDS[name]()
@@ -148,12 +110,16 @@ class TestBackendEquivalence:
             for out in outputs:
                 assert isinstance(out, ResponseWindow), \
                     f"{name} silently fell back to the default loop"
+        if name in SCALAR_ROUTED:
+            for out in outputs:
+                assert isinstance(out, list), \
+                    f"{name} reached a kernel that does not model it"
         assert_equivalent(scalar, batched, scalar_responses, batch_responses)
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_request_list_matches_scalar(self, name):
         """The list form (plain MemoryRequest sequence) is equivalent too."""
-        capacity = _capacity(BACKENDS[name]())
+        capacity = capacity_of(BACKENDS[name]())
         columns = make_columns(capacity, 200, seed=7)
         is_write, addresses, times = columns
         requests = [
@@ -164,6 +130,27 @@ class TestBackendEquivalence:
         batched = BACKENDS[name]()
         scalar_responses = run_scalar(scalar, columns)
         batch_responses = list(backend_access_batch(batched, requests))
+        assert_equivalent(scalar, batched, scalar_responses, batch_responses)
+
+    def test_seed_rotation_matches_scalar(self):
+        """A write stream long enough to rotate the randomizer seed
+        several times still matches the scalar path."""
+
+        def build():
+            return PSM(PSMConfig(
+                dimms=2, lines_per_dimm=64, wear_threshold=1,
+                wear_randomize_unit=1, rotate_seed_every=1))
+
+        lines = build().capacity // CACHELINE_BYTES
+        columns = ([True] * 600,
+                   [(i * 7 % lines) * CACHELINE_BYTES for i in range(600)],
+                   [float(i) for i in range(600)])
+        scalar = build()
+        batched = build()
+        scalar_responses = run_scalar(scalar, columns)
+        outputs, batch_responses = run_batched(batched, columns, 256)
+        assert all(isinstance(out, list) for out in outputs)
+        assert scalar.wear.seed_rotations >= 2
         assert_equivalent(scalar, batched, scalar_responses, batch_responses)
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
@@ -199,7 +186,7 @@ class TestInterposerEquivalence:
                           name="port")
 
     def test_tap_throttle_chain_matches_scalar(self):
-        capacity = _capacity(PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10)))
+        capacity = capacity_of(PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10)))
         columns = make_columns(capacity, 500, seed=21)
         scalar = self._chain()
         batched = self._chain()
@@ -235,7 +222,7 @@ class TestInterposerEquivalence:
                 PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10)),
                 crash_at_op=crash_at)
 
-        capacity = _capacity(PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10)))
+        capacity = capacity_of(PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10)))
         columns = make_columns(capacity, 500, seed=55)
         scalar = build()
         batched = build()

@@ -4,26 +4,21 @@
 (aliasing the parent's memory) while list columns shallow-copy;
 ``RequestWindow.from_arrays`` adopts matching-dtype buffers without
 copying; ``ResponseWindow.latencies`` computes its column once and hands
-back the same object; ``LatencyStats.record_many`` on an ndarray must be
-observationally identical to the scalar ``record`` loop.  These are the
-load-bearing assumptions of the columnar kernels and the campaign fast
-path, so they get pinned here rather than implied by the equivalence
-suites.
+back the same object; ``ResponseWindow`` indexing bounds-checks like the
+scalar path's response list; ``LatencyStats.record_many`` on an ndarray
+must be observationally identical to the scalar ``record`` loop.  These
+are the load-bearing assumptions of the columnar kernels and the
+campaign fast path, so they get pinned here rather than implied by the
+equivalence suites.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro import _np as _nphelper
 from repro.memory.batch import RequestWindow, ResponseWindow
 from repro.sim.stats import LatencyStats
-
-np = _nphelper.np
-
-needs_numpy = pytest.mark.skipif(
-    not _nphelper.HAVE_NUMPY, reason="numpy unavailable"
-)
 
 
 def _list_window(n: int = 16) -> RequestWindow:
@@ -41,7 +36,6 @@ def _array_window(n: int = 16) -> RequestWindow:
     return RequestWindow.from_arrays(w, a, t)
 
 
-@needs_numpy
 def test_from_arrays_adopts_matching_dtypes_without_copy():
     a = np.arange(8, dtype=np.int64) * 64
     t = np.arange(8, dtype=np.float64)
@@ -55,7 +49,6 @@ def test_from_arrays_adopts_matching_dtypes_without_copy():
     assert window.arrays()[1] is a
 
 
-@needs_numpy
 def test_subwindow_of_array_window_aliases_parent_memory():
     window = _array_window(16)
     sub = window.subwindow(4, 12)
@@ -76,7 +69,6 @@ def test_subwindow_of_list_window_copies_shallowly():
     assert window.addresses[4] == 4 * 64  # parent untouched
 
 
-@needs_numpy
 def test_replace_addresses_rebases_without_writing_through_views():
     window = _array_window(16)
     before = window.addresses.copy()
@@ -89,7 +81,6 @@ def test_replace_addresses_rebases_without_writing_through_views():
     assert sub.arrays()[1].tolist() == sub.addresses.tolist()
 
 
-@needs_numpy
 def test_request_at_coerces_ndarray_scalars_to_builtins():
     window = _array_window(4)
     request = window.request_at(1)
@@ -97,7 +88,6 @@ def test_request_at_coerces_ndarray_scalars_to_builtins():
     assert type(request.time) is float
 
 
-@needs_numpy
 def test_arrays_cached_and_mirrors_list_columns():
     window = _list_window(8)
     first = window.arrays()
@@ -106,7 +96,6 @@ def test_arrays_cached_and_mirrors_list_columns():
     assert first[2].tolist() == window.times
 
 
-@needs_numpy
 def test_latencies_cached_column_ndarray():
     window = _array_window(8)
     complete = window.arrays()[2] + 25.0
@@ -116,6 +105,20 @@ def test_latencies_cached_column_ndarray():
     assert responses.latencies() is column
     assert column.tolist() == [25.0] * 8
     assert [r.latency for r in responses] == column.tolist()
+
+
+def test_getitem_bounds_match_a_response_list():
+    window = _list_window(3)
+    complete = [t + 5.0 for t in window.times]
+    responses = ResponseWindow(window, complete, complete, [0.0] * 3)
+    as_list = list(responses)
+    for index in (-3, -1, 0, 2):
+        assert repr(responses[index]) == repr(as_list[index])
+    for index in (-5, -4, 3, 4):
+        with pytest.raises(IndexError):
+            as_list[index]
+        with pytest.raises(IndexError):
+            responses[index]
 
 
 def test_latencies_cached_column_list_fallback():
@@ -128,7 +131,6 @@ def test_latencies_cached_column_list_fallback():
     assert column == [30.0] * 8
 
 
-@needs_numpy
 def test_record_many_ndarray_identical_to_scalar_loop():
     rng = np.random.default_rng(7)
     values = rng.uniform(10.0, 500.0, size=20000)
@@ -164,7 +166,6 @@ def test_record_many_sequence_identical_to_scalar_loop():
     assert bulk._stride == scalar._stride
 
 
-@needs_numpy
 def test_summarize_responses_consumes_cached_column():
     from repro.engine.columnar import summarize_responses
 

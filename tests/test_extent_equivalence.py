@@ -51,48 +51,15 @@ from repro.pecos.kernel import Kernel
 from repro.pecos.sng import SnG
 from repro.persistence.acheckpc import ACheckPC
 from repro.persistence.scheckpc import SCheckPC
-from repro.pmem.controller import NMEMController, PMEMController
-from repro.pmem.dimm import PMEMDIMM
 from repro.sim.stats import StatsRegistry
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _kernel_mode_matrix(kernel_mode):
-    """Run this whole suite once per columnar-kernel mode.
-
-    Scalar/batched (and scalar/extent) identity must hold both when the
-    batch path runs the pure Python loops and when it runs the numpy
-    kernels; the module-scoped matrix proves stats trees, wear
-    registers and fault splits match in either mode.
-    """
-    yield
-
-
-def _pmem():
-    return PMEMController(
-        [PMEMDIMM(capacity=1 << 22), PMEMDIMM(capacity=1 << 22)]
-    )
-
-
-BACKENDS = {
-    "dram": lambda: DRAMSubsystem(DRAMConfig(capacity=1 << 22, ranks=4)),
-    "psm": lambda: PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10)),
-    "pmem": _pmem,
-    "nmem": lambda: NMEMController(
-        DRAMSubsystem(DRAMConfig(capacity=1 << 20, ranks=4)), _pmem()
-    ),
-}
-
-#: Tiers whose ``flush_extents`` is a native columnar path (must return
-#: ResponseWindow-backed reports, not fall back to the default loop).
-NATIVE = ("dram", "psm", "pmem")
-
-
-def _capacity(backend) -> int:
-    cap = getattr(backend, "capacity", None)
-    if cap is None:
-        cap = backend.config.capacity
-    return cap if isinstance(cap, int) else backend.config.capacity
+from tests.equivalence import (
+    BACKENDS,
+    NATIVE,
+    SCALAR_ROUTED,
+    capacity_of,
+    numpy_kernels,  # noqa: F401  (autouse fixture)
+    state_of,
+)
 
 
 def make_extents(capacity: int, count: int, seed: int) -> list[Extent]:
@@ -108,14 +75,6 @@ def make_extents(capacity: int, count: int, seed: int) -> list[Extent]:
                 break
             chosen.add((base + i) % lines)
     return coalesce_lines(line * CACHELINE_BYTES for line in chosen)
-
-
-def state_of(backend):
-    """Everything observable about a backend, comparison-ready."""
-    registry = StatsRegistry()
-    backend.register_stats(registry.scoped("memory"))
-    return (registry.flat(), backend.counters(),
-            backend.capture_registers())
 
 
 def assert_equivalent(scalar_backend, extent_backend, scalar_report,
@@ -150,7 +109,7 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     @pytest.mark.parametrize("count", (1, 64, 700))
     def test_flush_matches_scalar_loop(self, name, count):
-        capacity = _capacity(BACKENDS[name]())
+        capacity = capacity_of(BACKENDS[name]())
         extents = make_extents(capacity, count, seed=hash(name) & 0xFFFF)
         scalar = BACKENDS[name]()
         native = BACKENDS[name]()
@@ -159,12 +118,15 @@ class TestBackendEquivalence:
         if name in NATIVE:
             assert isinstance(extent_report.responses, ResponseWindow), \
                 f"{name} silently fell back to the default loop"
+        if name in SCALAR_ROUTED:
+            assert isinstance(extent_report.responses, list), \
+                f"{name} reached a fast path that does not model it"
         assert_equivalent(scalar, native, scalar_report, extent_report)
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_flush_from_warm_state(self, name):
         """Equivalence from a dirty mid-run state, nonzero issue time."""
-        capacity = _capacity(BACKENDS[name]())
+        capacity = capacity_of(BACKENDS[name]())
         extents = make_extents(capacity, 300, seed=3)
         scalar = BACKENDS[name]()
         native = BACKENDS[name]()
@@ -253,7 +215,7 @@ class TestInterposerEquivalence:
                           name="port")
 
     def test_tap_throttle_chain_matches_scalar(self):
-        capacity = _capacity(PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10)))
+        capacity = capacity_of(PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10)))
         extents = make_extents(capacity, 500, seed=21)
         scalar = self._chain()
         native = self._chain()
@@ -405,7 +367,7 @@ class TestStatsResetAfterPowerCycle:
         before_keys = set(registry.flat())
 
         extents = make_extents(
-            _capacity(PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10))),
+            capacity_of(PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10))),
             400, seed=5)
         chain.flush_extents(extents, 0.0)
         flat = registry.flat()

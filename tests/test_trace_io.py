@@ -150,21 +150,27 @@ class TestColumnar:
         assert open_trace(path) is first
         assert open_trace(path, shared=False) is not first
 
-    def test_pure_python_fallback_parity(self, tmp_path, monkeypatch):
-        from repro.workloads import trace_io
-
-        if not trace_io.HAVE_NUMPY:
-            pytest.skip("already on the fallback path")
+    def test_window_round_trip_and_use_after_close(self, tmp_path):
         records = self._records()
-        with_numpy = tmp_path / "np.coltrace"
-        save_trace_columnar(records, with_numpy)
-        monkeypatch.setattr(trace_io, "HAVE_NUMPY", False)
-        without = tmp_path / "plain.coltrace"
-        save_trace_columnar(records, without)
-        assert with_numpy.read_bytes() == without.read_bytes()
-        trace = open_trace(with_numpy, shared=False)
-        assert list(trace.window(40, 90)) == records[40:90]
+        path = tmp_path / "t.coltrace"
+        save_trace_columnar(records, path)
+        trace = open_trace(path, shared=False)
+        window = trace.window(40, 90)
+        assert list(window) == records[40:90]
         trace.close()
+        with pytest.raises(ValueError, match="closed"):
+            list(window)
+        with pytest.raises(ValueError, match="closed"):
+            list(trace.records())
+
+    def test_closing_a_shared_handle_evicts_it(self, tmp_path):
+        path = tmp_path / "t.coltrace"
+        save_trace_columnar(self._records(50), path)
+        first = open_trace(path)
+        first.close()
+        second = open_trace(path)
+        assert second is not first
+        assert len(list(second.window(0, 50))) == 50
 
     def test_truncated_columns_rejected(self, tmp_path):
         path = tmp_path / "t.coltrace"
