@@ -18,6 +18,7 @@ from repro.core.config import PlatformConfig
 from repro.core.machine import Machine
 from repro.sim.stats import geometric_mean
 from repro.workloads.suites import load_workload
+from repro.workloads.trace import TraceRecord
 
 __all__ = ["consolidation_study"]
 
@@ -32,14 +33,9 @@ class _Offset:
         self.offset = offset
 
     def __iter__(self):
-        from repro.workloads.trace import TraceRecord
-
-        for record in self.inner:
-            yield TraceRecord(
-                instructions=record.instructions,
-                address=record.address + self.offset,
-                is_write=record.is_write,
-            )
+        offset = self.offset
+        for instructions, address, is_write in self.inner:
+            yield TraceRecord(instructions, address + offset, is_write)
 
 
 def _footprint(workload) -> int:

@@ -42,7 +42,7 @@ from repro.power.model import PowerModel
 from repro.power.psu import ATX_PSU, SERVER_PSU
 from repro.sim.stats import LatencyStats, geometric_mean
 from repro.workloads.registry import WORKLOAD_SPECS
-from repro.workloads.stream import STREAM_KERNELS, stream_kernel
+from repro.workloads.stream import STREAM_KERNELS, StreamKernel, stream_kernel
 from repro.workloads.suites import Workload, load_workload
 
 __all__ = [
@@ -604,22 +604,19 @@ def figure17(elements: int = 24_000) -> ExperimentResult:
             kernel = stream_kernel(kernel_name, elements=elements)
             config = PlatformConfig().sized_for(kernel.array_bytes * 6)
             machine = Machine(platform, config)
-            # STREAM runs one thread per core over disjoint chunks.
+            # STREAM runs one thread per core over disjoint chunks, each
+            # thread's arrays offset so they stream independently.
             chunk = elements // 8
             traces = [
-                stream_kernel(
-                    kernel_name, elements=chunk,
+                StreamKernel(
+                    kernel=kernel_name, elements=chunk,
                     array_bytes=kernel.array_bytes,
+                    base_address=i * kernel.array_bytes * 3,
                 )
-                for _ in range(8)
-            ]
-            # Offset each thread's arrays so they stream independently.
-            traces = [
-                _OffsetTrace(trace, offset=i * kernel.array_bytes * 3)
-                for i, trace in enumerate(traces)
+                for i in range(8)
             ]
             result = machine.complex.run_traces(traces)
-            moved = sum(t.inner.bytes_moved for t in traces)
+            moved = sum(t.bytes_moved for t in traces)
             bandwidth[platform] = moved / max(result.wall_ns, 1e-9)  # B/ns == GB/s
         ratio = bandwidth["lightpc"] / bandwidth["legacy"]
         ratios[kernel_name] = ratio
@@ -642,24 +639,6 @@ def figure17(elements: int = 24_000) -> ExperimentResult:
         rows=rows,
         notes=notes,
     )
-
-
-class _OffsetTrace:
-    """Shift every address of a re-iterable trace by a fixed offset."""
-
-    def __init__(self, inner, offset: int) -> None:
-        self.inner = inner
-        self.offset = offset
-
-    def __iter__(self):
-        from repro.workloads.trace import TraceRecord
-
-        for record in self.inner:
-            yield TraceRecord(
-                instructions=record.instructions,
-                address=record.address + self.offset,
-                is_write=record.is_write,
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -53,18 +53,19 @@ class Cache:
     def __init__(self, config: Optional[CacheConfig] = None, name: str = "d$") -> None:
         self.config = config or CacheConfig()
         self.name = name
+        # geometry read once here, not through the config's properties on
+        # every access
+        self._set_count = self.config.sets
+        self._line_bytes = self.config.line_bytes
+        self._assoc = self.config.ways
         # per-set OrderedDict: tag -> dirty flag, LRU at the front
         self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(self.config.sets)
+            OrderedDict() for _ in range(self._set_count)
         ]
         self.read_hits = RatioStat()
         self.write_hits = RatioStat()
         self.evictions = 0
         self.dirty_evictions = 0
-
-    def _locate(self, address: int) -> tuple[int, int]:
-        line = address // self.config.line_bytes
-        return line % self.config.sets, line // self.config.sets
 
     def access(self, address: int, is_write: bool) -> tuple[bool, Optional[int]]:
         """Look up (and allocate) a line.
@@ -72,23 +73,27 @@ class Cache:
         Returns ``(hit, victim_address)`` where ``victim_address`` is the
         base address of a dirty line evicted to make room, or None.
         """
-        set_index, tag = self._locate(address)
+        line = address // self._line_bytes
+        set_count = self._set_count
+        set_index = line % set_count
+        tag = line // set_count
         ways = self._sets[set_index]
         stats = self.write_hits if is_write else self.read_hits
-        victim_address: Optional[int] = None
+        stats.total += 1
         if tag in ways:
-            dirty = ways.pop(tag)
-            ways[tag] = dirty or is_write
-            stats.record(True)
+            ways.move_to_end(tag)
+            if is_write:
+                ways[tag] = True
+            stats.hits += 1
             return True, None
-        stats.record(False)
-        if len(ways) >= self.config.ways:
+        victim_address: Optional[int] = None
+        if len(ways) >= self._assoc:
             victim_tag, victim_dirty = ways.popitem(last=False)
             self.evictions += 1
             if victim_dirty:
                 self.dirty_evictions += 1
-                victim_line = victim_tag * self.config.sets + set_index
-                victim_address = victim_line * self.config.line_bytes
+                victim_line = victim_tag * set_count + set_index
+                victim_address = victim_line * self._line_bytes
         ways[tag] = is_write
         return False, victim_address
 
@@ -98,8 +103,8 @@ class Cache:
         for set_index, ways in enumerate(self._sets):
             for tag, dirty in ways.items():
                 if dirty:
-                    line = tag * self.config.sets + set_index
-                    out.append(line * self.config.line_bytes)
+                    line = tag * self._set_count + set_index
+                    out.append(line * self._line_bytes)
         return out
 
     def flush_dirty(self) -> list[int]:

@@ -96,9 +96,10 @@ class MultiCoreComplex:
     ) -> ComplexResult:
         """Execute one trace per thread, threads round-robin over cores.
 
-        Each trace yields records with ``instructions``, ``address``,
-        ``is_write`` attributes.  Cores advance in global-time order so
-        shared-backend contention is causally consistent.
+        Each trace yields ``(instructions, address, is_write)`` records
+        (:class:`~repro.workloads.trace.TraceRecord` or any such triple).
+        Cores advance in global-time order so shared-backend contention
+        is causally consistent.
         """
         iterators: list[tuple[Core, int, Iterator]] = []
         for thread_id, trace in enumerate(traces):
@@ -113,6 +114,8 @@ class MultiCoreComplex:
             (entry[0].now, idx) for idx, entry in enumerate(iterators)
         ]
         heapq.heapify(heap)
+        heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         while heap:
             if len(heap) == 1:
                 # Single survivor: no cross-core ordering left to respect,
@@ -127,16 +130,21 @@ class MultiCoreComplex:
                     source=traces[idx], consumed=consumed[idx],
                 )
                 break
-            _, idx = heapq.heappop(heap)
+            # The earliest entry runs one record and is re-keyed in place:
+            # (time, index) keys are unique, so replacing the top pops
+            # entries in the order a pop-then-push would.
+            idx = heap[0][1]
             core, thread_id, records = iterators[idx]
             record = next(records, None)
             if record is None:
+                heappop(heap)
                 continue
             consumed[idx] += 1
-            core.execute(
-                record.instructions, record.address, record.is_write, thread_id
-            )
-            heapq.heappush(heap, (core.now, idx))
+            instructions, address, is_write = record
+            heapreplace(heap, (
+                core.execute(instructions, address, is_write, thread_id),
+                idx,
+            ))
 
         wall = max((core.now for core in self.cores), default=start_ns)
         return ComplexResult(

@@ -104,12 +104,26 @@ class Core:
         #: :mod:`repro.engine`; ``None`` selects the process default
         self.engine = resolve_engine(engine)
         self.cache = Cache(self.config.cache, name=f"core{core_id}.d$")
+        # the config's ``cycle_ns`` property, read once
+        self._cycle_ns = self.config.cycle_ns
         self.stats = CoreStats()
         self.now = 0.0
         self._flush_debt = 0.0
         self._pool = RequestPool()
         #: the last cache dump's :class:`FlushReport` (None before any)
         self.last_flush_report: Optional[FlushReport] = None
+
+    @property
+    def overhead(self) -> SoftwareOverhead:
+        """The mode's per-access software costs (DAX/PMDK)."""
+        return self._overhead
+
+    @overhead.setter
+    def overhead(self, overhead: SoftwareOverhead) -> None:
+        self._overhead = overhead
+        # the per-access charges, read once per assignment
+        self._read_cost = overhead.read_cost()
+        self._write_cost = overhead.write_cost()
 
     def execute(self, instructions: int, address: int, is_write: bool,
                 thread_id: int = 0) -> float:
@@ -118,51 +132,59 @@ class Core:
         Returns the core-local time after the access completes.
         """
         cfg = self.config
+        stats = self.stats
+        now = self.now
         if instructions:
-            compute = instructions * cfg.base_cpi * cfg.cycle_ns
-            self.now += compute
-            self.stats.compute_ns += compute
-            self.stats.instructions += instructions
-        self.stats.instructions += 1  # the memory instruction itself
+            compute = instructions * cfg.base_cpi * self._cycle_ns
+            now += compute
+            stats.compute_ns += compute
+            stats.instructions += instructions
+        stats.instructions += 1  # the memory instruction itself
         if is_write:
-            self.stats.writes += 1
-            self._charge_software(self.overhead.write_cost())
+            stats.writes += 1
+            cost = self._write_cost
         else:
-            self.stats.reads += 1
-            self._charge_software(self.overhead.read_cost())
+            stats.reads += 1
+            cost = self._read_cost
+        if cost > 0:
+            now += cost
+            stats.software_ns += cost
+        self.now = now
 
-        if is_write and self.overhead.extra_flush_writes > 0:
+        if is_write and self._overhead.extra_flush_writes > 0:
             # pmem_persist-style flushes push the dirtied line straight to
             # the memory subsystem (trans-mode's durable stores).
+            overhead = self._overhead
             self._flush_debt += (
-                self.overhead.extra_flush_writes * self.overhead.coverage
+                overhead.extra_flush_writes * overhead.coverage
             )
             while self._flush_debt >= 1.0:
                 self._flush_debt -= 1.0
                 self._write_back(address - address % 64, thread_id)
+            now = self.now
 
         hit, victim = self.cache.access(address, is_write)
         if hit:
-            self.now += cfg.cache.hit_ns
-            return self.now
+            now += cfg.cache.hit_ns
+            self.now = now
+            return now
 
         # Miss: line fill from the backend.  The request comes from the
         # pool and is recycled once the latency is read; on a backend
         # exception it stays referenced by the failure's response prefix.
-        request = self._pool.acquire(
-            MemoryOp.READ, address, self.now, thread_id
-        )
+        pool = self._pool
+        request = pool.acquire(MemoryOp.READ, address, now, thread_id)
         response = self.backend.access(request)
         fill_latency = response.latency
-        self._pool.release(request)
+        pool.release(request)
         if is_write:
             exposed = max(0.0, fill_latency - cfg.overlap_ns)
             stall = exposed * cfg.write_miss_expose
-            self.stats.write_stall_ns += stall
+            stats.write_stall_ns += stall
         else:
             stall = max(cfg.cache.hit_ns, fill_latency - cfg.overlap_ns)
-            self.stats.read_stall_ns += stall
-        self.now += stall
+            stats.read_stall_ns += stall
+        self.now = now + stall
 
         if victim is not None:
             self._write_back(victim, thread_id)
@@ -184,7 +206,7 @@ class Core:
         """
         cfg = self.config
         base_cpi = cfg.base_cpi
-        cycle_ns = cfg.cycle_ns
+        cycle_ns = self._cycle_ns
         overlap_ns = cfg.overlap_ns
         expose = cfg.write_miss_expose
         hit_ns = cfg.cache.hit_ns
@@ -194,11 +216,10 @@ class Core:
         extra_flush = overhead.extra_flush_writes
         flush_step = overhead.extra_flush_writes * overhead.coverage
         cache = self.cache
-        cache_config = cache.config
         cache_sets = cache._sets
-        n_sets = cache_config.sets
-        line_bytes = cache_config.line_bytes
-        assoc = cache_config.ways
+        n_sets = cache._set_count
+        line_bytes = cache._line_bytes
+        assoc = cache._assoc
         backend_access = self.backend.access
         acquire = self._pool.acquire
         release = self._pool.release
@@ -222,10 +243,7 @@ class Core:
         cache_evictions = 0
         cache_dirty_evictions = 0
         try:
-            for record in records:
-                instructions = record.instructions
-                address = record.address
-                is_write = record.is_write
+            for instructions, address, is_write in records:
                 if instructions:
                     compute = instructions * base_cpi * cycle_ns
                     now += compute
@@ -262,9 +280,9 @@ class Core:
                 ways = cache_sets[set_index]
                 tag = line // n_sets
                 if tag in ways:
-                    dirty = ways.pop(tag)
-                    ways[tag] = dirty or is_write
+                    ways.move_to_end(tag)
                     if is_write:
+                        ways[tag] = True
                         write_hit_hits += 1
                         write_hit_total += 1
                     else:
@@ -340,11 +358,6 @@ class Core:
         if response.blocked_ns > 0:
             self.stats.write_stall_ns += response.blocked_ns
             self.now += response.blocked_ns
-
-    def _charge_software(self, ns: float) -> None:
-        if ns > 0:
-            self.now += ns
-            self.stats.software_ns += ns
 
     def flush_cache(self) -> tuple[int, list[int]]:
         """Dump the D$: write back all dirty lines; returns (count, addrs).

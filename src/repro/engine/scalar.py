@@ -23,11 +23,9 @@ class ScalarEngine:
 
     def drain(self, core, records, thread_id: int = 0, *,
               source=None, consumed: int = 0) -> None:
-        for record in records:
-            core.execute(
-                record.instructions, record.address, record.is_write,
-                thread_id,
-            )
+        execute = core.execute
+        for instructions, address, is_write in records:
+            execute(instructions, address, is_write, thread_id)
 
     def flush_cache(self, core) -> tuple[int, list[int]]:
         dirty = core.cache.flush_dirty()

@@ -26,6 +26,11 @@ __all__ = [
 ]
 
 
+#: one period of the MMIO fill pattern: a device's image is this ramp
+#: rotated to its name-derived first byte, repeated to the region size
+_RAMP = bytes(range(256))
+
+
 class DevicePMError(RuntimeError):
     """Callback invoked out of the dpm-regulated order."""
 
@@ -78,7 +83,9 @@ class DeviceDriver:
     def __post_init__(self) -> None:
         if not self._mmio:
             seed = sum(self.name.encode()) & 0xFF
-            self._mmio = bytes((seed + i) & 0xFF for i in range(self.mmio_bytes))
+            period = _RAMP[seed:] + _RAMP[:seed]
+            size = self.mmio_bytes
+            self._mmio = (period * ((size + 255) // 256))[:size]
 
     def reset(self) -> None:
         """Rewind to the just-constructed state (``Kernel.reset_world``).

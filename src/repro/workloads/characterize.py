@@ -48,15 +48,15 @@ def characterize(workload: Workload, refs: int | None = None) -> Characterizatio
 
     for trace in workload.traces(refs):
         cache = Cache(CacheConfig())
-        for record in trace:  # warmup pass
-            cache.access(record.address, record.is_write)
+        for _, address, is_write in trace:  # warmup pass
+            cache.access(address, is_write)
         cache.reset_stats()
         buffer = WriteAggregationBuffer(beat_bytes=64)
-        for record in trace:  # measured pass
-            cache.access(record.address, record.is_write)
-            if record.is_write:
+        for _, address, is_write in trace:  # measured pass
+            cache.access(address, is_write)
+            if is_write:
                 writes += 1
-                absorbed, _ = buffer.write(0.0, record.address)
+                absorbed, _ = buffer.write(0.0, address)
                 rb_hits += absorbed
                 rb_total += 1
             else:

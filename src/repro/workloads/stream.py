@@ -16,7 +16,6 @@ measured by the caller.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -68,31 +67,16 @@ class StreamKernel:
     def __iter__(self) -> Iterator[TraceRecord]:
         sources, destination = _KERNEL_SHAPES[self.kernel]
         flops = _KERNEL_FLOPS[self.kernel]
+        source_bases = [self._array_base(src) for src in sources]
+        destination_base = self._array_base(destination)
+        new_record = tuple.__new__
         for i in range(self.elements):
             offset = i * _WORD
-            for src in sources:
-                yield TraceRecord(
-                    instructions=0,
-                    address=self._array_base(src) + offset,
-                    is_write=False,
-                )
-            yield TraceRecord(
-                instructions=flops,
-                address=self._array_base(destination) + offset,
-                is_write=True,
+            for source_base in source_bases:
+                yield new_record(TraceRecord, (0, source_base + offset, False))
+            yield new_record(
+                TraceRecord, (flops, destination_base + offset, True)
             )
-
-    def windows(self, window: int = 4096) -> Iterator[list[TraceRecord]]:
-        """The kernel's trace chunked into record windows (see
-        :meth:`repro.workloads.trace.TraceGenerator.windows`)."""
-        if window <= 0:
-            raise ValueError("window must be positive")
-        records = iter(self)
-        while True:
-            chunk = list(itertools.islice(records, window))
-            if not chunk:
-                return
-            yield chunk
 
     @property
     def bytes_moved(self) -> int:

@@ -23,11 +23,11 @@ baseline, write bursts that serialize on the PRAM dies.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.memory.request import CACHELINE_BYTES, ROW_BYTES
 
@@ -35,10 +35,21 @@ __all__ = ["LocalityProfile", "TraceGenerator", "TraceRecord"]
 
 _WORD = 8  # access granularity within a line
 
+# ``randrange(0, n, _WORD)`` draws a word index below ``(n + _WORD - 1) //
+# _WORD`` with ``bit_length()`` random bits per try; the two fixed spans:
+_LINE_WORDS = (CACHELINE_BYTES + _WORD - 1) // _WORD
+_LINE_BITS = _LINE_WORDS.bit_length()
+_ROW_WORDS = (ROW_BYTES + _WORD - 1) // _WORD
+_ROW_BITS = _ROW_WORDS.bit_length()
+_EMPTY_RANGE = "empty range for randrange()"
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One memory reference plus the compute preceding it."""
+
+class TraceRecord(NamedTuple):
+    """One memory reference plus the compute preceding it.
+
+    A plain ``(instructions, address, is_write)`` tuple: the per-record
+    consumers unpack it positionally, so any such triple is a record.
+    """
 
     instructions: int
     address: int
@@ -99,13 +110,33 @@ class TraceGenerator:
         self.footprint_limit = footprint_limit
 
     def records(self, count: int) -> Iterator[TraceRecord]:
-        """Yield ``count`` trace records (regenerable: same seed, same trace)."""
+        """Yield ``count`` trace records (regenerable: same seed, same trace).
+
+        The draws are the ``random.Random`` helpers' own arithmetic on the
+        bound ``random`` and ``getrandbits`` methods: ``randrange(0, n, 8)``
+        is ``8 * r`` for ``r`` from the ``_randbelow_with_getrandbits``
+        rejection loop over ``(n + 7) // 8`` words, ``choice(deque)`` is
+        the same loop over ``len(deque)``, and ``expovariate(lambd)`` is
+        ``-log(1.0 - random()) / lambd``.  So the stream, the generator
+        state and the point where a degenerate profile raises are the
+        helpers' (``tests/trace_oracle.py`` keeps the helper formulation
+        as the reference).
+        """
         p = self.profile
         rng = random.Random((self.seed << 16) ^ 0x5CA1AB1E)
+        random_ = rng.random
+        getrandbits = rng.getrandbits
+        log = math.log
+        new_record = tuple.__new__
+        base = self.base_address
         ws_bytes = p.working_set_lines * CACHELINE_BYTES
         if self.footprint_limit is not None:
             ws_bytes = min(ws_bytes, self.footprint_limit)
         hot_bytes = min(p.hot_lines * CACHELINE_BYTES, ws_bytes)
+        ws_words = (ws_bytes + _WORD - 1) // _WORD
+        ws_bits = ws_words.bit_length()
+        hot_words = (hot_bytes + _WORD - 1) // _WORD
+        hot_bits = hot_words.bit_length()
         recent_writes: deque[int] = deque(maxlen=self.RECENT_WRITES)
         seq_pos = 0
         seq_left = 0
@@ -113,57 +144,107 @@ class TraceGenerator:
         continue_run = (
             1.0 - 1.0 / p.sequential_run if p.sequential_run > 1 else 0.0
         )
+        gap = p.instructions_per_access
+        gap_lambd = 1.0 / gap if gap > 0 else 0.0
+        write_fraction = p.write_fraction
+        write_line_reuse = p.write_line_reuse
+        write_page_locality = p.write_page_locality
+        read_after_write = p.read_after_write
+        sequential_fraction = p.sequential_fraction
+        hot_fraction = p.hot_fraction
 
         for _ in range(count):
-            gap = p.instructions_per_access
-            instructions = int(rng.expovariate(1.0 / gap)) if gap > 0 else 0
-            is_write = rng.random() < p.write_fraction
+            if gap > 0:  # expovariate(gap_lambd)
+                instructions = int(-log(1.0 - random_()) / gap_lambd)
+            else:
+                instructions = 0
+            is_write = random_() < write_fraction
 
             if is_write:
-                if recent_writes and rng.random() < p.write_line_reuse:
+                if recent_writes and random_() < write_line_reuse:
                     # store temporal locality: re-dirty a hot line
-                    address = rng.choice(recent_writes) + rng.randrange(
-                        0, CACHELINE_BYTES, _WORD
-                    )
-                elif rng.random() < p.write_page_locality:
-                    address = write_page * ROW_BYTES + rng.randrange(
-                        0, ROW_BYTES, _WORD
-                    )
+                    n = len(recent_writes)  # choice(recent_writes)
+                    k = n.bit_length()
+                    r = getrandbits(k)
+                    while r >= n:
+                        r = getrandbits(k)
+                    written = recent_writes[r]
+                    # + randrange(0, CACHELINE_BYTES, _WORD)
+                    r = getrandbits(_LINE_BITS)
+                    while r >= _LINE_WORDS:
+                        r = getrandbits(_LINE_BITS)
+                    address = written + _WORD * r
+                elif random_() < write_page_locality:
+                    # randrange(0, ROW_BYTES, _WORD)
+                    r = getrandbits(_ROW_BITS)
+                    while r >= _ROW_WORDS:
+                        r = getrandbits(_ROW_BITS)
+                    address = write_page * ROW_BYTES + _WORD * r
                 else:
-                    address = rng.randrange(0, ws_bytes, _WORD)
+                    # randrange(0, ws_bytes, _WORD), which raises on an
+                    # empty range where getrandbits(0) == 0 would spin
+                    r = getrandbits(ws_bits)
+                    while r >= ws_words:
+                        if ws_words <= 0:
+                            raise ValueError(_EMPTY_RANGE)
+                        r = getrandbits(ws_bits)
+                    address = _WORD * r
                     write_page = address // ROW_BYTES
                 recent_writes.append(address - address % CACHELINE_BYTES)
-            elif recent_writes and rng.random() < p.read_after_write:
+            elif recent_writes and random_() < read_after_write:
                 # Read-after-write traffic targets the *page* of a recent
                 # store: sibling lines of a freshly-dirtied region (wrf's
                 # forecast-history pattern).  The exact written line would
                 # still be cached; its page neighbours reach memory and
                 # collide with the in-flight programming.
-                written = rng.choice(recent_writes)
+                n = len(recent_writes)  # choice(recent_writes)
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                written = recent_writes[r]
                 page_base = written - written % ROW_BYTES
-                address = page_base + rng.randrange(0, ROW_BYTES, _WORD)
-            elif seq_left > 0 or rng.random() < p.sequential_fraction:
+                # + randrange(0, ROW_BYTES, _WORD)
+                r = getrandbits(_ROW_BITS)
+                while r >= _ROW_WORDS:
+                    r = getrandbits(_ROW_BITS)
+                address = page_base + _WORD * r
+            elif seq_left > 0 or random_() < sequential_fraction:
                 if seq_left <= 0:
                     # streams mostly revisit the hot region (loop bodies
                     # re-scanning resident arrays); cold streams are rare
-                    span = hot_bytes if rng.random() < p.hot_fraction else ws_bytes
-                    seq_pos = rng.randrange(0, span, _WORD)
-                    seq_left = max(1, int(rng.expovariate(1.0 / p.sequential_run)))
+                    if random_() < hot_fraction:
+                        n, k = hot_words, hot_bits
+                    else:
+                        n, k = ws_words, ws_bits
+                    r = getrandbits(k)  # randrange(0, span, _WORD)
+                    while r >= n:
+                        if n <= 0:
+                            raise ValueError(_EMPTY_RANGE)
+                        r = getrandbits(k)
+                    seq_pos = _WORD * r
+                    # expovariate(1.0 / sequential_run): the rate is taken
+                    # here, so a zero run length raises where it always did
+                    lambd = 1.0 / p.sequential_run
+                    seq_left = max(1, int(-log(1.0 - random_()) / lambd))
                 address = seq_pos
                 seq_pos = (seq_pos + _WORD) % ws_bytes
                 seq_left -= 1
-                if rng.random() > continue_run:
+                if random_() > continue_run:
                     seq_left = 0
-            elif rng.random() < p.hot_fraction:
-                address = rng.randrange(0, hot_bytes, _WORD)
             else:
-                address = rng.randrange(0, ws_bytes, _WORD)
+                if random_() < hot_fraction:
+                    n, k = hot_words, hot_bits
+                else:
+                    n, k = ws_words, ws_bits
+                r = getrandbits(k)  # randrange(0, n_bytes, _WORD)
+                while r >= n:
+                    if n <= 0:
+                        raise ValueError(_EMPTY_RANGE)
+                    r = getrandbits(k)
+                address = _WORD * r
 
-            yield TraceRecord(
-                instructions=instructions,
-                address=self.base_address + address,
-                is_write=is_write,
-            )
+            yield new_record(TraceRecord, (instructions, base + address, is_write))
 
     def columns(self, count: int) -> tuple[list[int], list[int], list[bool]]:
         """The same trace as (instructions, addresses, is_write) columns.
@@ -174,26 +255,8 @@ class TraceGenerator:
         instructions: list[int] = []
         addresses: list[int] = []
         writes: list[bool] = []
-        for record in self.records(count):
-            instructions.append(record.instructions)
-            addresses.append(record.address)
-            writes.append(record.is_write)
+        for instruction_count, address, is_write in self.records(count):
+            instructions.append(instruction_count)
+            addresses.append(address)
+            writes.append(is_write)
         return instructions, addresses, writes
-
-    def windows(
-        self, count: int, window: int = 4096
-    ) -> Iterator[list[TraceRecord]]:
-        """The same trace chunked into record windows.
-
-        Same records in the same order as :meth:`records`; the chunked
-        shape feeds :meth:`repro.cpu.core.Core.execute_window` and the
-        batched memory path without per-record dispatch.
-        """
-        if window <= 0:
-            raise ValueError("window must be positive")
-        records = self.records(count)
-        while True:
-            chunk = list(itertools.islice(records, window))
-            if not chunk:
-                return
-            yield chunk

@@ -65,9 +65,9 @@ def save_trace(records: Iterable[TraceRecord],
     path = Path(path)
     body = bytearray()
     count = 0
-    for record in records:
-        flags = _FLAG_WRITE if record.is_write else 0
-        body += _RECORD.pack(record.instructions, record.address, flags)
+    for instructions, address, is_write in records:
+        flags = _FLAG_WRITE if is_write else 0
+        body += _RECORD.pack(instructions, address, flags)
         count += 1
     with path.open("wb") as handle:
         handle.write(_HEADER.pack(_MAGIC, _VERSION_ROW, count))
@@ -78,7 +78,8 @@ def save_trace(records: Iterable[TraceRecord],
 def save_trace_columnar(records, path: Union[str, Path]) -> int:
     """Write records to ``path`` in the v2 columnar format; record count.
 
-    ``records`` is any iterable of :class:`TraceRecord`; sources that
+    ``records`` is any iterable of ``(instructions, address, is_write)``
+    records (:class:`TraceRecord` or plain triples); sources that
     expose a ``columns()`` method (:class:`~repro.workloads.trace
     .TraceGenerator` views do) are consumed column-wise without ever
     materialising record objects.
@@ -89,10 +90,10 @@ def save_trace_columnar(records, path: Union[str, Path]) -> int:
         instructions, addresses, writes = columns()
     else:
         instructions, addresses, writes = [], [], []
-        for record in records:
-            instructions.append(record.instructions)
-            addresses.append(record.address)
-            writes.append(record.is_write)
+        for instruction_count, address, is_write in records:
+            instructions.append(instruction_count)
+            addresses.append(address)
+            writes.append(is_write)
     count = len(instructions)
     with path.open("wb") as handle:
         handle.write(_HEADER.pack(_MAGIC, _VERSION_COLUMNAR, count))
@@ -202,12 +203,13 @@ class ColumnarTrace:
 
     def _iter_range(self, lo: int, hi: int) -> Iterator[TraceRecord]:
         instructions, addresses, flags = self._columns_range(lo, hi)
+        new_record = tuple.__new__
         for i in range(hi - lo):
-            yield TraceRecord(
-                instructions=int(instructions[i]),
-                address=int(addresses[i]),
-                is_write=bool(int(flags[i]) & _FLAG_WRITE),
-            )
+            yield new_record(TraceRecord, (
+                int(instructions[i]),
+                int(addresses[i]),
+                bool(int(flags[i]) & _FLAG_WRITE),
+            ))
 
     def close(self) -> None:
         """Drop the column mappings; a shared handle also leaves the
@@ -256,11 +258,8 @@ def load_trace(path: Union[str, Path]) -> Iterator[TraceRecord]:
                 raise TraceFormatError(
                     f"{path}: truncated at record {index}/{count}")
             instructions, address, flags = _RECORD.unpack(blob)
-            yield TraceRecord(
-                instructions=instructions,
-                address=address,
-                is_write=bool(flags & _FLAG_WRITE),
-            )
+            yield TraceRecord(instructions, address,
+                              bool(flags & _FLAG_WRITE))
 
 
 def read_window(path: Union[str, Path], lo: int, hi: int) -> list[TraceRecord]:
@@ -318,13 +317,13 @@ def trace_stats(path: Union[str, Path]) -> dict[str, float]:
     """Quick summary of a trace file (counts, mix, footprint)."""
     reads = writes = instructions = 0
     lines: set[int] = set()
-    for record in load_trace(path):
-        if record.is_write:
+    for instruction_count, address, is_write in load_trace(path):
+        if is_write:
             writes += 1
         else:
             reads += 1
-        instructions += record.instructions
-        lines.add(record.address // 64)
+        instructions += instruction_count
+        lines.add(address // 64)
     total = reads + writes
     return {
         "records": total,

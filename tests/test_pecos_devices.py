@@ -72,6 +72,20 @@ class TestDeviceDriver:
         manual.dpm_prepare()
         assert manual.dpm_suspend() > auto.dpm_suspend()
 
+    @pytest.mark.parametrize("size", [0, 1, 255, 256, 257, 1000])
+    def test_mmio_pattern_is_the_name_seeded_ramp(self, size):
+        # "a" * i has byte sum 97 * i; 97 is odd, so i < 256 reaches
+        # every seed
+        names = {(97 * i) & 0xFF: "a" * i for i in range(256)}
+        assert len(names) == 256
+        for seed, name in names.items():
+            expected = bytes((seed + i) & 0xFF for i in range(size))
+            drv = DeviceDriver(name, order=0, mmio_bytes=size)
+            assert drv.mmio_snapshot == expected, seed
+            drv.scribble_mmio()
+            drv.reset()
+            assert drv.mmio_snapshot == expected, seed
+
 
 class TestDevicePMList:
     def test_suspend_resume_roundtrip(self):
