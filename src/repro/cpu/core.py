@@ -363,7 +363,7 @@ class Core:
         """Dump the D$: write back all dirty lines; returns (count, addrs).
 
         How the write-backs reach the port (scalar loop, one request
-        window, closed-form extent flush) is the engine's choice — the
+        window, coalesced extents) is the engine's choice — the
         cut semantics (all lines, one clock) are not.
         """
         return self.engine.flush_cache(self)

@@ -5,7 +5,7 @@ One registry, four builtin engines:
 * ``scalar`` — exact per-record replay (the reference semantics);
 * ``window`` (alias ``batch``) — exact replay in 4096-record windows,
   the PR 4 hot path;
-* ``extent`` — windowed replay + closed-form extent flushes, the PR 5
+* ``extent`` — windowed replay + extent-coalesced flushes, the PR 5
   persistence-cut path and the process default;
 * ``epoch`` — phase-detecting analytical acceleration that skips
   steady-state windows entirely and falls back to exact replay at
@@ -30,12 +30,9 @@ from repro.engine.base import (
     set_default_engine,
 )
 from repro.engine.columnar import (
-    ResponseSummary,
     WindowSignature,
     signature_of_columns,
     signature_of_records,
-    signature_of_window,
-    summarize_responses,
 )
 from repro.engine.epoch import EpochEngine, EpochReport
 from repro.engine.extent import ExtentEngine
@@ -51,7 +48,6 @@ __all__ = [
     "EpochReport",
     "ExecutionEngine",
     "ExtentEngine",
-    "ResponseSummary",
     "ScalarEngine",
     "WindowEngine",
     "WindowSignature",
@@ -64,6 +60,4 @@ __all__ = [
     "set_default_engine",
     "signature_of_columns",
     "signature_of_records",
-    "signature_of_window",
-    "summarize_responses",
 ]

@@ -2,27 +2,24 @@
 
 The epoch engine decides whether a trace window belongs to the current
 steady-state phase from a compact :class:`WindowSignature` — R/W mix,
-compute density, unique-line pressure and row locality.  The request
-and response window structs are already columnar, so the kernels here
-vectorize straight over the columns.
+compute density, unique-line pressure and row locality — computed by
+vectorizing over the window's address, write-flag and instruction
+columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.memory.request import CACHELINE_BYTES
 
 __all__ = [
-    "ResponseSummary",
     "WindowSignature",
     "signature_of_columns",
     "signature_of_records",
-    "signature_of_window",
-    "summarize_responses",
 ]
 
 #: DRAM/PSM row granularity assumed by the locality column (2 KiB).
@@ -67,21 +64,6 @@ class WindowSignature:
         )
 
 
-@dataclass(frozen=True)
-class ResponseSummary:
-    """Bulk latency digest of one response window."""
-
-    responses: int
-    latency_total: float
-    latency_min: float
-    latency_max: float
-    blocked_total: float
-
-    @property
-    def latency_mean(self) -> float:
-        return self.latency_total / self.responses if self.responses else 0.0
-
-
 def _rel_close(a: float, b: float, tolerance: float) -> bool:
     scale = max(abs(a), abs(b), 1e-12)
     return abs(a - b) / scale <= tolerance
@@ -122,42 +104,4 @@ def signature_of_records(records: Sequence) -> WindowSignature:
         [record.address for record in records],
         [record.is_write for record in records],
         [record.instructions for record in records],
-    )
-
-
-def signature_of_window(window) -> WindowSignature:
-    """Summarize a :class:`~repro.memory.batch.RequestWindow` in place —
-    the struct is already columnar, so no per-record extraction runs."""
-    return signature_of_columns(
-        window.addresses, window.is_write, [0] * len(window.addresses)
-    )
-
-
-def summarize_responses(responses) -> ResponseSummary:
-    """Digest a :class:`~repro.memory.batch.ResponseWindow` (or any
-    sequence of responses with ``latency``/``blocked_ns``).
-
-    A ``ResponseWindow`` is consumed columnwise (its ``latencies()``
-    helper plus the ``blocked`` column); plain response sequences fall
-    back to attribute extraction.
-    """
-    latencies: Iterable[float]
-    if hasattr(responses, "latencies"):
-        # The cached column is consumed as-is (ndarray or list); the
-        # reductions below never mutate it, so no defensive copy.
-        latencies = responses.latencies()
-        blocked = responses.blocked
-    else:
-        latencies = [response.latency for response in responses]
-        blocked = [response.blocked_ns for response in responses]
-    if not len(latencies):
-        return ResponseSummary(0, 0.0, 0.0, 0.0, 0.0)
-    column = np.asarray(latencies, dtype=float)
-    blocked_column = np.asarray(blocked, dtype=float)
-    return ResponseSummary(
-        responses=int(column.size),
-        latency_total=float(column.sum()),
-        latency_min=float(column.min()),
-        latency_max=float(column.max()),
-        blocked_total=float(blocked_column.sum()),
     )

@@ -1,9 +1,10 @@
-"""Extent engine: windowed drain + closed-form extent flush (PR 5).
+"""Extent engine: windowed drain + extent-coalesced flush (PR 5).
 
 The process default: byte-identical to the pipeline as it stood before
 the engine layer existed — traces drain through the batched window
 loop and persistence cuts coalesce dirty lines into sorted extents for
-the backend's analytical ``flush_extents`` port.
+the port's ``flush_extents`` (the per-line ``access`` loop on a backend,
+extent forwarding through interposers).
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ class ExtentEngine(WindowEngine):
         dirty = core.cache.flush_dirty()
         if dirty:
             # All write-backs issue at the same clock and coalesce into
-            # sorted extents — the homogeneous shape the backend's
-            # closed-form flush path drains analytically.
+            # sorted extents, which interposers forward whole.
             core.last_flush_report = backend_flush_extents(
                 core.backend, coalesce_lines(dirty), core.now
             )

@@ -72,7 +72,7 @@ def batch_cut(port, extents: Sequence[Extent], t: float) -> None:
 
 
 def extent_cut(port, extents: Sequence[Extent], t: float) -> None:
-    """Coalesced extents through the closed-form ``flush_extents`` port."""
+    """Coalesced extents through the ``flush_extents`` port."""
     backend_flush_extents(port, extents, t)
 
 

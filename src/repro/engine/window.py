@@ -1,10 +1,12 @@
-"""Window engine: the PR 4 batched hot path as a pluggable engine.
+"""Window engine: the PR 4 batched drain as a pluggable engine.
 
 Observationally identical to scalar replay (the ``execute_window``
 contract) with per-record dispatch overhead amortized over 4096-record
 windows; the persistence cut drains as one request window through
-``access_batch``.  Registered under its litmus path alias ``batch`` so
-existing verdict labels and CI reports keep their names.
+``access_batch``, which interposers forward whole and a backend serves
+with its scalar ``access`` loop.  Registered under its litmus path
+alias ``batch`` so existing verdict labels and CI reports keep their
+names.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ Each program is lowered once per execution engine — ``scalar`` (one
 ``access`` per op), ``batch`` (the window engine: store/load runs
 through ``access_batch``, the SnG writeback as one request window) and
 ``extent`` (the SnG writeback through ``flush_extents`` on coalesced
-dirty extents) — and every lowering is executed once per crash point
+dirty extents).  The lowerings differ in how traffic crosses the
+interposer chain — per request, as forwarded windows, or as forwarded
+extents — while the backend at the bottom serves every line through
+its scalar ``access``.  Every lowering is executed once per crash point
 with a fresh backend chain and a
 :class:`~repro.memory.port.FaultInjector` armed at that index.  The
 lowerings themselves live on the engines
@@ -14,8 +17,8 @@ enumerable as a litmus path.
 
 All lowerings produce the *same* injector tick sequence (a batch of n
 requests ticks n times, an extent of n lines ticks n times), so the
-crash-point space is shared and, because the lowerings are
-observationally equivalent by the PR 4/5 contracts, every crash point
+crash-point space is shared and, because the interposers' window and
+extent forwarding must match their scalar ``access``, every crash point
 must recover to byte-identical state on all paths — the engine asserts
 exactly that, besides checking each recovered state against the
 persistency oracle.

@@ -16,20 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from repro.memory.batch import (
-    BatchRequests,
-    BatchResponses,
-    RequestWindow,
-    default_access_batch,
-)
-from repro.memory.columnar import dram_access_window
 from repro.memory.device import DRAMDevice, DRAMTiming
-from repro.memory.extent import (
-    Extent,
-    FlushReport,
-    batched_flush_extents,
-    default_flush_extents,
-)
 from repro.memory.port import PortNotSupportedError, PowerPart
 from repro.memory.request import (
     AddressSpaceError,
@@ -150,36 +137,6 @@ class DRAMSubsystem:
         else:
             self.read_latency.record(response.latency)
         return response
-
-    def access_batch(self, requests: BatchRequests) -> BatchResponses:
-        """Serve a whole window through the columnar DRAM kernel.
-
-        Value-identical to looping :meth:`access` (see
-        :func:`~repro.memory.columnar.dram_access_window`).  Request
-        lists that are not window-shaped, and ranks holding functional
-        contents, take the scalar loop.
-        """
-        window = requests if isinstance(requests, RequestWindow) \
-            else RequestWindow.from_requests(requests)
-        if window is None or any(r.storage._bytes for r in self.ranks):
-            return default_access_batch(self, requests)
-        if window.size > CACHELINE_BYTES:
-            raise ValueError(
-                f"DRAM boundary is cacheline-granular, got {window.size} B"
-            )
-        return dram_access_window(self, window)
-
-    def flush_extents(self, extents: list[Extent], time: float) -> FlushReport:
-        """Drain dirty extents through the batched write path.
-
-        One columnar window over all lines, one bulk stats record.  The
-        functional-contents guard mirrors :meth:`access_batch`: windows
-        carry no data payloads, so backing stores take the scalar
-        loop.
-        """
-        if any(r.storage._bytes for r in self.ranks):
-            return default_flush_extents(self, extents, time)
-        return batched_flush_extents(self, extents, time)
 
     def drain(self, time: float) -> float:
         """Time when all ranks are quiescent (memory-fence semantics)."""

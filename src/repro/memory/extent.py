@@ -1,13 +1,10 @@
-"""Extent-coalesced dirty tracking and the closed-form flush fast path.
+"""Extent-coalesced dirty tracking and the extent flush port.
 
 The persistence cut drains *dirty lines*, not a request stream: SnG's
 Auto-Stop dumps every core's D$ and the periodic checkpoint modes dump
-the bytes dirtied since the last cut (§IV, §VI).  That traffic is
-maximally homogeneous — all writes, one issue time, runs of adjacent
-lines — which is exactly the shape emerging-memory simulators aggregate
-into analytically-timed extents instead of replaying line by line
-(cf. arXiv:2502.10167, arXiv:2309.06565).  This module is that shape for
-the :class:`repro.memory.port.MemoryBackend` surface:
+the bytes dirtied since the last cut (§IV, §VI).  That traffic is all
+writes, one issue time, runs of adjacent lines, so it travels through
+the port as extents rather than as a request list:
 
 * :class:`Extent` — a run of ``lines`` consecutive cachelines starting
   at a byte address; the unit the flush path reasons about.
@@ -18,24 +15,20 @@ the :class:`repro.memory.port.MemoryBackend` surface:
   this cut.
 * :class:`FlushReport` — what draining a set of extents cost: line and
   extent counts, the completion horizon, accumulated backpressure, and
-  the per-line responses (kept columnar so interposers above can account
-  for the traffic exactly).
-* :func:`default_flush_extents` — the correct-by-construction fallback:
-  a scalar ``access`` loop over every line of every extent, mirroring
-  :func:`repro.memory.batch.default_access_batch` (including the
-  served-prefix handling on an injected power failure).  Native
-  ``flush_extents`` implementations must be observationally identical to
-  it — same responses, stats, wear registers and device state — which
-  ``tests/test_extent_equivalence.py`` enforces.
-* :func:`backend_flush_extents` — the dispatch helper callers use; any
-  backend without a ``flush_extents`` attribute transparently gets the
-  default loop, so scalar-only third-party backends keep working.
+  the per-line responses (so interposers above can account for the
+  traffic exactly).
+* :func:`default_flush_extents` — what ``flush_extents`` means on a
+  backend: a scalar ``access`` loop over every line of every extent,
+  mirroring :func:`repro.memory.batch.default_access_batch` (including
+  the served-prefix handling on an injected power failure).
+* :func:`backend_flush_extents` — the dispatch helper callers use.
+  Interposers define ``flush_extents`` to forward the extents through
+  their chain; every other backend gets the default loop.
 
 ``flush_extents`` is write-back only: it pushes the dirty lines through
 the port but does **not** invoke the backend's ``flush``/``drain``
 lifecycle ports.  SnG's final memory synchronization stays a separate
-``flush_port`` call, exactly as on the scalar path — which is what keeps
-``StopReport`` byte-identical across the two implementations.
+``flush_port`` call, exactly as on the scalar path.
 """
 
 from __future__ import annotations
@@ -43,27 +36,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import numpy as np
-
-from repro.memory.batch import (
-    BatchResponses,
-    RequestWindow,
-    ResponseWindow,
-)
+from repro.memory.batch import RequestWindow
 from repro.memory.request import (
     CACHELINE_BYTES,
     MemoryOp,
     MemoryRequest,
     MemoryResponse,
 )
-from repro.sim.stats import fold_left_sum
 
 __all__ = [
     "DirtyExtentMap",
     "Extent",
     "FlushReport",
     "backend_flush_extents",
-    "batched_flush_extents",
     "coalesce_lines",
     "default_flush_extents",
     "report_from_responses",
@@ -212,7 +197,7 @@ class FlushReport:
     ``blocked_ns`` accumulates per-line backpressure in line order, so it
     is float-identical to summing the scalar loop's ``blocked_ns``
     fields.  ``responses`` carries the full per-line completion records
-    (columnar on native paths) for interposers and equivalence checks.
+    for interposers and equivalence checks.
     """
 
     lines: int
@@ -220,19 +205,13 @@ class FlushReport:
     start_ns: float
     done_ns: float
     blocked_ns: float
-    responses: BatchResponses
+    responses: list[MemoryResponse]
 
     @property
     def elapsed_ns(self) -> float:
         return self.done_ns - self.start_ns
 
     def latencies(self) -> list[float]:
-        if isinstance(self.responses, ResponseWindow):
-            column = self.responses.latencies()
-            # Fresh builtin list either way: the window caches its column
-            # (possibly an ndarray) and callers may mutate our result.
-            return column.tolist() if not isinstance(column, list) \
-                else list(column)
         return [response.latency for response in self.responses]
 
 
@@ -259,40 +238,21 @@ def window_from_extents(
 
 
 def report_from_responses(
-    extent_count: int, time: float, responses: BatchResponses
+    extent_count: int, time: float, responses: list[MemoryResponse]
 ) -> FlushReport:
     """Fold per-line responses into a :class:`FlushReport`.
 
     The ``blocked_ns`` accumulation iterates the lines in order — the
-    same float addition sequence as the scalar loop — never an analytic
-    total, so reports match bit for bit across implementations.
+    same float addition sequence as the scalar loop — so a report built
+    from a window's responses matches the loop's bit for bit.
     """
     done = time
     blocked = 0.0
-    if isinstance(responses, ResponseWindow):
-        overrides = responses.overrides
-        if overrides:
-            for index in range(len(responses)):
-                response = overrides.get(index)
-                if response is not None:
-                    complete = response.complete_time
-                    blocked += response.blocked_ns
-                else:
-                    complete = responses.complete[index]
-                    blocked += responses.blocked[index]
-                if complete > done:
-                    done = complete
-        elif len(responses):
-            # max is order-insensitive and fold_left_sum replays the
-            # scalar accumulation order, so this stays bit-identical.
-            done = max(done, float(np.max(responses.complete)))
-            blocked = fold_left_sum(blocked, responses.blocked)
-    else:
-        for response in responses:
-            complete = response.complete_time
-            if complete > done:
-                done = complete
-            blocked += response.blocked_ns
+    for response in responses:
+        complete = response.complete_time
+        if complete > done:
+            done = complete
+        blocked += response.blocked_ns
     return FlushReport(
         lines=len(responses),
         extents=extent_count,
@@ -306,11 +266,10 @@ def report_from_responses(
 def default_flush_extents(
     backend, extents: list[Extent], time: float
 ) -> FlushReport:
-    """The reference flush implementation: a scalar WRITE loop per line.
+    """``flush_extents`` on a backend: a scalar WRITE loop per line.
 
-    Native ``flush_extents`` implementations must match this
-    observationally (responses, stats, wear registers, device state); it
-    is also the fallback for backends without a fast path.  On an
+    Interposers that cannot forward the extents whole (a customized
+    scalar ``access``, write corruption) use it too.  On an
     :class:`~repro.memory.port.InjectedPowerFailure` (recognized
     structurally via its list-typed ``completed`` attribute) the served
     prefix is prepended so interposers above account for it exactly —
@@ -334,35 +293,15 @@ def default_flush_extents(
     return report_from_responses(len(extents), time, out)
 
 
-def batched_flush_extents(
-    backend, extents: list[Extent], time: float
-) -> FlushReport:
-    """Flush extents through the backend's ``access_batch`` fast path.
-
-    The shared native implementation for backends whose columnar kernel
-    already handles uniform write windows (DRAM, the PMEM controller,
-    the PSM configurations its closed-form flush does not cover): one
-    columnar window for all lines, one bulk stats record, one report.
-    Falls back to the scalar loop for empty or mixed-size extent lists.
-    """
-    window = window_from_extents(extents, time)
-    if window is None:
-        return default_flush_extents(backend, extents, time)
-    return report_from_responses(
-        len(extents), time, backend.access_batch(window)
-    )
-
-
 def backend_flush_extents(
     backend, extents: list[Extent], time: float
 ) -> FlushReport:
-    """Dispatch an extent flush, tolerating absent ``flush_extents``.
+    """Dispatch an extent flush to ``backend``.
 
-    Mirrors :func:`repro.memory.batch.backend_access_batch`: implementing
-    the scalar protocol is enough — callers that flush extents route
-    through here and get the default loop when no fast path exists.
-    ``flush_extents`` is therefore deliberately NOT part of the
-    ``assert_memory_backend`` surface.
+    Mirrors :func:`repro.memory.batch.backend_access_batch`: an
+    interposer's ``flush_extents`` forwards the extents through its
+    chain; a backend without one gets the default loop.  ``flush_extents``
+    is therefore not part of the ``assert_memory_backend`` surface.
     """
     flush_extents = getattr(backend, "flush_extents", None)
     if flush_extents is None:

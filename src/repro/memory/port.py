@@ -40,13 +40,9 @@ from typing import (
     runtime_checkable,
 )
 
-import numpy as np
-
 from repro.memory.batch import (
     BatchRequests,
-    BatchResponses,
     RequestWindow,
-    ResponseWindow,
     backend_access_batch,
     default_access_batch,
 )
@@ -122,6 +118,13 @@ class MemoryBackend(Protocol):
     technology genuinely lacks raise :class:`PortNotSupportedError`
     (``reset`` on DRAM) or degrade to honest no-ops (``capture_registers``
     returning ``b""`` when there is no register file to persist).
+
+    Scalar :meth:`access` is a backend's one exact implementation.
+    Windows and extents reach it through
+    :func:`~repro.memory.batch.backend_access_batch` and
+    :func:`~repro.memory.extent.backend_flush_extents`, which loop over
+    ``access`` unless the object is an interposer that forwards them
+    (:class:`Interposer`).
     """
 
     is_volatile: bool
@@ -137,34 +140,6 @@ class MemoryBackend(Protocol):
         ...
 
     def access(self, request: MemoryRequest) -> MemoryResponse: ...
-
-    def access_batch(self, requests: BatchRequests) -> BatchResponses:
-        """Serve a whole request window; see :mod:`repro.memory.batch`.
-
-        Must be observationally identical to looping :meth:`access` over
-        the batch in order (same responses, stats and device state).
-        Callers dispatch through
-        :func:`repro.memory.batch.backend_access_batch`, which supplies
-        the default loop for backends that do not implement this method
-        — it is therefore deliberately NOT part of the
-        ``assert_memory_backend`` surface.
-        """
-        ...
-
-    def flush_extents(self, extents: list[Extent], time: float) -> FlushReport:
-        """Write back coalesced dirty extents; see :mod:`repro.memory.extent`.
-
-        Must be observationally identical to the scalar per-line loop of
-        :func:`repro.memory.extent.default_flush_extents` (same
-        responses, stats, wear registers and device state).  Write-back
-        only: the :meth:`flush`/:meth:`drain` lifecycle ports stay
-        separate calls.  Callers dispatch through
-        :func:`repro.memory.extent.backend_flush_extents`, which supplies
-        the default loop for backends that do not implement this method
-        — like ``access_batch``, it is deliberately NOT part of the
-        ``assert_memory_backend`` surface.
-        """
-        ...
 
     def flush(self, time: float) -> float:
         """Close buffers and drain in-flight work; returns the done time."""
@@ -201,11 +176,10 @@ class MemoryBackend(Protocol):
         ...
 
 
-#: Attribute names checked by :func:`assert_memory_backend`.  Note that
-#: ``access_batch`` and ``flush_extents`` are intentionally absent: a
-#: backend implementing only the scalar surface still conforms, and
-#: batching/flushing callers fall back to the default per-request loops
-#: via ``backend_access_batch`` / ``backend_flush_extents``.
+#: Attribute names checked by :func:`assert_memory_backend`.  Batching
+#: and flushing callers reach ``access`` through the default loops of
+#: ``backend_access_batch`` / ``backend_flush_extents``, so neither
+#: ``access_batch`` nor ``flush_extents`` is required.
 _PROTOCOL_SURFACE = (
     "is_volatile",
     "capacity",
@@ -269,7 +243,7 @@ class Interposer:
     def access(self, request: MemoryRequest) -> MemoryResponse:
         return self.inner.access(request)
 
-    def access_batch(self, requests: BatchRequests) -> BatchResponses:
+    def access_batch(self, requests: BatchRequests) -> list[MemoryResponse]:
         if type(self).access is not Interposer.access:
             # The subclass customized the scalar path without providing a
             # batch form: honor its override element by element rather
@@ -348,37 +322,18 @@ class LatencyTap(Interposer):
         # exactly the value sequence the scalar path would feed it.
         reads: list[float] = []
         writes: list[float] = []
-        if isinstance(responses, ResponseWindow):
-            latencies = responses.latencies()
-            if isinstance(latencies, np.ndarray):
-                # Boolean-mask selection preserves order, so each sink
-                # sees the same value sequence as the scalar partition.
-                write_mask = responses.window.arrays()[0]
-                write_column = latencies[write_mask]
-                read_column = latencies[~write_mask]
-                if len(read_column):
-                    self.read_latency.record_many(read_column)
-                if len(write_column):
-                    self.write_latency.record_many(write_column)
-                return
-            for index, is_write in enumerate(responses.window.is_write):
-                if is_write:
-                    writes.append(latencies[index])
-                else:
-                    reads.append(latencies[index])
-        else:
-            for response in responses:
-                op = response.request.op
-                if op is MemoryOp.WRITE:
-                    writes.append(response.latency)
-                elif op is MemoryOp.READ:
-                    reads.append(response.latency)
+        for response in responses:
+            op = response.request.op
+            if op is MemoryOp.WRITE:
+                writes.append(response.latency)
+            elif op is MemoryOp.READ:
+                reads.append(response.latency)
         if reads:
             self.read_latency.record_many(reads)
         if writes:
             self.write_latency.record_many(writes)
 
-    def access_batch(self, requests: BatchRequests) -> BatchResponses:
+    def access_batch(self, requests: BatchRequests) -> list[MemoryResponse]:
         try:
             responses = backend_access_batch(self.inner, requests)
         except InjectedPowerFailure as failure:
@@ -465,7 +420,7 @@ class BandwidthThrottle(Interposer):
             error_contained=response.error_contained,
         )
 
-    def access_batch(self, requests: BatchRequests) -> BatchResponses:
+    def access_batch(self, requests: BatchRequests) -> list[MemoryResponse]:
         window = requests if isinstance(requests, RequestWindow) \
             else RequestWindow.from_requests(requests)
         if window is None:
@@ -475,8 +430,6 @@ class BandwidthThrottle(Interposer):
         # ``_free_at`` trajectory, for exact state on a mid-window crash)
         # before handing the whole window to the inner backend.
         times = window.times
-        if not isinstance(times, list):
-            times = times.tolist()  # builtin floats for the scalar recurrence
         n = len(times)
         cost = window.size / self.bytes_per_ns
         free_at = self._free_at
@@ -494,8 +447,7 @@ class BandwidthThrottle(Interposer):
                 shifted_times[index] = t
             free_at = t + cost
             trajectory[index] = free_at
-        # An undelayed stream forwards the original window untouched,
-        # keeping any ndarray backing (and its zero-copy kernels) live.
+        # An undelayed stream forwards the original window untouched.
         shifted = window if not delayed else RequestWindow._bare(
             window.is_write, window.addresses, shifted_times,
             window.thread_ids, window.size,
@@ -529,22 +481,6 @@ class BandwidthThrottle(Interposer):
         self.throttled_ns = throttled
         if not delayed:
             return responses
-        if isinstance(responses, ResponseWindow):
-            blocked = responses.blocked
-            new_blocked = [
-                blocked[i] + delays[i] if delays[i] != 0.0 else blocked[i]
-                for i in range(n)
-            ]
-            overrides = None
-            if responses.overrides:
-                overrides = {
-                    index: self._rewrap(window, index, delays[index], resp)
-                    for index, resp in responses.overrides.items()
-                }
-            return ResponseWindow(
-                window, responses.complete, responses.occupied, new_blocked,
-                reconstructed=responses.reconstructed, overrides=overrides,
-            )
         return [
             self._rewrap(window, index, delays[index], response)
             for index, response in enumerate(responses)
@@ -671,16 +607,9 @@ class AddressRangePartition:
         sub = window.subwindow(start, stop)
         if region.rebase:
             offset = region.start
-            addresses = sub.addresses
-            # replace_addresses swaps the column object (a subwindow may
-            # alias the parent's memory) and keeps the ndarray mirror
-            # coherent; ndarray columns rebase in one vector op.
-            if isinstance(addresses, np.ndarray):
-                sub.replace_addresses(addresses - offset)
-            else:
-                sub.replace_addresses(
-                    [address - offset for address in addresses]
-                )
+            sub.replace_addresses(
+                [address - offset for address in sub.addresses]
+            )
         try:
             responses = backend_access_batch(region.backend, sub)
         except InjectedPowerFailure as failure:
@@ -712,8 +641,6 @@ class AddressRangePartition:
             return default_access_batch(self, requests)
         out: list[MemoryResponse] = []
         addresses = window.addresses
-        if not isinstance(addresses, list):
-            addresses = addresses.tolist()  # builtin ints for the region scan
         size = window.size
         run_start = 0
         run_region: Optional[AddressRange] = None
@@ -822,8 +749,8 @@ class AddressRangePartition:
 
         Each extent is split into the maximal sub-extents that fit one
         region; consecutive same-region sub-extents are forwarded as one
-        run through the region backend's own ``flush_extents``, so native
-        fast paths stay engaged under the partition.  Error ordering
+        run through ``backend_flush_extents``, so an interposer inside a
+        region still receives whole extents.  Error ordering
         matches the scalar loop: an out-of-region or boundary-crossing
         line first flushes the pending run, then raises.
         """
@@ -1021,7 +948,7 @@ class FaultInjector(Interposer):
             )
         return self.inner.access(request)
 
-    def access_batch(self, requests: BatchRequests) -> BatchResponses:
+    def access_batch(self, requests: BatchRequests) -> list[MemoryResponse]:
         """Batch access, split only at the scheduled crash index.
 
         A window that does not contain the crash op passes through whole;

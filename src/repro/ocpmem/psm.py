@@ -42,21 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from repro.memory.batch import (
-    BatchRequests,
-    BatchResponses,
-    RequestWindow,
-    ResponseWindow,
-    default_access_batch,
-)
 from repro.memory.device import PRAMTiming
-from repro.memory.extent import (
-    Extent,
-    FlushReport,
-    batched_flush_extents,
-    default_flush_extents,
-    window_from_extents,
-)
 from repro.memory.port import PowerPart
 from repro.memory.request import (
     AddressSpaceError,
@@ -66,7 +52,6 @@ from repro.memory.request import (
     MemoryResponse,
 )
 from repro.memory.rowbuffer import WriteAggregationBuffer
-from repro.ocpmem.columnar import psm_access_window
 from repro.ocpmem.ecc import SymbolECC, XORCodec
 from repro.ocpmem.nvdimm import BareNVDIMM, Layout
 from repro.ocpmem.wear import StartGap
@@ -159,13 +144,6 @@ class PSM:
         self.xcc = XORCodec(half_bytes=_HALF)
         self.symbol_ecc = SymbolECC() if cfg.symbol_ecc else None
         self._buffers: dict[tuple[int, int], WriteAggregationBuffer] = {}
-        #: randomize-unit -> randomized-unit memo for the extent flush.
-        #: The Feistel result depends only on the randomizer instance (not
-        #: on start/gap), so it survives gap moves — exactly what makes
-        #: unique-address flush streams cheap: one network walk covers
-        #: ``randomize_unit`` adjacent lines.
-        self._unit_memo: dict[int, int] = {}
-        self._unit_randomizer: Optional[object] = None
         #: youngest data for lines still sitting in a row buffer
         self._pending: dict[int, bytes] = {}
         #: per-DIMM synchronous (DDR) channel occupancy
@@ -234,337 +212,6 @@ class PSM:
         if request.is_write:
             return self._serve_write(request)
         return self._serve_read(request)
-
-    def access_batch(self, requests: BatchRequests) -> BatchResponses:
-        """Serve a whole window through the columnar PSM kernel.
-
-        Value-identical to looping :meth:`access` (see
-        :func:`~repro.ocpmem.columnar.psm_access_window`).  Functional
-        mode, the strawman layout, request lists that are not
-        window-shaped, and the configurations the kernel does not model
-        — seed rotation, Start-Gap or per-die wear tracking — take the
-        scalar loop.
-        """
-        window = requests if isinstance(requests, RequestWindow) \
-            else RequestWindow.from_requests(requests)
-        if (
-            window is None
-            or self.functional
-            or self.config.layout != "dual_channel"
-            or not self._plain_wear()
-        ):
-            return default_access_batch(self, requests)
-        if window.size > CACHELINE_BYTES:
-            raise ValueError("PSM boundary is cacheline-granular")
-        return psm_access_window(self, window)
-
-    def _plain_wear(self) -> bool:
-        """No seed rotation and no wear tracing, Start-Gap or per-die:
-        the only wear configuration the fast paths model."""
-        return (
-            self.config.rotate_seed_every is None
-            and not self.wear.track_wear
-            and not any(
-                die.track_wear for dimm in self.nvdimms for die in dimm.dies
-            )
-        )
-
-    def flush_extents(self, extents: list[Extent], time: float) -> FlushReport:
-        """Drain dirty extents through the closed-form write fast path.
-
-        The persistence cut's traffic is all-write, single issue time,
-        runs of adjacent lines.  For the shipped configuration
-        (aggregating dual-channel PSM, cacheline extents, no seed
-        rotation or wear tracing) :meth:`_flush_extents_fast` serves it
-        with the whole write pipeline — Start-Gap translation, backlog,
-        row-buffer absorption, staggered page drains — inlined into one
-        loop, the Feistel walk amortized per randomize unit, and stats
-        landed via bulk records.  Other configurations lower onto
-        :meth:`access_batch` (which routes the wear-tracing and
-        seed-rotation sweeps on to the scalar loop); functional mode and
-        the strawman layout keep the scalar loop.  All are
-        value-identical.  Write-back only: the row buffers stay open and
-        programming keeps running in the background; SnG's memory
-        synchronization remains a separate :meth:`flush` call, exactly
-        as on the scalar path.
-        """
-        cfg = self.config
-        if self.functional or cfg.layout != "dual_channel" or not extents:
-            return default_flush_extents(self, extents, time)
-        if (
-            cfg.write_aggregation
-            and all(e.size == CACHELINE_BYTES for e in extents)
-            and self._plain_wear()
-        ):
-            return self._flush_extents_fast(extents, time)
-        return batched_flush_extents(self, extents, time)
-
-    def _flush_extents_fast(self, extents: list[Extent], time: float) -> FlushReport:
-        """One-pass extent drain with the write pipeline fully inlined.
-
-        Value-identical to serving the expanded window through
-        :meth:`access_batch` (and therefore to the scalar loop): the same
-        float expressions run in the same order for translation, backlog
-        stalls, buffer absorption and the staggered page drains
-        (:meth:`_drain_page` / :meth:`_program_line` / ``PRAMDevice.write``
-        unrolled for the data-less early-return case).  The wins over the
-        batched path: no per-line request/response dispatch, the Feistel
-        walk runs once per randomize unit and the Start-Gap offsets apply
-        incrementally over each extent's run, row-buffer hits skip the
-        buffer method calls, and the drain loop touches die state through
-        locals.  Preconditions (checked by :meth:`flush_extents`):
-        aggregating dual-channel timing mode, cacheline-sized extents, no
-        seed rotation, no wear tracing.
-        """
-        cfg = self.config
-        port_ns = cfg.port_ns
-        buffer_ns = cfg.buffer_ns
-        limit_ns = cfg.write_backlog_limit_ns
-        wear = self.wear
-        wear_lines = wear.lines
-        threshold = wear.threshold
-        unit_memo = self._unit_memo
-        if wear._randomizer is not self._unit_randomizer:
-            unit_memo.clear()
-            self._unit_randomizer = wear._randomizer
-        randomizer_apply = wear._randomizer.apply
-        unit_size = wear.randomize_unit
-        units = wear._units
-        nvdimms = self.nvdimms
-        n_dimms = len(nvdimms)
-        dies_col = [dimm.dies for dimm in nvdimms]
-        dimm_lines = nvdimms[0].lines
-        lines_per_page = 4096 // CACHELINE_BYTES
-        buffers = self._buffers
-        pending = self._pending
-        xcc_encode = self.xcc.encode
-        ref_timing = nvdimms[0].dies[0].timing
-        service_ns = ref_timing.write_service_ns
-        cooling_ns = ref_timing.cooling_ns
-        channel_col = [
-            self._channel_busy.get(d.dimm_id, 0.0) for d in nvdimms
-        ]
-        drain_cache = [0.0] * n_dimms
-        drain_dirty = [True] * n_dimms
-        background_ns = self.background_ns
-        write_stall_ns = self.write_stall_ns
-        media_line_writes = self.media_line_writes
-        buffer_hit_count = 0
-        write_count = wear.write_count
-        start_reg = wear.start
-        gap = wear.gap
-        tp = time + port_ns
-        n = 0
-        for extent in extents:
-            n += extent.lines
-        complete_col = [0.0] * n
-        occupied_col = [0.0] * n
-        blocked_col = [0.0] * n
-        write_latencies = [0.0] * n
-        done = time
-        blocked_total = 0.0
-        index = 0
-        error: Optional[AddressSpaceError] = None
-        for extent in extents:
-            line = extent.start // CACHELINE_BYTES
-            remaining = extent.lines
-            while remaining:
-                if line >= wear_lines:
-                    address = extent.start + (
-                        extent.lines - remaining
-                    ) * CACHELINE_BYTES
-                    error = AddressSpaceError(
-                        f"address {address:#x} outside OC-PMEM capacity "
-                        f"{wear_lines * CACHELINE_BYTES:#x}"
-                    )
-                    break
-                # One Feistel evaluation covers the run of lines sharing
-                # this randomize unit (the scalar loop re-walks it per
-                # line); the tail past the permutation domain stays put.
-                unit, offset = divmod(line, unit_size)
-                if unit >= units:
-                    rbase = line - offset
-                    span = remaining
-                else:
-                    r = unit_memo.get(unit)
-                    if r is None:
-                        r = randomizer_apply(unit)
-                        unit_memo[unit] = r
-                    rbase = r * unit_size
-                    span = unit_size - offset
-                    if span > remaining:
-                        span = remaining
-                cap = wear_lines - line
-                if span > cap:
-                    span = cap
-                for off in range(offset, offset + span):
-                    physical = rbase + off + start_reg
-                    if physical >= wear_lines:
-                        physical -= wear_lines
-                    if physical >= gap:
-                        physical += 1
-                    dimm_index = physical % n_dimms
-                    local_line = physical // n_dimms
-                    # StartGap.record_write inlined (no rotation, no wear
-                    # tracing by precondition); a gap move re-bases the
-                    # incremental mapping for the lines that follow it.
-                    write_count += 1
-                    if write_count % threshold == 0:
-                        wear.write_count = write_count
-                        background_ns += wear._move_gap()
-                        start_reg = wear.start
-                        gap = wear.gap
-                    dies = dies_col[dimm_index]
-                    group = local_line & 3
-                    base = group + group
-                    die0 = dies[base]
-                    die1 = dies[base + 1]
-                    b0 = die0.busy_until
-                    b1 = die1.busy_until
-                    group_max = b0 if b0 >= b1 else b1
-                    t = tp
-                    backlog = group_max - t
-                    if backlog < 0.0:
-                        backlog = 0.0
-                    channel_wait = channel_col[dimm_index] - t
-                    if channel_wait > backlog:
-                        backlog = channel_wait
-                    stall = backlog - limit_ns
-                    if stall > 0.0:
-                        t = t + stall
-                    else:
-                        stall = 0.0
-                    write_stall_ns += stall
-                    page, beat = divmod(local_line, lines_per_page)
-                    buf = buffers.get((dimm_index, group))
-                    if buf is None:
-                        buf = self._buffer(dimm_index, group)
-                    open_page = buf._open
-                    if open_page is not None and open_page.page == page:
-                        # Row-buffer absorption with the buffer write
-                        # unrolled (same stats, same dirty-beat state).
-                        open_page.dirty.add(beat)
-                        stats = buf.stats
-                        stats.total += 1
-                        stats.hits += 1
-                        buffer_hit_count += 1
-                    else:
-                        # Page transition: the buffer method handles the
-                        # close/open bookkeeping (rare — once per page).
-                        _absorbed, to_drain = buf.write(
-                            t, local_line * CACHELINE_BYTES
-                        )
-                        if to_drain is not None:
-                            # _drain_page/_program_line/PRAMDevice.write
-                            # inlined for the staggered data-less case:
-                            # the drained page's beats share one cooling
-                            # row and this buffer's CE group.
-                            dpage, beats = to_drain
-                            td = t
-                            dl_base = dpage * lines_per_page
-                            row = dpage
-                            for beat_i in sorted(beats):
-                                dl = dl_base + beat_i
-                                if dl >= dimm_lines:
-                                    continue
-                                media_line_writes += 1
-                                if pending:
-                                    data = pending.pop(
-                                        dl * n_dimms + dimm_index, None
-                                    )
-                                    if data is not None:
-                                        xcc_encode(
-                                            data[:_HALF], data[_HALF:]
-                                        )
-                                        nvdimms[dimm_index].store_line(
-                                            dl, data
-                                        )
-                                b = die0.busy_until
-                                cooling = die0._cooling
-                                cool = cooling.get(row, 0.0)
-                                s = td if td >= b else b
-                                if cool > s:
-                                    s = cool
-                                p0 = s + service_ns
-                                die0.busy_until = p0
-                                if len(cooling) > 64:
-                                    cooling = {
-                                        rr: tt for rr, tt in cooling.items()
-                                        if tt > td
-                                    }
-                                    die0._cooling = cooling
-                                cooling[row] = p0 + cooling_ns
-                                die0.write_count += 1
-                                # sibling die staggered: issues once the
-                                # first pulse ends
-                                b = die1.busy_until
-                                cooling = die1._cooling
-                                cool = cooling.get(row, 0.0)
-                                s = p0 if p0 >= b else b
-                                if cool > s:
-                                    s = cool
-                                p1 = s + service_ns
-                                die1.busy_until = p1
-                                if len(cooling) > 64:
-                                    cooling = {
-                                        rr: tt for rr, tt in cooling.items()
-                                        if tt > p0
-                                    }
-                                    die1._cooling = cooling
-                                cooling[row] = p1 + cooling_ns
-                                die1.write_count += 1
-                                td = p1 if p1 >= p0 else p0
-                            drain_dirty[dimm_index] = True
-                    if drain_dirty[dimm_index]:
-                        dimm_max = 0.0
-                        for die in dies:
-                            if die.busy_until > dimm_max:
-                                dimm_max = die.busy_until
-                        drain_cache[dimm_index] = dimm_max
-                        drain_dirty[dimm_index] = False
-                    else:
-                        dimm_max = drain_cache[dimm_index]
-                    complete = t + buffer_ns + port_ns
-                    write_latencies[index] = complete - time
-                    complete_col[index] = complete
-                    occupied_col[index] = (
-                        complete if complete >= dimm_max else dimm_max
-                    )
-                    blocked_col[index] = stall
-                    blocked_total += stall
-                    if complete > done:
-                        done = complete
-                    index += 1
-                line += span
-                remaining -= span
-            if error is not None:
-                break
-        wear.write_count = write_count
-        channel_busy = self._channel_busy
-        for dimm_index in range(n_dimms):
-            channel_busy[dimm_index] = channel_col[dimm_index]
-        self.background_ns = background_ns
-        self.write_stall_ns = write_stall_ns
-        self.media_line_writes = media_line_writes
-        self.buffer_hits.record_many(buffer_hit_count, index)
-        if index:
-            self.write_latency.record_many(
-                write_latencies if index == n else write_latencies[:index]
-            )
-        if error is not None:
-            raise error
-        window = window_from_extents(extents, time)
-        assert window is not None
-        return FlushReport(
-            lines=n,
-            extents=len(extents),
-            start_ns=time,
-            done_ns=done,
-            blocked_ns=blocked_total,
-            responses=ResponseWindow(
-                window, complete_col, occupied_col, blocked_col
-            ),
-        )
 
     # -- write path --------------------------------------------------------------
 

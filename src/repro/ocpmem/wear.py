@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 __all__ = ["FeistelPermutation", "StartGap", "WearRegisters"]
 
 MoveFn = Callable[[int, int], None]
@@ -77,46 +75,6 @@ class FeistelPermutation:
         while y >= self.n:  # cycle-walk back into the subdomain
             y = self._permute_once(y)
         return y
-
-    def _permute_once_many(self, x):
-        """Vectorized :meth:`_permute_once` over a uint64 ndarray.
-
-        One ufunc pass per Feistel round.  All arithmetic runs in uint64
-        with explicit 32-bit masks, so every intermediate matches the
-        arbitrary-precision Python ints masked by ``& 0xFFFFFFFF``.
-        """
-        half_bits = np.uint64(self._half_bits)
-        half_mask = np.uint64(self._half_mask)
-        mask32 = np.uint64(0xFFFFFFFF)
-        mul = np.uint64(0xC2B2AE35)
-        add = np.uint64(0x165667B1)
-        shift = np.uint64(13)
-        left = x >> half_bits
-        right = x & half_mask
-        for key in self._keys:
-            value = (right ^ np.uint64(key)) & mask32
-            value = (value * mul + add) & mask32
-            value ^= value >> shift
-            value &= half_mask
-            left, right = right, left ^ value
-        return (left << half_bits) | right
-
-    def apply_many(self, values):
-        """Vectorized :meth:`apply` over an int64 ndarray of domain points.
-
-        Cycle-walking re-permutes only the still-out-of-domain lanes via
-        boolean masks until all land inside ``[0, n)``; the result equals
-        element-wise :meth:`apply` exactly (same network, same walk).
-        """
-        if self.n == 1:
-            return np.zeros(len(values), dtype=np.int64)
-        y = self._permute_once_many(values.astype(np.uint64))
-        n = np.uint64(self.n)
-        out = y >= n
-        while bool(out.any()):
-            y[out] = self._permute_once_many(y[out])
-            out = y >= n
-        return y.astype(np.int64)
 
 
 @dataclass(frozen=True)

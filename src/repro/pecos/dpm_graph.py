@@ -15,9 +15,8 @@ module builds the flat order from explicit dependency edges:
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Sequence
-
-import networkx as nx
 
 from repro.pecos.device import DeviceDriver, DevicePMList
 
@@ -39,25 +38,61 @@ def suspend_order(
     all constrained drivers at the same depth.
     """
     by_name = {driver.name: driver for driver in drivers}
-    graph = nx.DiGraph()
-    graph.add_nodes_from(by_name)
+    # edge supplier -> consumer: supplier must still be up while the
+    # consumer suspends, so the consumer comes first
+    consumers: dict[str, list[str]] = {name: [] for name in by_name}
+    suppliers: dict[str, list[str]] = {name: [] for name in by_name}
     for consumer, supplier in dependencies:
         for name in (consumer, supplier):
             if name not in by_name:
                 raise ValueError(f"dependency names unknown driver {name!r}")
-        # edge supplier -> consumer: supplier must still be up while the
-        # consumer suspends, so the consumer comes first
-        graph.add_edge(supplier, consumer)
-    try:
-        # reverse topological order of the supplier graph = consumers first
-        ordered = list(reversed(list(nx.lexicographical_topological_sort(
-            graph, key=lambda n: by_name[n].order))))
-    except nx.NetworkXUnfeasible:
-        cycle = nx.find_cycle(graph)
+        if consumer not in consumers[supplier]:
+            consumers[supplier].append(consumer)
+            suppliers[consumer].append(supplier)
+    # Kahn's sort of the supplier graph, always releasing the ready
+    # driver with the smallest (dpm order, declaration index)
+    index = {name: i for i, name in enumerate(by_name)}
+    waiting = {name: len(suppliers[name]) for name in by_name}
+    ready = [(by_name[name].order, index[name], name)
+             for name in by_name if not waiting[name]]
+    heapq.heapify(ready)
+    ordered: list[str] = []
+    while ready:
+        name = heapq.heappop(ready)[2]
+        ordered.append(name)
+        for consumer in consumers[name]:
+            waiting[consumer] -= 1
+            if not waiting[consumer]:
+                heapq.heappush(
+                    ready, (by_name[consumer].order, index[consumer], consumer))
+    if len(ordered) < len(by_name):
+        cycle = _cycle([name for name in by_name if waiting[name]], suppliers)
         raise DependencyCycleError(
-            f"device dependency cycle: {' -> '.join(a for a, _ in cycle)}"
-        ) from None
+            f"device dependency cycle: {' -> '.join(cycle)}"
+        )
+    # reverse topological order of the supplier graph = consumers first
+    ordered.reverse()
     return ordered
+
+
+def _cycle(stuck: list[str], suppliers: dict[str, list[str]]) -> list[str]:
+    """One cycle among the drivers the sort could not release, in
+    supplier -> consumer order.
+
+    Each stuck driver still waits on a stuck supplier, so walking
+    suppliers from any of them must come back to a driver already seen.
+    """
+    stuck_set = set(stuck)
+    seen: dict[str, int] = {}
+    path: list[str] = []
+    name = stuck[0]
+    while name not in seen:
+        seen[name] = len(path)
+        path.append(name)
+        name = next(s for s in suppliers[name] if s in stuck_set)
+    cycle = path[seen[name]:]
+    cycle.reverse()
+    return cycle
 
 
 def build_dpm_list(

@@ -17,19 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from repro.memory.batch import (
-    BatchRequests,
-    BatchResponses,
-    RequestWindow,
-    default_access_batch,
-)
 from repro.memory.dram import DRAMSubsystem
-from repro.memory.extent import (
-    Extent,
-    FlushReport,
-    batched_flush_extents,
-    default_flush_extents,
-)
 from repro.memory.port import PortNotSupportedError, PowerPart
 from repro.memory.request import (
     AddressSpaceError,
@@ -39,7 +27,6 @@ from repro.memory.request import (
     MemoryResponse,
     cacheline_of,
 )
-from repro.pmem.columnar import pmem_controller_window
 from repro.pmem.dimm import PMEMDIMM
 from repro.sim.stats import LatencyStats, RatioStat, StatsRegistry
 
@@ -102,30 +89,6 @@ class PMEMController:
             data=response.data,
             blocked_ns=response.blocked_ns,
         )
-
-    def access_batch(self, requests: BatchRequests) -> BatchResponses:
-        """Scatter a window across the DIMMs and gather shifted responses.
-
-        Cachelines interleave across DIMMs and the DIMMs share no state,
-        so serving each DIMM's sub-window as one contiguous batch (order
-        preserved within a DIMM) is observationally identical to the
-        scalar per-request routing (see
-        :func:`~repro.pmem.columnar.pmem_controller_window`).
-        """
-        window = requests if isinstance(requests, RequestWindow) \
-            else RequestWindow.from_requests(requests)
-        if window is None:
-            return default_access_batch(self, requests)
-        return pmem_controller_window(self, window)
-
-    def flush_extents(self, extents: list[Extent], time: float) -> FlushReport:
-        """Drain dirty extents through the batched scatter/gather path.
-
-        One uniform write window scattered across the DIMMs, one bulk
-        stats record per DIMM — :meth:`access_batch` already handles the
-        homogeneous shape, including exact error ordering.
-        """
-        return batched_flush_extents(self, extents, time)
 
     def drain(self, time: float) -> float:
         done = time
@@ -265,18 +228,6 @@ class NMEMController:
             )
         self.latency.record(out.latency)
         return out
-
-    def access_batch(self, requests: BatchRequests) -> BatchResponses:
-        """Memory mode keeps the scalar path: every access re-routes
-        through the tag store, so there is no columnar shortcut — the
-        default loop is the whole implementation."""
-        return default_access_batch(self, requests)
-
-    def flush_extents(self, extents: list[Extent], time: float) -> FlushReport:
-        """Memory mode keeps the scalar path here too: each line's cost
-        depends on its tag-store hit/miss, so the correct-by-construction
-        loop is the whole implementation."""
-        return default_flush_extents(self, extents, time)
 
     def drain(self, time: float) -> float:
         return max(self.dram.drain(time), self.pmem.drain(time))

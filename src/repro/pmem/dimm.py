@@ -19,12 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.memory.batch import (
-    BatchRequests,
-    BatchResponses,
-    RequestWindow,
-    default_access_batch,
-)
 from repro.memory.device import PRAMDevice, PRAMTiming, SRAMBuffer
 from repro.memory.request import (
     CACHELINE_BYTES,
@@ -34,7 +28,6 @@ from repro.memory.request import (
     PMEM_INTERNAL_BYTES,
     PRAM_DEVICE_BYTES,
 )
-from repro.pmem.columnar import pmem_dimm_window
 from repro.pmem.lsq import LoadStoreQueue, LSQEntry
 from repro.sim.stats import LatencyStats
 
@@ -188,28 +181,6 @@ class PMEMDIMM:
         if request.is_write:
             return self._serve_write(request)
         return self._serve_read(request)
-
-    def access_batch(self, requests: BatchRequests) -> BatchResponses:
-        """Serve a whole window through the columnar DIMM kernel.
-
-        Value-identical to looping :meth:`access` (see
-        :func:`~repro.pmem.columnar.pmem_dimm_window`).  Request lists
-        that are not window-shaped, functional byte images and per-die
-        wear tracking — which the kernel does not model — take the
-        scalar loop.
-        """
-        window = requests if isinstance(requests, RequestWindow) \
-            else RequestWindow.from_requests(requests)
-        if (
-            window is None
-            or self._volatile_data
-            or self._durable_data
-            or any(die.track_wear for die in self.dies)
-        ):
-            return default_access_batch(self, requests)
-        if window.size > CACHELINE_BYTES:
-            raise ValueError("PMEM DIMM boundary is cacheline-granular")
-        return pmem_dimm_window(self, window)
 
     def _line_data(self, address: int) -> Optional[bytes]:
         line = address - address % CACHELINE_BYTES

@@ -13,8 +13,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Union
 
-import numpy as np
-
 __all__ = [
     "Counter",
     "Histogram",
@@ -22,27 +20,9 @@ __all__ = [
     "RatioStat",
     "StatsRegistry",
     "TimeSeries",
-    "fold_left_sum",
     "geometric_mean",
     "weighted_mean",
 ]
-
-
-def fold_left_sum(initial: float, values) -> float:
-    """``initial + v0 + v1 + ...`` in strict left-to-right order.
-
-    Bitwise-identical to the scalar ``total += value`` loop: numpy's
-    ``add.accumulate`` is a sequential fold (unlike ``np.sum``'s
-    pairwise reduction, which associates differently).  ``values`` is
-    a 1-D float sequence (an ndarray or a list of floats).
-    """
-    n = len(values)
-    if n == 0:
-        return initial
-    buf = np.empty(n + 1, dtype=np.float64)
-    buf[0] = initial
-    buf[1:] = values
-    return float(np.add.accumulate(buf)[-1])
 
 
 class LatencyStats:
@@ -124,15 +104,7 @@ class LatencyStats:
         min/max, same reservoir contents and stride state — but with the
         attribute loads/stores hoisted out of the loop, which is what the
         batched access path pays for a whole window at once.
-
-        A float64 ndarray takes the fully vectorized branch: sequential
-        ``add.accumulate`` folds for the totals (bit-identical to the
-        scalar addition order) and an arithmetic replay of the reservoir
-        stride discipline — no Python-level loop over the values.
         """
-        if isinstance(values, np.ndarray):
-            self._record_array(values)
-            return
         count = 0
         total = self.total
         total_sq = self.total_sq
@@ -169,77 +141,6 @@ class LatencyStats:
         self.total_sq = total_sq
         self.min = lo
         self.max = hi
-        self._cursor = cursor
-        self._stride = stride
-        self._skip = skip
-
-    def _record_array(self, values) -> None:
-        """Vectorized :meth:`record_many` body for a float64 ndarray.
-
-        The reservoir's stride discipline is deterministic, so instead of
-        stepping it per value the replaced elements are computed
-        arithmetically: within one stride regime the kept values are a
-        strided slice of the batch; the regime only changes when the
-        cursor wraps the capacity (stride doubles, skip resets), so the
-        outer loop runs once per wrap — ~``capacity * stride`` values
-        apart — not per value.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        n = int(values.size)
-        if n == 0:
-            return
-        self.count += n
-        self.total = fold_left_sum(self.total, values)
-        self.total_sq = fold_left_sum(self.total_sq, values * values)
-        lo = float(values.min())
-        hi = float(values.max())
-        if lo < self.min:
-            self.min = lo
-        if hi > self.max:
-            self.max = hi
-        reservoir = self._reservoir
-        capacity = self._capacity
-        start = 0
-        room = capacity - len(reservoir)
-        if room > 0:
-            head = min(room, n)
-            reservoir.extend(values[:head].tolist())
-            start = head
-        remaining = n - start
-        if remaining <= 0:
-            return
-        cursor = self._cursor
-        stride = self._stride
-        skip = self._skip
-        while remaining > 0:
-            replacements = (skip + remaining) // stride
-            if replacements == 0:
-                skip += remaining
-                break
-            wrap_room = capacity - cursor
-            if replacements < wrap_room:
-                # Every replaced value sits on one strided slice: the
-                # first replacement lands after (stride - skip) values,
-                # then every stride-th value thereafter.
-                picks = values[
-                    start + (stride - skip) - 1: start + remaining: stride
-                ]
-                reservoir[cursor:cursor + replacements] = picks.tolist()
-                cursor += replacements
-                skip = (skip + remaining) % stride
-                break
-            # Consume exactly enough values to wrap the cursor, then
-            # double the stride (decay) and continue on the tail.
-            consumed = wrap_room * stride - skip
-            picks = values[
-                start + (stride - skip) - 1: start + consumed: stride
-            ]
-            reservoir[cursor:cursor + wrap_room] = picks.tolist()
-            start += consumed
-            remaining -= consumed
-            cursor = 0
-            stride = min(stride * 2, 1 << 20)
-            skip = 0
         self._cursor = cursor
         self._stride = stride
         self._skip = skip

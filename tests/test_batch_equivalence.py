@@ -1,19 +1,15 @@
-"""Batch/scalar equivalence for every registered memory backend.
+"""Batch/scalar equivalence for every memory backend and interposer.
 
-``access_batch`` is a pure performance port: for any request stream it
-must be observationally identical to looping scalar ``access`` — same
+A request window served through ``backend_access_batch`` must be
+observationally identical to looping scalar ``access`` by hand — same
 responses, same stats tree, same wear registers and counters, same
-device state.  These tests drive the same deterministic (and
-hypothesis-generated) streams through two fresh instances of each
-backend, one per path, and diff everything observable.
-
-The native fast paths (DRAM, PSM, PMEM controller/DIMM) are also pinned
-to actually return a :class:`ResponseWindow`, so a silent fall-back to
-the default loop fails the suite instead of quietly losing the speedup.
-The configurations the kernels do not model (PSM seed rotation, Start-Gap
-or per-die wear tracking, PMEM per-die wear tracking) are pinned the
-other way: they must reach the scalar loop, and the wear maps they keep
-are part of the diffed state.
+device state.  On a backend the batch is the default loop over
+``RequestWindow.request_at``; the interposers (tap, throttle,
+partition, fault injector) forward windows whole and must still match
+their own scalar ``access``.  These tests drive the same deterministic
+(and hypothesis-generated) streams through two fresh instances of each
+port, one per path, and diff everything observable, including the wear
+maps of the wear-tracking configurations.
 """
 
 from __future__ import annotations
@@ -23,11 +19,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory.batch import (
-    RequestWindow,
-    ResponseWindow,
-    backend_access_batch,
-)
+from repro.memory.batch import RequestWindow, backend_access_batch
 from repro.memory.dram import DRAMConfig, DRAMSubsystem
 from repro.memory.port import (
     AddressRange,
@@ -41,10 +33,8 @@ from repro.memory.request import CACHELINE_BYTES, MemoryOp, MemoryRequest
 from repro.ocpmem.psm import PSM, PSMConfig
 from tests.equivalence import (
     BACKENDS,
-    NATIVE,
-    SCALAR_ROUTED,
     capacity_of,
-    numpy_kernels,  # noqa: F401  (autouse fixture)
+    case_id_prefix,  # noqa: F401  (autouse fixture)
     state_of,
 )
 
@@ -105,15 +95,7 @@ class TestBackendEquivalence:
         scalar = BACKENDS[name]()
         batched = BACKENDS[name]()
         scalar_responses = run_scalar(scalar, columns)
-        outputs, batch_responses = run_batched(batched, columns, window)
-        if name in NATIVE:
-            for out in outputs:
-                assert isinstance(out, ResponseWindow), \
-                    f"{name} silently fell back to the default loop"
-        if name in SCALAR_ROUTED:
-            for out in outputs:
-                assert isinstance(out, list), \
-                    f"{name} reached a kernel that does not model it"
+        _, batch_responses = run_batched(batched, columns, window)
         assert_equivalent(scalar, batched, scalar_responses, batch_responses)
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
@@ -148,8 +130,7 @@ class TestBackendEquivalence:
         scalar = build()
         batched = build()
         scalar_responses = run_scalar(scalar, columns)
-        outputs, batch_responses = run_batched(batched, columns, 256)
-        assert all(isinstance(out, list) for out in outputs)
+        _, batch_responses = run_batched(batched, columns, 256)
         assert scalar.wear.seed_rotations >= 2
         assert_equivalent(scalar, batched, scalar_responses, batch_responses)
 
@@ -327,3 +308,17 @@ class TestFaultInjectorWindowEdges:
         assert not port.tripped and port.op_index == self.N
         with pytest.raises(InjectedPowerFailure):
             port.access(MemoryRequest(MemoryOp.READ, 0, time=0.0))
+
+
+def test_subwindow_of_list_window_copies_shallowly():
+    """Interposers slice windows into subwindows and rebase them; the
+    slices are copies, so the parent window is never written through."""
+    window = RequestWindow(
+        [i % 3 == 0 for i in range(16)],
+        [i * 64 for i in range(16)],
+        [float(i) * 10.0 for i in range(16)],
+    )
+    sub = window.subwindow(4, 12)
+    assert sub.addresses == window.addresses[4:12]
+    sub.addresses[0] = 0xDEAD
+    assert window.addresses[4] == 4 * 64  # parent untouched

@@ -43,6 +43,26 @@ class TestSuspendOrder:
             suspend_order(drivers, [("a", "b"), ("b", "a")])
         assert "a" in str(excinfo.value)
 
+    def test_tied_orders_break_by_declaration(self):
+        # order ties among ready drivers go to the earlier-declared one
+        drivers = [DeviceDriver("nvme0", order=1),
+                   DeviceDriver("pcie0", order=0),
+                   DeviceDriver("eth0", order=1),
+                   DeviceDriver("gpu0", order=0),
+                   DeviceDriver("usb0", order=1),
+                   DeviceDriver("rtc0", order=0)]
+        order = suspend_order(drivers, [("eth0", "pcie0"),
+                                        ("nvme0", "pcie0"),
+                                        ("usb0", "gpu0")])
+        assert order == ["usb0", "eth0", "nvme0", "rtc0", "gpu0", "pcie0"]
+
+    def test_three_node_cycle_named(self):
+        drivers = _drivers("a", "b", "c")
+        with pytest.raises(DependencyCycleError) as excinfo:
+            suspend_order(drivers, [("a", "b"), ("b", "c"), ("c", "a")])
+        # supplier -> consumer: c supplies b, b supplies a, a supplies c
+        assert str(excinfo.value) == "device dependency cycle: c -> b -> a"
+
 
 class TestBuildDpmList:
     def test_suspend_resume_honours_dag(self):

@@ -4,8 +4,9 @@ The tentpole contract: every exact engine (scalar, window, extent) is
 observationally identical at machine scope — same RunResult, same stats,
 same wear registers — and the registry is the only dispatch point left
 (``Machine.run``, litmus and drill all resolve engines by name).  The
-columnar kernels must count exactly what the columns hold, and the CLI
-rejects unknown engine names with the one-line exit-2 convention.
+epoch signature kernels must count exactly what the columns hold, and
+the CLI rejects unknown engine names with the one-line exit-2
+convention.
 """
 
 from __future__ import annotations
@@ -29,20 +30,14 @@ from repro.engine.base import (
     set_default_engine,
 )
 from repro.engine.columnar import (
-    ResponseSummary,
     WindowSignature,
     signature_of_columns,
     signature_of_records,
-    signature_of_window,
-    summarize_responses,
 )
 from repro.engine.epoch import EpochEngine
 from repro.engine.extent import ExtentEngine
 from repro.engine.scalar import ScalarEngine
 from repro.engine.window import WindowEngine
-from repro.memory.batch import RequestWindow, backend_access_batch
-from repro.memory.extent import Extent, window_from_extents
-from repro.ocpmem.psm import PSM
 from repro.workloads import load_workload
 
 BUILTINS = ("epoch", "extent", "scalar", "window")
@@ -193,15 +188,8 @@ class TestColumnarKernels:
             type("R", (), dict(address=a, is_write=w, instructions=i))()
             for a, w, i in zip(addresses, is_write, instructions)
         ]
-        from_records = signature_of_records(records)
-        from_window = signature_of_window(
-            RequestWindow(is_write, addresses, [0.0] * len(addresses)))
-        assert from_records.records == from_window.records
-        assert from_records.writes == from_window.writes
-        assert from_records.unique_lines == from_window.unique_lines
-        assert from_records.row_locality == from_window.row_locality
-        # instructions ride the trace records only; windows carry none
-        assert from_window.instructions == 0
+        assert signature_of_records(records) == signature_of_columns(
+            addresses, is_write, instructions)
 
     def test_signature_phase_comparison(self):
         base = signature_of_columns(*_reference_columns(1024, seed=3))
@@ -217,27 +205,6 @@ class TestColumnarKernels:
         empty = WindowSignature(0, 0, 0, 0, 0.0)
         assert empty.close_to(empty, tolerance=0.0)
         assert not empty.close_to(base, tolerance=0.5)
-
-    def test_response_summary_window_matches_responses(self):
-        psm = PSM()
-        window = window_from_extents([Extent(0, 64), Extent(1 << 14, 32)],
-                                     0.0)
-        responses = backend_access_batch(psm, window)
-        summary = summarize_responses(responses)
-        latencies = [response.latency for response in responses]
-        assert summary.responses == 96
-        assert summary.latency_total == pytest.approx(sum(latencies))
-        assert summary.latency_min == min(latencies)
-        assert summary.latency_max == max(latencies)
-        assert summary.blocked_total == pytest.approx(
-            sum(response.blocked_ns for response in responses))
-        assert summary.latency_mean == pytest.approx(
-            summary.latency_total / summary.responses)
-
-    def test_response_summary_empty(self):
-        assert summarize_responses([]) == ResponseSummary(
-            0, 0.0, 0.0, 0.0, 0.0)
-        assert summarize_responses([]).latency_mean == 0.0
 
 
 class TestCLIEngineFlag:

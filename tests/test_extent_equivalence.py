@@ -1,11 +1,13 @@
 """Extent-flush/scalar equivalence for every backend and interposer.
 
-``flush_extents`` is a pure performance port: for any extent list it
-must be observationally identical to the scalar line loop
+An extent list flushed through ``backend_flush_extents`` must be
+observationally identical to the scalar line loop
 (:func:`~repro.memory.extent.default_flush_extents`) — same report, same
 per-line responses, same stats tree, wear registers, counters and device
-state.  These tests drive the same dirty populations through two fresh
-instances of each backend, one per path, and diff everything observable.
+state.  On a backend the dispatch is that loop; the interposers forward
+extents whole and must still match it.  These tests drive the same dirty
+populations through two fresh instances of each port, one per path, and
+diff everything observable.
 
 Also covered here: the interposer chain and partition routing, the
 FaultInjector's exact mid-extent crash split (the served prefix must
@@ -23,7 +25,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory.batch import ResponseWindow
 from repro.memory.dram import DRAMConfig, DRAMSubsystem
 from repro.memory.extent import (
     DirtyExtentMap,
@@ -54,10 +55,8 @@ from repro.persistence.scheckpc import SCheckPC
 from repro.sim.stats import StatsRegistry
 from tests.equivalence import (
     BACKENDS,
-    NATIVE,
-    SCALAR_ROUTED,
     capacity_of,
-    numpy_kernels,  # noqa: F401  (autouse fixture)
+    case_id_prefix,  # noqa: F401  (autouse fixture)
     state_of,
 )
 
@@ -112,16 +111,10 @@ class TestBackendEquivalence:
         capacity = capacity_of(BACKENDS[name]())
         extents = make_extents(capacity, count, seed=hash(name) & 0xFFFF)
         scalar = BACKENDS[name]()
-        native = BACKENDS[name]()
+        port = BACKENDS[name]()
         scalar_report = default_flush_extents(scalar, extents, 0.0)
-        extent_report = backend_flush_extents(native, extents, 0.0)
-        if name in NATIVE:
-            assert isinstance(extent_report.responses, ResponseWindow), \
-                f"{name} silently fell back to the default loop"
-        if name in SCALAR_ROUTED:
-            assert isinstance(extent_report.responses, list), \
-                f"{name} reached a fast path that does not model it"
-        assert_equivalent(scalar, native, scalar_report, extent_report)
+        extent_report = backend_flush_extents(port, extents, 0.0)
+        assert_equivalent(scalar, port, scalar_report, extent_report)
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_flush_from_warm_state(self, name):
@@ -129,12 +122,12 @@ class TestBackendEquivalence:
         capacity = capacity_of(BACKENDS[name]())
         extents = make_extents(capacity, 300, seed=3)
         scalar = BACKENDS[name]()
-        native = BACKENDS[name]()
+        port = BACKENDS[name]()
         warm_up(scalar, capacity, seed=11)
-        warm_up(native, capacity, seed=11)
+        warm_up(port, capacity, seed=11)
         scalar_report = default_flush_extents(scalar, extents, 5_000.0)
-        extent_report = backend_flush_extents(native, extents, 5_000.0)
-        assert_equivalent(scalar, native, scalar_report, extent_report)
+        extent_report = backend_flush_extents(port, extents, 5_000.0)
+        assert_equivalent(scalar, port, scalar_report, extent_report)
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     @settings(max_examples=12, deadline=None)
@@ -150,31 +143,16 @@ class TestBackendEquivalence:
                 (start + i) * CACHELINE_BYTES for i in range(length))
         extents = coalesce_lines(addresses)
         scalar = BACKENDS[name]()
-        native = BACKENDS[name]()
+        port = BACKENDS[name]()
         scalar_report = default_flush_extents(scalar, extents, 0.0)
-        extent_report = backend_flush_extents(native, extents, 0.0)
-        assert_equivalent(scalar, native, scalar_report, extent_report)
-
-    def test_psm_sweep_config_lowers_onto_batch(self):
-        """Seed rotation disables the inlined loop but the access_batch
-        lowering it falls back to is still scalar-identical."""
-        config = PSMConfig(
-            dimms=2, lines_per_dimm=1 << 10, rotate_seed_every=2,
-            wear_threshold=10,
-        )
-        extents = make_extents(
-            PSM(config).capacity, 600, seed=9)
-        scalar = PSM(config)
-        native = PSM(config)
-        scalar_report = default_flush_extents(scalar, extents, 0.0)
-        extent_report = native.flush_extents(extents, 0.0)
-        assert_equivalent(scalar, native, scalar_report, extent_report)
+        extent_report = backend_flush_extents(port, extents, 0.0)
+        assert_equivalent(scalar, port, scalar_report, extent_report)
 
     def test_psm_out_of_capacity_matches_scalar_error(self):
         """Both paths raise the same AddressSpaceError text and leave
         identical served-prefix state behind."""
         psm_scalar = PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10))
-        psm_native = PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10))
+        psm_port = PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10))
         lines = psm_scalar.capacity // CACHELINE_BYTES
         extents = [
             Extent(0, 8),
@@ -182,10 +160,10 @@ class TestBackendEquivalence:
         ]
         with pytest.raises(AddressSpaceError) as scalar_err:
             default_flush_extents(psm_scalar, extents, 0.0)
-        with pytest.raises(AddressSpaceError) as native_err:
-            psm_native.flush_extents(extents, 0.0)
-        assert str(scalar_err.value) == str(native_err.value)
-        assert state_of(psm_scalar) == state_of(psm_native)
+        with pytest.raises(AddressSpaceError) as port_err:
+            backend_flush_extents(psm_port, extents, 0.0)
+        assert str(scalar_err.value) == str(port_err.value)
+        assert state_of(psm_scalar) == state_of(psm_port)
 
     def test_protocol_only_backend_gets_default_loop(self):
         class Minimal:
@@ -218,10 +196,10 @@ class TestInterposerEquivalence:
         capacity = capacity_of(PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10)))
         extents = make_extents(capacity, 500, seed=21)
         scalar = self._chain()
-        native = self._chain()
+        port = self._chain()
         scalar_report = default_flush_extents(scalar, extents, 0.0)
-        extent_report = native.flush_extents(extents, 0.0)
-        assert_equivalent(scalar, native, scalar_report, extent_report)
+        extent_report = port.flush_extents(extents, 0.0)
+        assert_equivalent(scalar, port, scalar_report, extent_report)
         assert extent_report.lines == sum(e.lines for e in extents)
 
     def test_partition_routes_extents_like_scalar(self):
@@ -237,10 +215,10 @@ class TestInterposerEquivalence:
 
         extents = make_extents(2 * half, 500, seed=33)
         scalar = build()
-        native = build()
+        port = build()
         scalar_report = default_flush_extents(scalar, extents, 0.0)
-        extent_report = native.flush_extents(extents, 0.0)
-        assert_equivalent(scalar, native, scalar_report, extent_report)
+        extent_report = port.flush_extents(extents, 0.0)
+        assert_equivalent(scalar, port, scalar_report, extent_report)
 
     def test_partition_subdivides_straddling_extent(self):
         """A line-aligned extent across the boundary is split, not
@@ -257,10 +235,10 @@ class TestInterposerEquivalence:
 
         straddling = [Extent(half - 2 * CACHELINE_BYTES, 4)]
         scalar = build()
-        native = build()
+        port = build()
         scalar_report = default_flush_extents(scalar, straddling, 0.0)
-        extent_report = native.flush_extents(straddling, 0.0)
-        assert_equivalent(scalar, native, scalar_report, extent_report)
+        extent_report = port.flush_extents(straddling, 0.0)
+        assert_equivalent(scalar, port, scalar_report, extent_report)
 
     def test_partition_boundary_crossing_matches_scalar_error(self):
         """A line that spans a non-line-aligned region edge raises the
@@ -277,28 +255,28 @@ class TestInterposerEquivalence:
 
         crossing = [Extent(0, 2), Extent(1 << 20, 1)]
         scalar = build()
-        native = build()
+        port = build()
         with pytest.raises(AddressSpaceError) as scalar_err:
             default_flush_extents(scalar, crossing, 0.0)
-        with pytest.raises(AddressSpaceError) as native_err:
-            native.flush_extents(crossing, 0.0)
-        assert str(scalar_err.value) == str(native_err.value)
-        assert "crosses the region boundary" in str(native_err.value)
+        with pytest.raises(AddressSpaceError) as port_err:
+            port.flush_extents(crossing, 0.0)
+        assert str(scalar_err.value) == str(port_err.value)
+        assert "crosses the region boundary" in str(port_err.value)
 
     def test_partition_outside_region_matches_scalar_error(self):
         region = AddressRange(0, 1 << 20, DRAMSubsystem(
             DRAMConfig(capacity=1 << 20, ranks=4)))
         scalar = AddressRangePartition([region])
-        native = AddressRangePartition([AddressRange(
+        port = AddressRangePartition([AddressRange(
             0, 1 << 20, DRAMSubsystem(DRAMConfig(capacity=1 << 20,
                                                  ranks=4)))])
         outside = [Extent(0, 2), Extent(1 << 21, 1)]
         with pytest.raises(AddressSpaceError) as scalar_err:
             default_flush_extents(scalar, outside, 0.0)
-        with pytest.raises(AddressSpaceError) as native_err:
-            native.flush_extents(outside, 0.0)
-        assert str(scalar_err.value) == str(native_err.value)
-        assert "outside every partition region" in str(native_err.value)
+        with pytest.raises(AddressSpaceError) as port_err:
+            port.flush_extents(outside, 0.0)
+        assert str(scalar_err.value) == str(port_err.value)
+        assert "outside every partition region" in str(port_err.value)
 
 
 class TestFaultInjectorMidExtent:
@@ -317,33 +295,33 @@ class TestFaultInjectorMidExtent:
         capacity = PSM(PSMConfig(**self.CONFIG)).capacity
         extents = make_extents(capacity, 500, seed=55)
         scalar = self._build(crash_at)
-        native = self._build(crash_at)
+        port = self._build(crash_at)
 
         with pytest.raises(InjectedPowerFailure) as scalar_err:
             default_flush_extents(scalar, extents, 0.0)
-        with pytest.raises(InjectedPowerFailure) as native_err:
-            native.flush_extents(extents, 0.0)
+        with pytest.raises(InjectedPowerFailure) as port_err:
+            port.flush_extents(extents, 0.0)
 
-        assert str(scalar_err.value) == str(native_err.value)
+        assert str(scalar_err.value) == str(port_err.value)
         scalar_served = scalar_err.value.completed
-        native_served = native_err.value.completed
+        port_served = port_err.value.completed
         assert len(scalar_served) == crash_at
-        assert len(native_served) == crash_at
-        for index, (a, b) in enumerate(zip(scalar_served, native_served)):
+        assert len(port_served) == crash_at
+        for index, (a, b) in enumerate(zip(scalar_served, port_served)):
             assert repr(a) == repr(b), f"served line {index} diverged"
-        assert scalar.op_index == native.op_index
-        assert scalar.tripped and native.tripped
-        assert state_of(scalar.inner) == state_of(native.inner)
+        assert scalar.op_index == port.op_index
+        assert scalar.tripped and port.tripped
+        assert state_of(scalar.inner) == state_of(port.inner)
 
     def test_no_crash_in_window_advances_op_index(self):
         scalar = self._build(10_000)
-        native = self._build(10_000)
+        port = self._build(10_000)
         extents = [Extent(0, 8), Extent(1 << 12, 4)]
         scalar_report = default_flush_extents(scalar, extents, 0.0)
-        extent_report = native.flush_extents(extents, 0.0)
-        assert scalar.op_index == native.op_index == 12
-        assert not scalar.tripped and not native.tripped
-        assert_equivalent(scalar.inner, native.inner, scalar_report,
+        extent_report = port.flush_extents(extents, 0.0)
+        assert scalar.op_index == port.op_index == 12
+        assert not scalar.tripped and not port.tripped
+        assert_equivalent(scalar.inner, port.inner, scalar_report,
                           extent_report)
 
 
@@ -501,43 +479,43 @@ class TestFaultInjectorExtentEdges:
 
     def test_crash_at_op_zero_serves_empty_prefix(self):
         scalar = self._build(0)
-        native = self._build(0)
+        port = self._build(0)
         with pytest.raises(InjectedPowerFailure) as scalar_err:
             default_flush_extents(scalar, self.EXTENTS, 0.0)
-        with pytest.raises(InjectedPowerFailure) as native_err:
-            native.flush_extents(self.EXTENTS, 0.0)
+        with pytest.raises(InjectedPowerFailure) as port_err:
+            port.flush_extents(self.EXTENTS, 0.0)
         assert scalar_err.value.completed == []
-        assert native_err.value.completed == []
-        assert scalar.op_index == native.op_index == 0
-        assert state_of(scalar.inner) == state_of(native.inner)
+        assert port_err.value.completed == []
+        assert scalar.op_index == port.op_index == 0
+        assert state_of(scalar.inner) == state_of(port.inner)
 
     def test_crash_at_final_line_serves_all_but_one(self):
         scalar = self._build(11)
-        native = self._build(11)
+        port = self._build(11)
         with pytest.raises(InjectedPowerFailure) as scalar_err:
             default_flush_extents(scalar, self.EXTENTS, 0.0)
-        with pytest.raises(InjectedPowerFailure) as native_err:
-            native.flush_extents(self.EXTENTS, 0.0)
+        with pytest.raises(InjectedPowerFailure) as port_err:
+            port.flush_extents(self.EXTENTS, 0.0)
         assert len(scalar_err.value.completed) == 11
-        assert len(native_err.value.completed) == 11
+        assert len(port_err.value.completed) == 11
         for a, b in zip(scalar_err.value.completed,
-                        native_err.value.completed):
+                        port_err.value.completed):
             assert repr(a) == repr(b)
-        assert scalar.op_index == native.op_index == 11
-        assert state_of(scalar.inner) == state_of(native.inner)
+        assert scalar.op_index == port.op_index == 11
+        assert state_of(scalar.inner) == state_of(port.inner)
 
     def test_crash_one_past_the_end_forwards_whole(self):
         scalar = self._build(12)
-        native = self._build(12)
+        port = self._build(12)
         scalar_report = default_flush_extents(scalar, self.EXTENTS, 0.0)
-        native_report = native.flush_extents(self.EXTENTS, 0.0)
-        assert not scalar.tripped and not native.tripped
-        assert scalar.op_index == native.op_index == 12
-        assert_equivalent(scalar.inner, native.inner, scalar_report,
-                          native_report)
+        port_report = port.flush_extents(self.EXTENTS, 0.0)
+        assert not scalar.tripped and not port.tripped
+        assert scalar.op_index == port.op_index == 12
+        assert_equivalent(scalar.inner, port.inner, scalar_report,
+                          port_report)
         # the *next* op is the crashed one
         with pytest.raises(InjectedPowerFailure):
-            native.access(MemoryRequest(MemoryOp.READ, 0, time=0.0))
+            port.access(MemoryRequest(MemoryOp.READ, 0, time=0.0))
 
 
 class TestDirtyExtentMapAdversarial:
@@ -597,8 +575,8 @@ class TestDirtyExtentMapAdversarial:
         assert len(extents) == 1     # coalesced across the seam
 
         scalar = self._partition(half_lines)
-        native = self._partition(half_lines)
+        port = self._partition(half_lines)
         scalar_report = default_flush_extents(scalar, extents, 0.0)
-        native_report = backend_flush_extents(native, extents, 0.0)
-        assert scalar_report.lines == native_report.lines == len(list(lines))
-        assert_equivalent(scalar, native, scalar_report, native_report)
+        port_report = backend_flush_extents(port, extents, 0.0)
+        assert scalar_report.lines == port_report.lines == len(list(lines))
+        assert_equivalent(scalar, port, scalar_report, port_report)
