@@ -1,11 +1,10 @@
 """Throughput baseline for the compound-fault drill engine.
 
 Runs a seeded drill campaign (one generated litmus program x one
-generated fault plan per trial, executed on all three lowerings with
-the looping Go protocol) and reports scenarios/second, plus the cost
-split between a bare scenario execution and the full oracle-checked
-verdict (allowed-set fold, torn containment, idempotence cross-run,
-cross-path identity).  The numbers size drill campaigns — CI's
+generated fault plan per trial, executed with the looping Go protocol)
+and reports scenarios/second, plus the cost split between a bare
+scenario execution and the full oracle-checked verdict (allowed-set
+fold, torn containment, idempotence cross-run).  The numbers size drill campaigns — CI's
 ``fault-drill-smoke`` trial budget traces to this file.  This is a
 plain script, not a pytest benchmark::
 
@@ -64,7 +63,7 @@ def main(argv=None) -> int:
     def time_executions() -> float:
         start = time.perf_counter()
         for program, plan in scenarios:
-            execute_plan(program, "scalar", plan)
+            execute_plan(program, plan)
         return time.perf_counter() - start
 
     def time_verdicts() -> float:
@@ -85,15 +84,15 @@ def main(argv=None) -> int:
 
     result = {
         "trials": trials,
-        "execute_scalar_per_s": round(trials / execute_s, 1),
+        "execute_per_s": round(trials / execute_s, 1),
         "verdict_per_s": round(trials / verdict_s, 1),
         "campaign_trials_per_s": round(trials / campaign_s, 1),
         "oracle_overhead_x": round(verdict_s / execute_s, 2),
         "python": platform_mod.python_version(),
         "machine": platform_mod.machine(),
     }
-    print(f"{trials} scenarios: {result['execute_scalar_per_s']}/s bare "
-          f"scalar execution, {result['verdict_per_s']}/s full verdict "
+    print(f"{trials} scenarios: {result['execute_per_s']}/s bare "
+          f"execution, {result['verdict_per_s']}/s full verdict "
           f"({result['oracle_overhead_x']}x), "
           f"{result['campaign_trials_per_s']}/s through the campaign "
           f"runner")

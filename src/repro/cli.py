@@ -95,8 +95,8 @@ def _canonical_engine(name: str) -> Optional[str]:
 
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", default=None, metavar="NAME",
-                        help="execution engine (scalar, window, extent, "
-                             "epoch; default: extent)")
+                        help="execution engine (scalar, extent, epoch; "
+                             "default: extent)")
 
 
 def _cache_dir_error(path: str) -> Optional[str]:
@@ -240,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     litmus.add_argument("--artifacts", metavar="DIR", default=None,
                         help="on violation, write counterexample traces "
                              "as JSON under DIR (CI uploads these)")
-    _add_engine_argument(litmus)
 
     tree = sub.add_parser("stats",
                           help="run a workload, dump the machine's "
@@ -309,8 +308,13 @@ def _cmd_drill(args: argparse.Namespace) -> int:
         engine = _canonical_engine(args.engine)
         if engine is None:
             return 2
+        if args.trials is not None:
+            print("error: the drill campaign (--trials) does not execute "
+                  "workloads through an engine; --engine applies to the "
+                  "single-machine drill", file=sys.stderr)
+            return 2
     if args.trials is not None:
-        return _cmd_drill_campaign(args, engine)
+        return _cmd_drill_campaign(args)
     workload = load_workload(args.workload, refs=args.refs)
     machine = Machine.for_workload("lightpc", workload, engine=engine)
     machine.run(workload)
@@ -329,8 +333,7 @@ def _cmd_drill(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_drill_campaign(args: argparse.Namespace,
-                        engine: Optional[str] = None) -> int:
+def _cmd_drill_campaign(args: argparse.Namespace) -> int:
     import inspect
 
     from repro.faults import run_drill
@@ -350,8 +353,6 @@ def _cmd_drill_campaign(args: argparse.Namespace,
               "cache_dir": args.cache_dir,
               "remap_enabled": not args.break_remap,
               "trial_timeout": args.trial_timeout}
-    if engine is not None:
-        kwargs["engine"] = engine
     if args.trials:
         kwargs["trials"] = args.trials
     if args.seed is not None:
@@ -489,11 +490,6 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
             return 2
     kwargs = {"shape": args.shape, "jobs": args.jobs,
               "cache_dir": args.cache_dir}
-    if args.engine is not None:
-        engine = _canonical_engine(args.engine)
-        if engine is None:
-            return 2
-        kwargs["engine"] = engine
     if args.trials:
         kwargs["trials"] = args.trials
     if args.seed is not None:

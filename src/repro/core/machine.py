@@ -290,8 +290,8 @@ class Machine:
         """SnG's cache dump: count *and functionally write back* every
         core's dirty lines, so the EP-cut's memory image really contains
         them before the backend flush port runs.  Each core's dirty set
-        coalesces into extents and drains through the port's
-        ``flush_extents`` (``Core.flush_cache``); the per-core
+        coalesces into extents and is written back one scalar ``access``
+        per line (``Core.flush_cache``); the per-core
         :class:`~repro.memory.extent.FlushReport` stays available as
         ``core.last_flush_report`` for audits."""
         counts = [core.cache.dirty_count() for core in self.complex.cores]

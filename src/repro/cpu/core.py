@@ -362,9 +362,8 @@ class Core:
     def flush_cache(self) -> tuple[int, list[int]]:
         """Dump the D$: write back all dirty lines; returns (count, addrs).
 
-        How the write-backs reach the port (scalar loop, one request
-        window, coalesced extents) is the engine's choice — the
-        cut semantics (all lines, one clock) are not.
+        Every engine writes the lines back through scalar ``access``,
+        all at the current clock (see :mod:`repro.engine`).
         """
         return self.engine.flush_cache(self)
 

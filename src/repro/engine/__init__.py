@@ -1,20 +1,20 @@
 """Pluggable execution engines for the simulation pipeline.
 
-One registry, four builtin engines:
+One registry, three builtin engines:
 
 * ``scalar`` — exact per-record replay (the reference semantics);
-* ``window`` (alias ``batch``) — exact replay in 4096-record windows,
-  the PR 4 hot path;
-* ``extent`` — windowed replay + extent-coalesced flushes, the PR 5
-  persistence-cut path and the process default;
+* ``extent`` — exact replay in 4096-record windows
+  (:class:`WindowEngine`'s drain) with extent-coalesced persistence
+  cuts; the process default;
 * ``epoch`` — phase-detecting analytical acceleration that skips
   steady-state windows entirely and falls back to exact replay at
   phase boundaries, persistence cuts, and fault points.
 
-``Machine.run``, the litmus enumerator, the compound-fault drills and
-the CLI all select execution through :func:`resolve_engine`; new
-engines plug in via :func:`register_engine` exactly the way new memory
-tiers plug in via ``register_backend_factory``.
+Every engine's persistence cut writes the dirty lines back through
+scalar ``access``.  ``Machine.run`` and the CLI select execution
+through :func:`resolve_engine`; new engines plug in via
+:func:`register_engine` exactly the way new memory tiers plug in via
+``register_backend_factory``.
 """
 
 from repro.engine.base import (
@@ -36,13 +36,11 @@ from repro.engine.columnar import (
 )
 from repro.engine.epoch import EpochEngine, EpochReport
 from repro.engine.extent import ExtentEngine
-from repro.engine.lowering import DriveResult
 from repro.engine.scalar import ScalarEngine
 from repro.engine.window import WindowEngine
 
 __all__ = [
     "DEFAULT_ENGINE",
-    "DriveResult",
     "EngineSpec",
     "EpochEngine",
     "EpochReport",

@@ -1,35 +1,27 @@
 """Execution-engine protocol and registry.
 
-Before this layer existed the repo had three hand-rolled execution
-paths — scalar replay, the PR 4 windowed loop, and the PR 5 extent
-flush — selected by inline branches spread across ``cpu/core.py``,
-``cpu/complex.py`` (the single-survivor drain), ``litmus/engine.py``
-(``drive_program``'s per-path lowering) and ``faults/drill.py``.  This
-module turns the choice into a first-class object: an
-:class:`ExecutionEngine` owns
+An :class:`ExecutionEngine` owns two operations of the simulation
+pipeline:
 
 * **drain** — how a core consumes the tail of a trace once no
   cross-core ordering is left to respect;
 * **flush_cache** — how a persistence cut dumps a core's dirty D$
-  through the memory port;
-* **drive_program** — how a litmus program is lowered into port
-  traffic (the crash-point enumerators and compound-fault drills both
-  go through this).
+  through the memory port.
 
 Engines are selected by name through a registry that mirrors
 ``register_backend_factory`` in :mod:`repro.core.machine`: builtin
-engines self-register on import, externally-defined engines plug in
-via :func:`register_engine`, and every consumer (``Machine.run``, the
-CLI, litmus, drill, the figure drivers) resolves through
-:func:`resolve_engine`.  ``resolve_engine(None)`` returns the process
-default (``extent`` — the exact path, byte-identical to the pre-layer
-behaviour), which :func:`set_default_engine` can repoint for a whole
-run (the ``repro profile --engine`` hook).
+engines (``scalar``, ``extent``, ``epoch``) self-register on import,
+externally-defined engines plug in via :func:`register_engine`, and
+every consumer (``Machine.run``, the CLI, the machine crash fuzzer,
+the figure drivers) resolves through :func:`resolve_engine`.
+``resolve_engine(None)`` returns the process default (``extent``, the
+exact windowed path), which :func:`set_default_engine` can repoint for
+a whole run (the ``repro profile --engine`` hook).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol, Union, runtime_checkable
+from typing import Callable, Protocol, Union, runtime_checkable
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -54,14 +46,12 @@ class ExecutionEngine(Protocol):
 
     Structural and runtime-checkable, like
     :class:`repro.memory.port.MemoryBackend`: anything with these
-    members is an engine.  Optional extensions follow the same
-    ``getattr`` convention the port layer uses for ``access_batch`` —
-    engines that keep per-run state may expose ``begin_run()`` /
-    ``take_run_report()`` (the epoch engine does) and callers probe for
-    them with ``getattr``.
+    members is an engine.  Engines that keep per-run state may expose
+    ``begin_run()`` / ``take_run_report()`` (the epoch engine does) and
+    callers probe for them with ``getattr``.
     """
 
-    #: canonical registry name (``scalar`` / ``window`` / ``extent`` / ``epoch``)
+    #: canonical registry name (``scalar`` / ``extent`` / ``epoch``)
     name: str
 
     def drain(self, core, records, thread_id: int = 0, *,
@@ -80,10 +70,6 @@ class ExecutionEngine(Protocol):
         """Dump ``core``'s D$ through the port; returns (count, addrs)."""
         ...
 
-    def drive_program(self, port, program):
-        """Lower a litmus program into port traffic; returns DriveResult."""
-        ...
-
 
 #: Engine factories are zero-argument so every consumer gets a private
 #: instance (epoch engines carry per-run state).
@@ -92,24 +78,17 @@ EngineFactory = Callable[[], ExecutionEngine]
 EngineSpec = Union[None, str, ExecutionEngine]
 
 _ENGINE_FACTORIES: dict[str, EngineFactory] = {}
-_ENGINE_ALIASES: dict[str, str] = {}
 _default_engine = DEFAULT_ENGINE
 _builtins_loaded = False
 
 
-def register_engine(
-    name: str, factory: EngineFactory, aliases: tuple[str, ...] = ()
-) -> None:
+def register_engine(name: str, factory: EngineFactory) -> None:
     """Teach the pipeline a new engine name.
 
     The factory's product must satisfy :class:`ExecutionEngine`;
     :func:`resolve_engine` asserts conformance on every build.
-    ``aliases`` register alternate lookup names (the litmus paths call
-    the window engine ``batch``).
     """
     _ENGINE_FACTORIES[name] = factory
-    for alias in aliases:
-        _ENGINE_ALIASES[alias] = name
 
 
 def _ensure_builtins() -> None:
@@ -120,24 +99,23 @@ def _ensure_builtins() -> None:
     if _builtins_loaded:
         return
     _builtins_loaded = True
-    from repro.engine import epoch, extent, scalar, window  # noqa: F401
+    from repro.engine import epoch, extent, scalar  # noqa: F401
 
 
 def available_engines() -> tuple[str, ...]:
-    """Canonical engine names, sorted (aliases excluded)."""
+    """Registered engine names, sorted."""
     _ensure_builtins()
     return tuple(sorted(_ENGINE_FACTORIES))
 
 
 def canonical_engine_name(name: str) -> str:
-    """Resolve aliases; raises ``ValueError`` for unknown names."""
+    """``name`` itself if registered; raises ``ValueError`` otherwise."""
     _ensure_builtins()
-    resolved = _ENGINE_ALIASES.get(name, name)
-    if resolved not in _ENGINE_FACTORIES:
+    if name not in _ENGINE_FACTORIES:
         raise ValueError(
             f"unknown engine {name!r}; have {', '.join(available_engines())}"
         )
-    return resolved
+    return name
 
 
 def default_engine_name() -> str:
@@ -155,8 +133,8 @@ def set_default_engine(name: str) -> str:
 def resolve_engine(engine: EngineSpec = None) -> ExecutionEngine:
     """Turn an engine spec into a conformant engine instance.
 
-    ``None`` builds the process default, a string looks up the registry
-    (aliases allowed), and an existing engine object passes through —
+    ``None`` builds the process default, a string looks up the registry,
+    and an existing engine object passes through —
     all three shapes are conformance-checked.
     """
     _ensure_builtins()
@@ -175,7 +153,7 @@ def assert_execution_engine(engine: object, context: str = "engine") -> None:
     missing = []
     if not isinstance(getattr(engine, "name", None), str):
         missing.append("name")
-    for method in ("drain", "flush_cache", "drive_program"):
+    for method in ("drain", "flush_cache"):
         if not callable(getattr(engine, method, None)):
             missing.append(method)
     if missing:

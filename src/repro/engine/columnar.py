@@ -74,7 +74,7 @@ def signature_of_columns(
     is_write: Sequence[bool],
     instructions: Sequence[int],
 ) -> WindowSignature:
-    """Summarize parallel columns (the shape ``RequestWindow`` keeps)."""
+    """Summarize a window given as parallel address/flag/count columns."""
     count = len(addresses)
     if count == 0:
         return WindowSignature(0, 0, 0, 0, 0.0)

@@ -1,11 +1,11 @@
 """Epoch-analytical engine: skip steady-state phases in closed form.
 
-The batch (PR 4) and extent (PR 5) paths still replay every access; at
-the paper's scale (10^8–10^9 references behind Table II and Fig.
-20–22) the next order of magnitude comes from not replaying stable
-phases at all.  This engine applies the interval/analytical-model
-technique (arXiv:2502.10167, and METICULOUS's coarse timing tiers,
-arXiv:2309.06565) to the single-survivor trace drain:
+The exact engines replay every access; at the paper's scale (10^8–10^9
+references behind Table II and Fig. 20–22) the next order of magnitude
+comes from not replaying stable phases at all.  This engine applies the
+interval/analytical-model technique (arXiv:2502.10167, and METICULOUS's
+coarse timing tiers, arXiv:2309.06565) to the single-survivor trace
+drain:
 
 1. **Calibrate** — replay ``stable_windows`` consecutive windows
    exactly, recording each window's columnar
@@ -18,14 +18,13 @@ arXiv:2309.06565) to the single-survivor trace drain:
    untouched (skipping the generation is where most of the wall-clock
    win lives).
 3. **Probe** — every ``probe_interval`` windows the pending block is
-   settled analytically — one bulk ``record_many``/``add_many``-style
-   update per stat from the calibrated means — and the next window is
-   generated and replayed exactly.  A probe whose signature or timing
-   drifts is a **phase boundary**: the engine falls back to
-   calibration and replays exactly until the new phase stabilizes.
+   settled analytically — one bulk update per stat from the calibrated
+   means — and the next window is generated and replayed exactly.  A
+   probe whose signature or timing drifts is a **phase boundary**: the
+   engine falls back to calibration and replays exactly until the new
+   phase stabilizes.
 
-Exactness escape hatches, so crashfuzz/litmus/drill semantics are
-untouched:
+Exactness escape hatches, so crash-fuzzer semantics are untouched:
 
 * an armed fault injector anywhere in the port chain (a scheduled
   ``crash_at_op`` or pending compound cuts) disables skipping for the
@@ -35,15 +34,13 @@ untouched:
   pending windows are generated and executed for real before the dump,
   so no analytically-skipped dirty line is missing from the recovered
   state, and the cache dump drains the true dirty set;
-* litmus lowering is inherited from the extent engine unchanged —
-  programs are short, fault-laden, and never benefit from skipping;
 * non-stationary or unsized sources (no ``count``/``refs`` hint, no
   ``stationary`` marker) drain through the exact window loop.
 
 Because skipped windows are *estimated* from calibrated means, an
 epoch run's aggregate timing/stats are an approximation of the exact
 run (the forced-boundary configuration — ``probe_interval=1`` or an
-infinite ``stable_windows`` — degenerates to the window engine
+infinite ``stable_windows`` — degenerates to the extent engine
 byte-for-byte; the equivalence suite pins that).  Backend counters for
 the skipped traffic are accumulated into the per-run
 :class:`EpochReport`, which ``Machine.run`` folds into the run's
@@ -397,7 +394,7 @@ class _EpochSession:
 
 class EpochEngine(ExtentEngine):
     """Phase-detecting analytical engine over the extent engine's
-    exact flush and litmus lowerings."""
+    exact drain and flush."""
 
     name = "epoch"
 

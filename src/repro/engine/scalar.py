@@ -1,16 +1,14 @@
-"""Scalar engine: one ``access`` per record, per dirty line, per store.
+"""Scalar engine: one ``access`` per record and per dirty line.
 
-The reference semantics every faster engine is measured against — no
-windowing, no extent coalescing on the flush path's request shape (the
-lines still coalesce for the report, but each drains as its own scalar
-write).  Useful for bisecting equivalence failures and as the baseline
-leg of the hot-path benchmarks.
+The reference semantics every faster engine is measured against: no
+windowing, one :meth:`~repro.cpu.core.Core.execute` per record.  A
+persistence cut coalesces the dirty lines into extents for the report
+and writes each line back through scalar ``access``.
 """
 
 from __future__ import annotations
 
 from repro.engine.base import register_engine
-from repro.engine.lowering import DriveResult, drive_lowered, scalar_cut
 from repro.memory.extent import coalesce_lines, default_flush_extents
 
 __all__ = ["ScalarEngine"]
@@ -30,15 +28,11 @@ class ScalarEngine:
     def flush_cache(self, core) -> tuple[int, list[int]]:
         dirty = core.cache.flush_dirty()
         if dirty:
-            # One posted write per line at the same clock — the scalar
-            # fallback loop the extent port would otherwise amortize.
+            # One posted write per line, all at the same clock.
             core.last_flush_report = default_flush_extents(
                 core.backend, coalesce_lines(dirty), core.now
             )
         return len(dirty), dirty
-
-    def drive_program(self, port, program) -> DriveResult:
-        return drive_lowered(port, program, batch_runs=False, cut=scalar_cut)
 
 
 register_engine("scalar", ScalarEngine)

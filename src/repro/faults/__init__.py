@@ -3,8 +3,8 @@
 The paper validates Stop-and-Go by pulling AC from a prototype once per
 run; real robustness questions are compound — what if the power fails
 *again* while Go is replaying the EP-cut, mid wear-register restore?
-What if the cut lands inside an in-flight ``flush_extents`` and tears
-the extent?  What if the PSM line recovery reads back is worn out?
+What if the cut lands inside an SnG cut's dirty-line write-back and
+tears the extent?  What if the PSM line recovery reads back is worn out?
 This package makes those scenarios first-class data:
 
 * :mod:`repro.faults.plan`     — :class:`FaultPlan` / :class:`MediaFault`

@@ -10,10 +10,9 @@ whatever recovery traffic follows — a cut at ``cuts[0] + 1`` lands on
 the very first access Go issues, i.e. inside recovery, before the wear
 registers are restored.
 
-All the prefix-splitting machinery is inherited unchanged: a later cut
-landing inside an in-flight ``access_batch`` window or ``flush_extents``
-extent list is served exactly up to the cut line (torn extents) on every
-execution path.
+Every port operation ticks the count once, so a later cut landing
+inside a cut's dirty-line write-back serves exactly the lines before it
+(a torn extent).
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Compound-fault drills: nested cuts and degraded media, oracle-checked.
 
 One drill = one litmus program × one :class:`~repro.faults.plan.FaultPlan`,
-executed on every lowering (scalar / batch / extent) through the chain
+driven by the litmus lowering (:func:`~repro.litmus.engine.drive_program`)
+through the chain
 
     CompoundFaultInjector(MediaFaultModel(litmus_backend(program)))
 
@@ -30,18 +31,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.engine.base import canonical_engine_name
 from repro.faults.compound import CompoundFaultInjector
 from repro.faults.media import MediaFaultModel
 from repro.faults.plan import FaultPlan, generate_plan
-from repro.litmus.engine import (
-    EXECUTION_PATHS,
-    drive_program,
-    litmus_backend,
-    observe_state,
-)
+from repro.litmus.engine import drive_program, litmus_backend, observe_state
 from repro.litmus.generate import generate_program
 from repro.litmus.ir import (
     LitmusProgram,
@@ -74,7 +69,7 @@ __all__ = [
 
 @dataclass
 class DrillRun:
-    """One path's execution of one plan: final state plus accounting."""
+    """One execution of one plan: final state plus accounting."""
 
     observed: dict[int, tuple[int, bool]]
     crashed: bool
@@ -84,12 +79,11 @@ class DrillRun:
 
 def execute_plan(
     program: LitmusProgram,
-    path: str,
     plan: FaultPlan,
     *,
     remap_enabled: bool = True,
 ) -> DrillRun:
-    """Run ``program`` under ``plan`` via one lowering, to quiescence.
+    """Run ``program`` under ``plan``, to quiescence.
 
     The recovery loop terminates because every iteration either
     completes cleanly or consumes one scheduled cut, and the schedule
@@ -100,7 +94,7 @@ def execute_plan(
                             remap_enabled=remap_enabled)
     port = CompoundFaultInjector(media, cuts=plan.cuts, count_drains=True)
     observe = program.observe_lines()
-    drive = drive_program(port, program, path)
+    drive = drive_program(port, program)
 
     recoveries = 0
     crashed = drive.crashed
@@ -143,11 +137,10 @@ class DrillVerdict:
     recoveries: int = 0
     counters: dict = field(default_factory=dict)
     violations: list[Counterexample] = field(default_factory=list)
-    divergences: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.violations and not self.divergences
+        return not self.violations
 
 
 def _scenario(program: LitmusProgram, plan: FaultPlan) -> str:
@@ -160,13 +153,8 @@ def run_drill_program(
     *,
     remap_enabled: bool = True,
     model: Optional[PersistencyModel] = None,
-    paths: Sequence[str] = EXECUTION_PATHS,
 ) -> DrillVerdict:
-    """Execute one compound-fault scenario on every path and check it."""
-    for path in paths:
-        # Paths are execution-engine registry names; unknown ones raise
-        # the registry's ValueError (listing the available engines).
-        canonical_engine_name(path)
+    """Execute one compound-fault scenario and check it."""
     model = model or PersistencyModel()
     timeline = build_timeline(program)
     ticks = total_ticks(timeline)
@@ -176,44 +164,30 @@ def run_drill_program(
     rendered = _scenario(program, plan)
     verdict = DrillVerdict(program=program, plan=plan)
 
-    runs: dict[str, DrillRun] = {}
-    for path in paths:
-        run = execute_plan(program, path, plan, remap_enabled=remap_enabled)
-        runs[path] = run
-        verdict.executed += 1
-        verdict.recoveries = max(verdict.recoveries, run.recoveries)
-        for key, value in run.counters.items():
-            verdict.counters[key] = max(verdict.counters.get(key, 0), value)
-        for line, version, ok_set, torn in check_observation(
-                run.observed, allowed, model, final=crash_at is None):
-            verdict.violations.append(Counterexample(
-                program=rendered, path=path, crash_at=crash_at,
-                line=line, observed=version, allowed=ok_set, torn=torn,
-                trace=tuple(repr(event) for event in events),
-            ))
-
-    baseline_path = next(iter(runs))
-    baseline = runs[baseline_path].observed
-    for path, run in runs.items():
-        if run.observed != baseline:
-            verdict.divergences.append(
-                f"{rendered}: state diverges — {baseline_path} read "
-                f"{baseline}, {path} read {run.observed}")
+    run = execute_plan(program, plan, remap_enabled=remap_enabled)
+    verdict.executed += 1
+    verdict.recoveries = run.recoveries
+    verdict.counters = dict(run.counters)
+    for line, version, ok_set, torn in check_observation(
+            run.observed, allowed, model, final=crash_at is None):
+        verdict.violations.append(Counterexample(
+            program=rendered, crash_at=crash_at,
+            line=line, observed=version, allowed=ok_set, torn=torn,
+            trace=tuple(repr(event) for event in events),
+        ))
 
     if model.recovery_is_idempotent and len(plan.cuts) > 1 \
             and crash_at is not None:
         # Direct recoverable-state cross-check: the nested-cut run must
-        # land on exactly the state the first cut alone produces.  One
-        # lowering suffices — cross-path identity is asserted above.
-        probe_path = next(iter(paths))
-        single = execute_plan(program, probe_path, plan.truncated(),
+        # land on exactly the state the first cut alone produces.
+        single = execute_plan(program, plan.truncated(),
                               remap_enabled=remap_enabled)
         verdict.executed += 1
-        nested = runs[probe_path].observed
+        nested = run.observed
         for line in sorted(nested):
             if nested[line] != single.observed[line]:
                 verdict.violations.append(Counterexample(
-                    program=rendered, path=probe_path, crash_at=crash_at,
+                    program=rendered, crash_at=crash_at,
                     line=line, observed=nested[line][0],
                     allowed=(single.observed[line][0],),
                     torn=nested[line][1],
@@ -229,10 +203,9 @@ def _first_violation(
     *,
     remap_enabled: bool,
     model: Optional[PersistencyModel],
-    paths: Sequence[str],
 ) -> Optional[Counterexample]:
     verdict = run_drill_program(program, plan, remap_enabled=remap_enabled,
-                                model=model, paths=paths)
+                                model=model)
     return verdict.violations[0] if verdict.violations else None
 
 
@@ -242,7 +215,6 @@ def minimize_drill(
     *,
     remap_enabled: bool = True,
     model: Optional[PersistencyModel] = None,
-    paths: Sequence[str] = EXECUTION_PATHS,
 ) -> Optional[Counterexample]:
     """Shrink a violating scenario to 1-minimality over ops AND faults.
 
@@ -252,7 +224,7 @@ def minimize_drill(
     result is 1-minimal — removing any single remaining element makes
     the violation disappear.  Returns ``None`` if the scenario passes.
     """
-    kwargs = dict(remap_enabled=remap_enabled, model=model, paths=paths)
+    kwargs = dict(remap_enabled=remap_enabled, model=model)
     if _first_violation(program, plan, **kwargs) is None:
         return None
     current_program, current_plan = program, plan
@@ -313,8 +285,8 @@ class DrillOutcome:
     operations: int = 0      # IR ops across generated programs
     cuts: int = 0            # scheduled power cuts across plans
     media_faults: int = 0
-    executed: int = 0        # plan executions (all paths + idempotence probe)
-    recoveries: int = 0      # Go passes started (max across paths)
+    executed: int = 0        # plan executions (+ idempotence probe)
+    recoveries: int = 0      # Go passes started
     transient_retries: int = 0
     ecc_corrections: int = 0
     units_retired: int = 0
@@ -356,11 +328,10 @@ def drill_trial(
     trial: int,
     rng: random.Random,
     shape: str = "all",
-    paths: Sequence[str] = EXECUTION_PATHS,
     rules: Optional[dict] = None,
     remap_enabled: bool = True,
 ) -> DrillOutcome:
-    """Generate one program + fault plan and drill it on every path.
+    """Generate one program + fault plan and drill it.
 
     ``rules`` override :class:`PersistencyModel` fields (plain dict, so
     campaign params stay JSON-fingerprintable); ``remap_enabled=False``
@@ -371,7 +342,7 @@ def drill_trial(
     program = generate_program(rng, shape)
     plan = generate_plan(rng, program)
     verdict = run_drill_program(program, plan, remap_enabled=remap_enabled,
-                                model=model, paths=paths)
+                                model=model)
     outcome = DrillOutcome(
         programs=1,
         operations=len(program.ops),
@@ -383,13 +354,11 @@ def drill_trial(
         ecc_corrections=verdict.counters.get("ecc_corrections", 0),
         units_retired=verdict.counters.get("units_retired", 0),
     )
-    for divergence in verdict.divergences:
-        outcome.violations.append(f"trial {trial}: {divergence}")
     if verdict.violations:
         outcome.violations.append(
             f"trial {trial}: {verdict.violations[0].render()}")
         minimized = minimize_drill(program, plan, remap_enabled=remap_enabled,
-                                   model=model, paths=paths)
+                                   model=model)
         if minimized is not None:
             outcome.violations.append(
                 f"trial {trial} (minimized): {minimized.render()}")
@@ -419,17 +388,12 @@ def run_drill(
     *,
     remap_enabled: bool = True,
     rules: Optional[dict] = None,
-    engine: Optional[str] = None,
     jobs: int = 1,
     cache_dir=None,
     progress: Optional[CampaignProgress] = None,
     trial_timeout: Optional[float] = None,
 ) -> DrillReport:
-    """Run a drill campaign; the empty violation list is the pass.
-
-    ``engine`` restricts the drills to one execution engine (registry
-    name); the default drills every lowering and cross-checks them.
-    """
+    """Run a drill campaign; the empty violation list is the pass."""
     runner = CampaignRunner(jobs=jobs, cache_dir=cache_dir,
                             progress=progress, trial_timeout=trial_timeout)
     name = "drill" if shape in (None, "all") else f"drill-{shape}"
@@ -438,9 +402,6 @@ def run_drill(
         params["remap_enabled"] = False
     if rules:
         params["rules"] = rules
-    if engine is not None:
-        # Fingerprinted: one-engine shards never alias all-engine ones.
-        params["paths"] = (canonical_engine_name(engine),)
     # Streaming merge: fold shard summaries (columnar sums + violation
     # strings) instead of unpickling every cached trial body.
     summary = runner.run_summaries(Campaign(

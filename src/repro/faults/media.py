@@ -17,11 +17,9 @@ see it:
   the read returns corrupted bytes, which the persistency oracle flags
   as a torn line.
 
-The model overrides only the scalar ``access``; the
-:class:`~repro.memory.port.Interposer` override-detection contract then
-routes ``access_batch`` and ``flush_extents`` through the scalar hook
-element-wise, so every execution path sees identical fault behavior for
-free.  Fault state is *media-side* (stuck cells stay stuck, the
+The model overrides only the scalar ``access``, the one way a request
+crosses the port, so program traffic, cut write-backs and recovery
+reads all see the same fault behavior.  Fault state is *media-side* (stuck cells stay stuck, the
 retirement map lives in PSM metadata), so it deliberately survives
 ``power_cycle`` — which is exactly what compound drills need when a
 second cut lands mid-recovery.

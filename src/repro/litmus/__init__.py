@@ -17,7 +17,7 @@ Layering:
 """
 
 from repro.litmus.campaign import LitmusOutcome, LitmusReport, run_litmus
-from repro.litmus.engine import EXECUTION_PATHS, ProgramVerdict, run_program
+from repro.litmus.engine import ProgramVerdict, run_program
 from repro.litmus.generate import SHAPES, generate_program
 from repro.litmus.ir import LitmusOp, LitmusProgram, OpKind, build_timeline
 from repro.litmus.minimize import minimize_counterexample
@@ -25,7 +25,6 @@ from repro.litmus.oracle import Counterexample, PersistencyModel
 
 __all__ = [
     "Counterexample",
-    "EXECUTION_PATHS",
     "LitmusOp",
     "LitmusOutcome",
     "LitmusProgram",

@@ -1,12 +1,11 @@
 """Litmus campaigns: millions of litmus×crash-point trials, sharded.
 
 One campaign trial = one generated program, exhaustively enumerated
-(every crash point × every execution path) by
-:func:`repro.litmus.engine.run_program`.  Trials ride the
-:mod:`repro.orchestrate` machinery unchanged — per-trial hashed RNGs,
-shard cache, byte-identical serial/parallel merges — so the litmus
-engine scales the same way the crash fuzzers do, and ``repro litmus``
-inherits ``--jobs/--cache-dir/--progress`` for free.
+(every crash point) by :func:`repro.litmus.engine.run_program`.  Trials
+ride the :mod:`repro.orchestrate` machinery unchanged — per-trial
+hashed RNGs, shard cache, byte-identical serial/parallel merges — so
+the litmus engine scales the same way the crash fuzzers do, and
+``repro litmus`` inherits ``--jobs/--cache-dir/--progress`` for free.
 
 On a violation the trial minimizes the offending program
 (:mod:`repro.litmus.minimize`) and reports both the original and the
@@ -18,10 +17,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.engine.base import canonical_engine_name
-from repro.litmus.engine import EXECUTION_PATHS, run_program
+from repro.litmus.engine import run_program
 from repro.litmus.generate import generate_program
 from repro.litmus.minimize import minimize_counterexample
 from repro.litmus.oracle import PersistencyModel
@@ -36,8 +34,8 @@ class LitmusOutcome:
 
     programs: int = 0
     operations: int = 0      # IR ops across generated programs
-    crash_points: int = 0    # one lowering's crash space, summed
-    executed: int = 0        # states executed (all paths, post-dedup)
+    crash_points: int = 0    # crash space per program, summed
+    executed: int = 0        # states executed (post-dedup)
     deduped: int = 0         # crash points pruned by the prefix digest
     violations: list[str] = field(default_factory=list)
 
@@ -71,7 +69,6 @@ def litmus_trial(
     trial: int,
     rng: random.Random,
     shape: str = "all",
-    paths: Sequence[str] = EXECUTION_PATHS,
     rules: Optional[dict] = None,
 ) -> LitmusOutcome:
     """Generate one program and enumerate it exhaustively.
@@ -83,7 +80,7 @@ def litmus_trial(
     """
     model = PersistencyModel(**rules) if rules else None
     program = generate_program(rng, shape)
-    verdict = run_program(program, model=model, paths=paths)
+    verdict = run_program(program, model=model)
     outcome = LitmusOutcome(
         programs=1,
         operations=len(program.ops),
@@ -91,13 +88,10 @@ def litmus_trial(
         executed=verdict.executed,
         deduped=verdict.deduped,
     )
-    for divergence in verdict.divergences:
-        outcome.violations.append(f"trial {trial}: {divergence}")
     if verdict.violations:
         outcome.violations.append(
             f"trial {trial}: {verdict.violations[0].render()}")
-        minimized = minimize_counterexample(program, model=model,
-                                            paths=paths)
+        minimized = minimize_counterexample(program, model=model)
         if minimized is not None:
             outcome.violations.append(
                 f"trial {trial} (minimized): {minimized.render()}")
@@ -122,25 +116,16 @@ def run_litmus(
     seed: int = 2405,
     *,
     rules: Optional[dict] = None,
-    engine: Optional[str] = None,
     jobs: int = 1,
     cache_dir=None,
     progress: Optional[CampaignProgress] = None,
 ) -> LitmusReport:
-    """Run a litmus campaign; the empty violation list is the pass.
-
-    ``engine`` restricts enumeration to one execution engine (registry
-    name); the default enumerates every lowering and cross-checks them.
-    """
+    """Run a litmus campaign; the empty violation list is the pass."""
     runner = CampaignRunner(jobs=jobs, cache_dir=cache_dir, progress=progress)
     name = "litmus" if shape in (None, "all") else f"litmus-{shape}"
     params: dict = {"shape": shape or "all"}
     if rules:
         params["rules"] = rules
-    if engine is not None:
-        # Part of the campaign fingerprint: a one-engine run must never
-        # reload an all-engine shard (or vice versa).
-        params["paths"] = (canonical_engine_name(engine),)
     # Streaming merge: shard *summaries* (columnar sums + violations)
     # fold straight into the report; cached shard bodies are never
     # unpickled and executed shards cross the process boundary packed.

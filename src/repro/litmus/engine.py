@@ -1,27 +1,16 @@
 """Crash-point enumeration: run litmus programs through the port stack.
 
-Each program is lowered once per execution engine — ``scalar`` (one
-``access`` per op), ``batch`` (the window engine: store/load runs
-through ``access_batch``, the SnG writeback as one request window) and
-``extent`` (the SnG writeback through ``flush_extents`` on coalesced
-dirty extents).  The lowerings differ in how traffic crosses the
-interposer chain — per request, as forwarded windows, or as forwarded
-extents — while the backend at the bottom serves every line through
-its scalar ``access``.  Every lowering is executed once per crash point
-with a fresh backend chain and a
-:class:`~repro.memory.port.FaultInjector` armed at that index.  The
-lowerings themselves live on the engines
-(:mod:`repro.engine.lowering`); :func:`drive_program` here is the
-registry dispatch, so a newly registered engine is immediately
-enumerable as a litmus path.
-
-All lowerings produce the *same* injector tick sequence (a batch of n
-requests ticks n times, an extent of n lines ticks n times), so the
-crash-point space is shared and, because the interposers' window and
-extent forwarding must match their scalar ``access``, every crash point
-must recover to byte-identical state on all paths — the engine asserts
-exactly that, besides checking each recovered state against the
-persistency oracle.
+:func:`drive_program` lowers a program into port traffic: one scalar
+``access`` per store and per load, the ``flush``/``drain`` lifecycle
+ports for FLUSH and FENCE, and for an SNG_CUT the dirty lines written
+back through :func:`~repro.memory.extent.default_flush_extents`, then
+a port flush and a wear-register capture.  Every port operation ticks
+the :class:`~repro.memory.port.FaultInjector` once, in the order of the
+program's timeline (:func:`~repro.litmus.ir.build_timeline`), so each
+crash index names one timeline tick.  The program is executed once per
+crash point with a fresh backend chain and an injector armed at that
+index, and every recovered state is checked against the persistency
+oracle.
 
 Enumeration is pruned by the SHA-256 digest of the crash prefix's
 state-mutating event subsequence (:func:`repro.litmus.ir.prefix_digest`):
@@ -40,14 +29,14 @@ durability rules this oracle checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.engine.base import canonical_engine_name, resolve_engine
-from repro.engine.lowering import DriveResult
 from repro.litmus.ir import (
     LitmusProgram,
+    OpKind,
     build_timeline,
     iter_crash_points,
+    line_value,
     prefix_digest,
     prefix_events,
     total_ticks,
@@ -58,13 +47,13 @@ from repro.litmus.oracle import (
     allowed_after,
     check_observation,
 )
+from repro.memory.extent import DirtyExtentMap, default_flush_extents
 from repro.memory.port import AddressRange, AddressRangePartition, \
-    FaultInjector, MemoryBackend
+    FaultInjector, InjectedPowerFailure, MemoryBackend
 from repro.memory.request import CACHELINE_BYTES, MemoryOp, MemoryRequest
 from repro.ocpmem.psm import PSM, PSMConfig
 
 __all__ = [
-    "EXECUTION_PATHS",
     "DriveResult",
     "ProgramVerdict",
     "drive_program",
@@ -72,8 +61,6 @@ __all__ = [
     "observe_state",
     "run_program",
 ]
-
-EXECUTION_PATHS = ("scalar", "batch", "extent")
 
 #: Wear moves would entangle the oracle with Start-Gap remapping; park
 #: the threshold far beyond any litmus program's store count.
@@ -115,31 +102,71 @@ class ProgramVerdict:
     """Everything one program's exhaustive enumeration established."""
 
     program: LitmusProgram
-    #: injector ticks per lowering — the size of one path's crash space
+    #: injector ticks of one drive — the size of the crash space
     crash_points: int
-    #: states actually executed (all paths, dedup survivors + completions)
+    #: states actually executed (dedup survivors + the completion run)
     executed: int = 0
     #: crash points skipped because their mutating prefix was already seen
     deduped: int = 0
     violations: list[Counterexample] = field(default_factory=list)
-    #: cross-path observational mismatches (scalar vs batch vs extent)
-    divergences: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.violations and not self.divergences
+        return not self.violations
 
 
-def drive_program(port, program: LitmusProgram, path: str) -> DriveResult:
-    """Issue ``program``'s port traffic through ``port`` via one engine.
+@dataclass
+class DriveResult:
+    """What one drive of a program through a port established.
 
-    ``path`` is an execution-engine registry name (``batch`` resolves
-    to the window engine by alias).  Every engine's lowering produces
-    the identical injector tick sequence (see the module docstring), so
-    any injector armed on ``port`` trips at the same global tick index
-    regardless of ``path``.
+    ``committed`` is the wear blob captured at the last SNG_CUT that
+    completed before any crash; ``crashed`` records whether an injector
+    tripped mid-drive (the exception is absorbed so the caller can run
+    its own recovery protocol — one-shot for litmus, the looping Go of
+    the compound-fault drills).
     """
-    return resolve_engine(path).drive_program(port, program)
+
+    committed: Optional[bytes] = None
+    crashed: bool = False
+
+
+def drive_program(port, program: LitmusProgram) -> DriveResult:
+    """Issue ``program``'s port traffic through ``port``.
+
+    Stores and loads are one scalar ``access`` each, 10 ns apart; FLUSH
+    and FENCE are the ``flush`` and ``drain`` ports; an SNG_CUT writes
+    the lines dirtied since the previous cut back at the current clock,
+    flushes the port and captures the wear registers.  An injected power
+    failure ends the drive with ``crashed`` set.
+    """
+    dirty = DirtyExtentMap(size=CACHELINE_BYTES)
+    result = DriveResult()
+    t = 0.0
+    try:
+        for op in program.ops:
+            if op.kind is OpKind.STORE:
+                address = op.line * CACHELINE_BYTES
+                dirty.note_write(address)
+                port.access(MemoryRequest(
+                    MemoryOp.WRITE, address=address,
+                    data=line_value(op.version), time=t))
+                t += 10.0
+            elif op.kind is OpKind.LOAD:
+                port.access(MemoryRequest(
+                    MemoryOp.READ, address=op.line * CACHELINE_BYTES, time=t))
+                t += 10.0
+            elif op.kind is OpKind.FLUSH:
+                t = port.flush(t)
+            elif op.kind is OpKind.FENCE:
+                t = port.drain(t)
+            elif op.kind is OpKind.SNG_CUT:
+                default_flush_extents(port, dirty.take(), t)
+                t = port.flush(t)
+                result.committed = port.capture_registers()
+            # CHECKPOINT: marker only, no port traffic
+    except InjectedPowerFailure:
+        result.crashed = True
+    return result
 
 
 def observe_state(port, program: LitmusProgram) -> dict[int, tuple[int, bool]]:
@@ -156,9 +183,9 @@ def observe_state(port, program: LitmusProgram) -> dict[int, tuple[int, bool]]:
     return observed
 
 
-def _execute(program: LitmusProgram, path: str,
+def _execute(program: LitmusProgram,
              crash_at: Optional[int]) -> dict[int, tuple[int, bool]]:
-    """One run of ``program`` via ``path``, cut at ``crash_at`` ticks.
+    """One run of ``program``, cut at ``crash_at`` ticks.
 
     Returns the post-run observation: line -> (version byte, torn),
     read back after ``power_fail`` + wear-register restore for crashed
@@ -166,7 +193,7 @@ def _execute(program: LitmusProgram, path: str,
     """
     port = FaultInjector(_make_inner(program), crash_at_op=crash_at,
                          count_drains=True)
-    drive = drive_program(port, program, path)
+    drive = drive_program(port, program)
     if drive.crashed:
         port.power_fail()
         if drive.committed is not None:
@@ -177,52 +204,31 @@ def _execute(program: LitmusProgram, path: str,
 def run_program(
     program: LitmusProgram,
     model: Optional[PersistencyModel] = None,
-    paths: Sequence[str] = EXECUTION_PATHS,
 ) -> ProgramVerdict:
-    """Exhaustively enumerate every crash point of every lowering."""
-    for path in paths:
-        # Any registered engine is a valid path; unknown names raise
-        # the registry's ValueError (listing what *is* available).
-        canonical_engine_name(path)
+    """Exhaustively enumerate every crash point of ``program``."""
     model = model or PersistencyModel()
     timeline = build_timeline(program)
     lines = program.observe_lines()
     verdict = ProgramVerdict(program, crash_points=total_ticks(timeline))
     rendered = program.render()
-    #: digest -> {path: observed} for the cross-path identity check
-    states_by_digest: dict[object, dict[str, dict]] = {}
+    seen: set[str] = set()
+    for crash_at in iter_crash_points(timeline):
+        if crash_at is not None:
+            key = prefix_digest(timeline, crash_at)
+            if key in seen:
+                verdict.deduped += 1
+                continue
+            seen.add(key)
+        observed = _execute(program, crash_at)
+        verdict.executed += 1
 
-    for path in paths:
-        seen: set[str] = set()
-        for crash_at in iter_crash_points(timeline):
-            if crash_at is None:
-                key: object = "final"
-            else:
-                key = prefix_digest(timeline, crash_at)
-                if key in seen:
-                    verdict.deduped += 1
-                    continue
-                seen.add(key)
-            observed = _execute(program, path, crash_at)
-            verdict.executed += 1
-            states_by_digest.setdefault(key, {})[path] = observed
-
-            events = prefix_events(timeline, crash_at)
-            allowed = allowed_after(events, lines, model)
-            for line, version, ok_set, torn in check_observation(
-                    observed, allowed, model, final=crash_at is None):
-                verdict.violations.append(Counterexample(
-                    program=rendered, path=path, crash_at=crash_at,
-                    line=line, observed=version, allowed=ok_set, torn=torn,
-                    trace=tuple(repr(event) for event in events),
-                ))
-
-    for key, per_path in sorted(states_by_digest.items(), key=lambda kv: str(kv[0])):
-        baseline_path = next(iter(per_path))
-        baseline = per_path[baseline_path]
-        for path, observed in per_path.items():
-            if observed != baseline:
-                verdict.divergences.append(
-                    f"{rendered}: state {str(key)[:12]} diverges — "
-                    f"{baseline_path} read {baseline}, {path} read {observed}")
+        events = prefix_events(timeline, crash_at)
+        allowed = allowed_after(events, lines, model)
+        for line, version, ok_set, torn in check_observation(
+                observed, allowed, model, final=crash_at is None):
+            verdict.violations.append(Counterexample(
+                program=rendered, crash_at=crash_at,
+                line=line, observed=version, allowed=ok_set, torn=torn,
+                trace=tuple(repr(event) for event in events),
+            ))
     return verdict

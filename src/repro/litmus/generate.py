@@ -14,10 +14,10 @@ get right:
 * ``flush-without-fence``   — stores after the last flush are
   speculative; the oracle must allow both their presence and absence.
 * ``dirty-extent-straddle`` — a store run crossing a wear-randomizer
-  unit boundary, cut by SnG mid-writeback (the PR 5 extent path).
+  unit boundary, cut by SnG mid-writeback.
 * ``partition-straddle``    — extents abutting exactly at an
-  ``AddressRangePartition`` region boundary, so the extent lowering
-  must split at the seam without dropping or doubling a line.
+  ``AddressRangePartition`` region boundary, so the cut's write-back
+  crosses the seam without dropping or doubling a line.
 * ``fuzz``                  — weighted random mix of every opcode.
 """
 
@@ -109,7 +109,7 @@ def _dirty_extent_straddle(rng: random.Random) -> LitmusProgram:
 
 def _partition_straddle(rng: random.Random) -> LitmusProgram:
     # Two regions split the line space at lines/2; the store run abuts
-    # that seam from both sides so the extent lowering must split there.
+    # that seam from both sides so the cut's write-back crosses it.
     half = rng.randrange(4, 9)
     lines = 2 * half
     reach = rng.randrange(2, min(half, 4) + 1)

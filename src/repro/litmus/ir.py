@@ -138,7 +138,7 @@ class TimelineEntry:
 
 
 def build_timeline(program: LitmusProgram) -> list[TimelineEntry]:
-    """The per-tick event sequence any lowering of ``program`` produces.
+    """The per-tick event sequence the lowering of ``program`` produces.
 
     Events are tuples: ``('store', line, version)``, ``('load', line)``,
     ``('flush',)``, ``('fence',)``, ``('writeback', line)``,

@@ -10,9 +10,9 @@ makes the violation disappear.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.litmus.engine import EXECUTION_PATHS, run_program
+from repro.litmus.engine import run_program
 from repro.litmus.ir import LitmusProgram
 from repro.litmus.oracle import Counterexample, PersistencyModel
 
@@ -20,16 +20,15 @@ __all__ = ["minimize_counterexample"]
 
 
 def _first_violation(program: LitmusProgram,
-                     model: Optional[PersistencyModel],
-                     paths: Sequence[str]) -> Optional[Counterexample]:
-    verdict = run_program(program, model=model, paths=paths)
+                     model: Optional[PersistencyModel]
+                     ) -> Optional[Counterexample]:
+    verdict = run_program(program, model=model)
     return verdict.violations[0] if verdict.violations else None
 
 
 def minimize_counterexample(
     program: LitmusProgram,
     model: Optional[PersistencyModel] = None,
-    paths: Sequence[str] = EXECUTION_PATHS,
 ) -> Optional[Counterexample]:
     """Shrink ``program`` to a 1-minimal violator; its counterexample.
 
@@ -38,7 +37,7 @@ def minimize_counterexample(
     program, whose name gains a ``+min`` suffix so reports distinguish
     it from the generated original.
     """
-    if _first_violation(program, model, paths) is None:
+    if _first_violation(program, model) is None:
         return None
     current = program
     shrunk = True
@@ -51,13 +50,13 @@ def minimize_counterexample(
             candidate = LitmusProgram(
                 current.name, candidate_ops, current.lines,
                 regions=current.regions)
-            if _first_violation(candidate, model, paths) is not None:
+            if _first_violation(candidate, model) is not None:
                 current = candidate
                 shrunk = True
                 break
     final = LitmusProgram(
         f"{current.name}+min", current.ops, current.lines,
         regions=current.regions)
-    violation = _first_violation(final, model, paths)
+    violation = _first_violation(final, model)
     assert violation is not None  # shrinking preserved the violation
     return violation

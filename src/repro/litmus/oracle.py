@@ -125,7 +125,6 @@ class Counterexample:
     """One oracle violation, with everything needed to replay it."""
 
     program: str          # rendered (possibly minimized) program
-    path: str             # scalar | batch | extent
     crash_at: Optional[int]
     line: int
     observed: int
@@ -141,7 +140,7 @@ class Counterexample:
         else:
             what = (f"line {self.line} reads v{self.observed}, allowed "
                     f"{{{', '.join(f'v{v}' for v in self.allowed)}}}")
-        return f"{self.program} [{self.path}, {where}]: {what}"
+        return f"{self.program} [{where}]: {what}"
 
 
 def check_observation(

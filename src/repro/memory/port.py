@@ -40,20 +40,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.memory.batch import (
-    BatchRequests,
-    RequestWindow,
-    backend_access_batch,
-    default_access_batch,
-)
-from repro.memory.extent import (
-    Extent,
-    FlushReport,
-    backend_flush_extents,
-    default_flush_extents,
-    report_from_responses,
-    window_from_extents,
-)
+from repro.memory.batch import default_access_batch
 from repro.memory.request import (
     AddressSpaceError,
     MemoryOp,
@@ -74,6 +61,10 @@ __all__ = [
     "PortNotSupportedError",
     "PowerPart",
     "assert_memory_backend",
+    "counters_under",
+    # Re-exported, not used here: the perfbench tracer and its tests pin
+    # ``repro.memory.port.default_access_batch`` as the batch loop.
+    "default_access_batch",
 ]
 
 #: One power-model row: (component name, instance count, counters or None).
@@ -92,22 +83,9 @@ class PortNotSupportedError(ValueError):
 class InjectedPowerFailure(RuntimeError):
     """Raised by :class:`FaultInjector` at the scheduled crash point.
 
-    ``completed`` carries the responses for the prefix of a batch that
-    finished before the crash tripped, so interposers above the injector
-    can account for the served prefix exactly (latency taps record it,
-    throttles charge its shaping delay) before re-raising.  Scalar
-    crashes leave it empty.
+    The operation that trips the injector is not served; everything
+    issued before it was.
     """
-
-    def __init__(
-        self,
-        message: str,
-        completed: Optional[list[MemoryResponse]] = None,
-    ) -> None:
-        super().__init__(message)
-        self.completed: list[MemoryResponse] = (
-            completed if completed is not None else []
-        )
 
 
 @runtime_checkable
@@ -119,12 +97,11 @@ class MemoryBackend(Protocol):
     (``reset`` on DRAM) or degrade to honest no-ops (``capture_registers``
     returning ``b""`` when there is no register file to persist).
 
-    Scalar :meth:`access` is a backend's one exact implementation.
-    Windows and extents reach it through
-    :func:`~repro.memory.batch.backend_access_batch` and
-    :func:`~repro.memory.extent.backend_flush_extents`, which loop over
-    ``access`` unless the object is an interposer that forwards them
-    (:class:`Interposer`).
+    Scalar :meth:`access` is the one way a request crosses the port:
+    a run of requests (:func:`~repro.memory.batch.default_access_batch`)
+    or a dirty-extent flush
+    (:func:`~repro.memory.extent.default_flush_extents`) is a loop over
+    it, on a backend and through an interposer chain alike.
     """
 
     is_volatile: bool
@@ -176,10 +153,7 @@ class MemoryBackend(Protocol):
         ...
 
 
-#: Attribute names checked by :func:`assert_memory_backend`.  Batching
-#: and flushing callers reach ``access`` through the default loops of
-#: ``backend_access_batch`` / ``backend_flush_extents``, so neither
-#: ``access_batch`` nor ``flush_extents`` is required.
+#: Attribute names checked by :func:`assert_memory_backend`.
 _PROTOCOL_SURFACE = (
     "is_volatile",
     "capacity",
@@ -195,6 +169,22 @@ _PROTOCOL_SURFACE = (
     "register_stats",
     "power_parts",
 )
+
+
+def counters_under(
+    counters: Mapping[str, float], prefix: str
+) -> dict[str, float]:
+    """One sub-tier's slice of a composite's merged counters.
+
+    Composite backends merge their parts' ``counters()`` under a
+    per-part key prefix; this takes the keys under ``prefix`` and strips
+    it, so ``power_parts`` charges each part from the counters it was
+    handed (a window's deltas, an extrapolated total) rather than from
+    the part's live totals.
+    """
+    cut = len(prefix)
+    return {key[cut:]: value for key, value in counters.items()
+            if key.startswith(prefix)}
 
 
 def assert_memory_backend(backend: object, context: str = "") -> None:
@@ -242,21 +232,6 @@ class Interposer:
 
     def access(self, request: MemoryRequest) -> MemoryResponse:
         return self.inner.access(request)
-
-    def access_batch(self, requests: BatchRequests) -> list[MemoryResponse]:
-        if type(self).access is not Interposer.access:
-            # The subclass customized the scalar path without providing a
-            # batch form: honor its override element by element rather
-            # than silently bypassing it.
-            return default_access_batch(self, requests)
-        return backend_access_batch(self.inner, requests)
-
-    def flush_extents(self, extents: list[Extent], time: float) -> FlushReport:
-        if type(self).access is not Interposer.access:
-            # Same override-detection contract as access_batch: a scalar
-            # customization must see every line.
-            return default_flush_extents(self, extents, time)
-        return backend_flush_extents(self.inner, extents, time)
 
     def flush(self, time: float) -> float:
         return self.inner.flush(time)
@@ -317,40 +292,6 @@ class LatencyTap(Interposer):
             self.read_latency.record(response.latency)
         return response
 
-    def _record_batch(self, responses) -> None:
-        # Partition per op while preserving order: each accumulator sees
-        # exactly the value sequence the scalar path would feed it.
-        reads: list[float] = []
-        writes: list[float] = []
-        for response in responses:
-            op = response.request.op
-            if op is MemoryOp.WRITE:
-                writes.append(response.latency)
-            elif op is MemoryOp.READ:
-                reads.append(response.latency)
-        if reads:
-            self.read_latency.record_many(reads)
-        if writes:
-            self.write_latency.record_many(writes)
-
-    def access_batch(self, requests: BatchRequests) -> list[MemoryResponse]:
-        try:
-            responses = backend_access_batch(self.inner, requests)
-        except InjectedPowerFailure as failure:
-            self._record_batch(failure.completed)
-            raise
-        self._record_batch(responses)
-        return responses
-
-    def flush_extents(self, extents: list[Extent], time: float) -> FlushReport:
-        try:
-            report = backend_flush_extents(self.inner, extents, time)
-        except InjectedPowerFailure as failure:
-            self._record_batch(failure.completed)
-            raise
-        self._record_batch(report.responses)
-        return report
-
     def power_cycle(self) -> None:
         # The tap's distributions are controller-side SRAM counters: the
         # rails dropping zeroes them along with the backend's volatile
@@ -402,100 +343,6 @@ class BandwidthThrottle(Interposer):
             reconstructed=response.reconstructed,
             blocked_ns=response.blocked_ns + delay,
             error_contained=response.error_contained,
-        )
-
-    def _rewrap(
-        self, window: RequestWindow, index: int, delay: float,
-        response: MemoryResponse,
-    ) -> MemoryResponse:
-        if delay == 0.0:
-            return response
-        return MemoryResponse(
-            window.request_at(index),
-            complete_time=response.complete_time,
-            occupied_until=response.occupied_until,
-            data=response.data,
-            reconstructed=response.reconstructed,
-            blocked_ns=response.blocked_ns + delay,
-            error_contained=response.error_contained,
-        )
-
-    def access_batch(self, requests: BatchRequests) -> list[MemoryResponse]:
-        window = requests if isinstance(requests, RequestWindow) \
-            else RequestWindow.from_requests(requests)
-        if window is None:
-            return default_access_batch(self, requests)
-        # The shaping recurrence is sequential but closed-form per
-        # element, so precompute the shifted issue times (and the
-        # ``_free_at`` trajectory, for exact state on a mid-window crash)
-        # before handing the whole window to the inner backend.
-        times = window.times
-        n = len(times)
-        cost = window.size / self.bytes_per_ns
-        free_at = self._free_at
-        delays = [0.0] * n
-        shifted_times = list(times)
-        trajectory = [0.0] * n
-        delayed = False
-        for index in range(n):
-            t = times[index]
-            delay = free_at - t
-            if delay > 0.0:
-                delays[index] = delay
-                delayed = True
-                t = t + delay
-                shifted_times[index] = t
-            free_at = t + cost
-            trajectory[index] = free_at
-        # An undelayed stream forwards the original window untouched.
-        shifted = window if not delayed else RequestWindow._bare(
-            window.is_write, window.addresses, shifted_times,
-            window.thread_ids, window.size,
-        )
-        try:
-            responses = backend_access_batch(self.inner, shifted)
-        except InjectedPowerFailure as failure:
-            served = len(failure.completed)
-            # The scalar path reserves link time before the inner access,
-            # so the crashing element's reservation stands; its shaping
-            # delay is only charged after a successful access, so the
-            # prefix alone lands in throttled_ns.
-            self._free_at = trajectory[min(served, n - 1)]
-            throttled = self.throttled_ns
-            completed = []
-            for index, response in enumerate(failure.completed):
-                delay = delays[index]
-                if delay != 0.0:
-                    throttled += delay
-                completed.append(self._rewrap(window, index, delay, response))
-            self.throttled_ns = throttled
-            failure.completed = completed
-            raise
-        self._free_at = free_at
-        throttled = self.throttled_ns
-        delayed = False
-        for delay in delays:
-            if delay != 0.0:
-                throttled += delay
-                delayed = True
-        self.throttled_ns = throttled
-        if not delayed:
-            return responses
-        return [
-            self._rewrap(window, index, delays[index], response)
-            for index, response in enumerate(responses)
-        ]
-
-    def flush_extents(self, extents: list[Extent], time: float) -> FlushReport:
-        # Shaping makes per-line issue times non-uniform, so there is no
-        # homogeneous extent to forward: lower the extents onto the
-        # throttle's own batched path, which precomputes the shaping
-        # recurrence and already matches the scalar loop exactly.
-        window = window_from_extents(extents, time)
-        if window is None:
-            return default_flush_extents(self, extents, time)
-        return report_from_responses(
-            len(extents), time, self.access_batch(window)
         )
 
     def power_cycle(self) -> None:
@@ -582,223 +429,6 @@ class AddressRangePartition:
             error_contained=response.error_contained,
         )
 
-    @staticmethod
-    def _rewrap(
-        window: RequestWindow, index: int, response: MemoryResponse
-    ) -> MemoryResponse:
-        return MemoryResponse(
-            window.request_at(index),
-            complete_time=response.complete_time,
-            occupied_until=response.occupied_until,
-            data=response.data,
-            reconstructed=response.reconstructed,
-            blocked_ns=response.blocked_ns,
-            error_contained=response.error_contained,
-        )
-
-    def _forward_run(
-        self,
-        window: RequestWindow,
-        start: int,
-        stop: int,
-        region: AddressRange,
-        out: list[MemoryResponse],
-    ) -> None:
-        sub = window.subwindow(start, stop)
-        if region.rebase:
-            offset = region.start
-            sub.replace_addresses(
-                [address - offset for address in sub.addresses]
-            )
-        try:
-            responses = backend_access_batch(region.backend, sub)
-        except InjectedPowerFailure as failure:
-            if region.rebase:
-                rewrapped = [
-                    self._rewrap(window, start + j, response)
-                    for j, response in enumerate(failure.completed)
-                ]
-            else:
-                rewrapped = list(failure.completed)
-            failure.completed = out + rewrapped
-            raise
-        if region.rebase:
-            for j in range(len(responses)):
-                out.append(self._rewrap(window, start + j, responses[j]))
-        else:
-            out.extend(responses)
-
-    def access_batch(self, requests: BatchRequests) -> list[MemoryResponse]:
-        """Batch access, split only at region boundaries.
-
-        Maximal contiguous same-region runs are forwarded as sub-windows;
-        an out-of-range element first flushes the pending run (matching
-        the scalar path's partial side effects) and then raises.
-        """
-        window = requests if isinstance(requests, RequestWindow) \
-            else RequestWindow.from_requests(requests)
-        if window is None:
-            return default_access_batch(self, requests)
-        out: list[MemoryResponse] = []
-        addresses = window.addresses
-        size = window.size
-        run_start = 0
-        run_region: Optional[AddressRange] = None
-        for index, address in enumerate(addresses):
-            found: Optional[AddressRange] = None
-            for region in self.regions:
-                if region.start <= address < region.end:
-                    found = region
-                    break
-            error: Optional[AddressSpaceError] = None
-            if found is None:
-                error = AddressSpaceError(
-                    f"address {address:#x} outside every partition region"
-                )
-            elif address + size > found.end:
-                error = AddressSpaceError(
-                    f"request [{address:#x}, {address + size:#x}) crosses "
-                    f"the region boundary at {found.end:#x}"
-                )
-            if error is not None:
-                if run_region is not None:
-                    self._forward_run(window, run_start, index, run_region,
-                                      out)
-                raise error
-            if run_region is None:
-                run_region = found
-                run_start = index
-            elif found is not run_region:
-                self._forward_run(window, run_start, index, run_region, out)
-                run_region = found
-                run_start = index
-        if run_region is not None:
-            self._forward_run(window, run_start, len(addresses), run_region,
-                              out)
-        return out
-
-    def _forward_extent_run(
-        self,
-        region: AddressRange,
-        run: list[Extent],
-        time: float,
-        out: list[MemoryResponse],
-    ) -> None:
-        """Flush one same-region run of sub-extents through its backend.
-
-        Rebased regions see rebased extents; the responses are rewrapped
-        back to absolute addresses (matching the scalar path's response
-        identity) both on success and inside a crash's served prefix.
-        """
-        if region.rebase:
-            offset = region.start
-            lowered = [
-                Extent(extent.start - offset, extent.lines, extent.size)
-                for extent in run
-            ]
-        else:
-            lowered = run
-        try:
-            report = backend_flush_extents(region.backend, lowered, time)
-        except InjectedPowerFailure as failure:
-            if region.rebase:
-                rewrapped = [
-                    self._rewrap_absolute(address, size, time, response)
-                    for (address, size), response in zip(
-                        _extent_lines(run), failure.completed
-                    )
-                ]
-            else:
-                rewrapped = list(failure.completed)
-            failure.completed = out + rewrapped
-            raise
-        if region.rebase:
-            for (address, size), response in zip(
-                _extent_lines(run), report.responses
-            ):
-                out.append(
-                    self._rewrap_absolute(address, size, time, response)
-                )
-        else:
-            out.extend(report.responses)
-
-    @staticmethod
-    def _rewrap_absolute(
-        address: int, size: int, time: float, response: MemoryResponse
-    ) -> MemoryResponse:
-        request = MemoryRequest.__new__(MemoryRequest)
-        request.op = MemoryOp.WRITE
-        request.address = address
-        request.size = size
-        request.time = time
-        request.data = None
-        request.thread_id = 0
-        request.metadata = None
-        return MemoryResponse(
-            request,
-            complete_time=response.complete_time,
-            occupied_until=response.occupied_until,
-            data=response.data,
-            reconstructed=response.reconstructed,
-            blocked_ns=response.blocked_ns,
-            error_contained=response.error_contained,
-        )
-
-    def flush_extents(self, extents: list[Extent], time: float) -> FlushReport:
-        """Extent flush, subdivided only at region boundaries.
-
-        Each extent is split into the maximal sub-extents that fit one
-        region; consecutive same-region sub-extents are forwarded as one
-        run through ``backend_flush_extents``, so an interposer inside a
-        region still receives whole extents.  Error ordering
-        matches the scalar loop: an out-of-region or boundary-crossing
-        line first flushes the pending run, then raises.
-        """
-        out: list[MemoryResponse] = []
-        run: list[Extent] = []
-        run_region: Optional[AddressRange] = None
-        for extent in extents:
-            size = extent.size
-            address = extent.start
-            remaining = extent.lines
-            while remaining:
-                found: Optional[AddressRange] = None
-                for region in self.regions:
-                    if region.start <= address < region.end:
-                        found = region
-                        break
-                error: Optional[AddressSpaceError] = None
-                fit = 0
-                if found is None:
-                    error = AddressSpaceError(
-                        f"address {address:#x} outside every partition region"
-                    )
-                else:
-                    fit = (found.end - address) // size
-                    if fit == 0:
-                        error = AddressSpaceError(
-                            f"request [{address:#x}, {address + size:#x}) "
-                            f"crosses the region boundary at {found.end:#x}"
-                        )
-                if error is not None:
-                    if run_region is not None:
-                        self._forward_extent_run(run_region, run, time, out)
-                    raise error
-                count = remaining if remaining <= fit else fit
-                sub = Extent(address, count, size)
-                if found is run_region:
-                    run.append(sub)
-                else:
-                    if run_region is not None:
-                        self._forward_extent_run(run_region, run, time, out)
-                    run_region = found
-                    run = [sub]
-                address += count * size
-                remaining -= count
-        if run_region is not None:
-            self._forward_extent_run(run_region, run, time, out)
-        return report_from_responses(len(extents), time, out)
-
     # -- protocol surface ---------------------------------------------------
 
     @property
@@ -858,33 +488,10 @@ class AddressRangePartition:
 
     def power_parts(self, counters: Mapping[str, float]) -> list[PowerPart]:
         parts: list[PowerPart] = []
-        for region in self.regions:
-            parts.extend(region.backend.power_parts(region.backend.counters()))
+        for index, region in enumerate(self.regions):
+            parts.extend(region.backend.power_parts(
+                counters_under(counters, f"region{index}_")))
         return parts
-
-
-def _extent_lines(extents: list[Extent]):
-    """Yield ``(address, size)`` per line across extents, in order."""
-    for extent in extents:
-        size = extent.size
-        for address in extent.addresses():
-            yield (address, size)
-
-
-def _take_lines(extents: list[Extent], count: int) -> list[Extent]:
-    """The first ``count`` lines of an extent list, truncating the last."""
-    out: list[Extent] = []
-    remaining = count
-    for extent in extents:
-        if remaining <= 0:
-            break
-        if extent.lines <= remaining:
-            out.append(extent)
-            remaining -= extent.lines
-        else:
-            out.append(Extent(extent.start, remaining, extent.size))
-            remaining = 0
-    return out
 
 
 class FaultInjector(Interposer):
@@ -947,87 +554,6 @@ class FaultInjector(Interposer):
                 data=self.corrupt_data_fn(request.address, request.data),
             )
         return self.inner.access(request)
-
-    def access_batch(self, requests: BatchRequests) -> list[MemoryResponse]:
-        """Batch access, split only at the scheduled crash index.
-
-        A window that does not contain the crash op passes through whole;
-        otherwise the pre-crash prefix is served, then
-        :class:`InjectedPowerFailure` is raised carrying the prefix
-        responses in ``completed``.
-        """
-        if self.corrupt_data_fn is not None:
-            # Corruption inspects per-request payloads: scalar loop.
-            return default_access_batch(self, requests)
-        n = len(requests)
-        crash = self.crash_at_op
-        start = self.op_index
-        if crash is None or self.tripped or not start <= crash < start + n:
-            self.op_index = start + n
-            return backend_access_batch(self.inner, requests)
-        k = crash - start
-        self.op_index = crash
-        completed: list[MemoryResponse] = []
-        if k:
-            if isinstance(requests, RequestWindow):
-                prefix: BatchRequests = requests.subwindow(0, k)
-            else:
-                prefix = list(requests[:k])
-            try:
-                completed = list(backend_access_batch(self.inner, prefix))
-            except InjectedPowerFailure as failure:
-                # A deeper injector crashed first.  The scalar path would
-                # have ticked once per attempted element, crashing one
-                # included — rewind the eager advance to match.
-                self.op_index = start + len(failure.completed) + 1
-                raise
-        self.tripped = True
-        raise InjectedPowerFailure(
-            f"injected power failure at operation {self.op_index}",
-            completed,
-        )
-
-    def flush_extents(self, extents: list[Extent], time: float) -> FlushReport:
-        """Extent flush, split only at the scheduled crash index.
-
-        Mirrors :meth:`access_batch`: an extent list that does not
-        contain the crash op forwards whole; otherwise the pre-crash
-        line prefix (truncating the crash extent mid-run) is served and
-        :class:`InjectedPowerFailure` carries its responses in
-        ``completed`` — exactly the prefix the scalar loop would have
-        produced.
-        """
-        if self.corrupt_data_fn is not None:
-            # Corruption inspects per-request payloads: scalar loop.
-            return default_flush_extents(self, extents, time)
-        n = 0
-        for extent in extents:
-            n += extent.lines
-        crash = self.crash_at_op
-        start = self.op_index
-        if crash is None or self.tripped or not start <= crash < start + n:
-            self.op_index = start + n
-            return backend_flush_extents(self.inner, extents, time)
-        k = crash - start
-        self.op_index = crash
-        completed: list[MemoryResponse] = []
-        if k:
-            prefix = _take_lines(extents, k)
-            try:
-                completed = list(
-                    backend_flush_extents(self.inner, prefix, time).responses
-                )
-            except InjectedPowerFailure as failure:
-                # A deeper injector crashed first.  The scalar path would
-                # have ticked once per attempted line, crashing one
-                # included — rewind the eager advance to match.
-                self.op_index = start + len(failure.completed) + 1
-                raise
-        self.tripped = True
-        raise InjectedPowerFailure(
-            f"injected power failure at operation {self.op_index}",
-            completed,
-        )
 
     def flush(self, time: float) -> float:
         self._tick()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, replace
 
-from repro.memory.extent import Extent, backend_flush_extents
+from repro.memory.extent import Extent, default_flush_extents
 
 __all__ = [
     "ExecutionProfile",
@@ -45,7 +45,7 @@ def extent_dump_ns(backend, extents: list[Extent], at_ns: float = 0.0) -> float:
     drain-then-synchronize sequence SnG's Auto-Stop performs.  Returns
     the elapsed nanoseconds from ``at_ns``.
     """
-    report = backend_flush_extents(backend, extents, at_ns)
+    report = default_flush_extents(backend, extents, at_ns)
     done = backend.flush(at_ns)
     if report.done_ns > done:
         done = report.done_ns

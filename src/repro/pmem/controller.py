@@ -18,7 +18,11 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.memory.dram import DRAMSubsystem
-from repro.memory.port import PortNotSupportedError, PowerPart
+from repro.memory.port import (
+    PortNotSupportedError,
+    PowerPart,
+    counters_under,
+)
 from repro.memory.request import (
     AddressSpaceError,
     CACHELINE_BYTES,
@@ -284,7 +288,7 @@ class NMEMController:
     def power_parts(self, counters: Mapping[str, float]) -> list[PowerPart]:
         fills = {"fills": counters.get("nmem_misses", 0.0)}
         return (
-            self.dram.power_parts(self.dram.counters())
-            + self.pmem.power_parts(self.pmem.counters())
+            self.dram.power_parts(counters_under(counters, "dram_"))
+            + self.pmem.power_parts(counters_under(counters, "pmem_"))
             + [("nmem_ctrl", 1.0, fills)]
         )

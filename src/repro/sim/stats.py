@@ -96,55 +96,6 @@ class LatencyStats:
         self._stride = 1
         self._skip = 0
 
-    def record_many(self, values: Sequence[float]) -> None:
-        """Bulk :meth:`record`: one call per batch instead of per value.
-
-        Observationally identical to calling :meth:`record` in order on
-        every element — same totals (same float addition order), same
-        min/max, same reservoir contents and stride state — but with the
-        attribute loads/stores hoisted out of the loop, which is what the
-        batched access path pays for a whole window at once.
-        """
-        count = 0
-        total = self.total
-        total_sq = self.total_sq
-        lo = self.min
-        hi = self.max
-        reservoir = self._reservoir
-        capacity = self._capacity
-        cursor = self._cursor
-        stride = self._stride
-        skip = self._skip
-        room = capacity - len(reservoir)
-        for value in values:
-            count += 1
-            total += value
-            total_sq += value * value
-            if value < lo:
-                lo = value
-            if value > hi:
-                hi = value
-            if room > 0:
-                reservoir.append(value)
-                room -= 1
-                continue
-            skip += 1
-            if skip >= stride:
-                skip = 0
-                reservoir[cursor] = value
-                cursor += 1
-                if cursor >= capacity:
-                    cursor = 0
-                    stride = min(stride * 2, 1 << 20)
-        self.count += count
-        self.total = total
-        self.total_sq = total_sq
-        self.min = lo
-        self.max = hi
-        self._cursor = cursor
-        self._stride = stride
-        self._skip = skip
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -258,17 +209,6 @@ class Counter:
 
     def add(self, name: str, amount: int = 1) -> None:
         self._counts[name] = self._counts.get(name, 0) + amount
-
-    def add_many(self, amounts: dict[str, int]) -> None:
-        """Bulk :meth:`add`: fold a whole batch's deltas in one call.
-
-        Deltas are coerced to builtin ints, so bulk producers may hand
-        over numpy integers (``bincount`` outputs) without them lodging
-        in the counts dict and breaking JSON export.
-        """
-        counts = self._counts
-        for name, amount in amounts.items():
-            counts[name] = counts.get(name, 0) + int(amount)
 
     def get(self, name: str) -> int:
         return self._counts.get(name, 0)

@@ -1,5 +1,5 @@
-"""Backends and state capture shared by the batch and extent
-equivalence suites (``test_batch_equivalence.py``,
+"""Backends and state capture shared by the windowed-drain and extent
+flush equivalence suites (``test_batch_equivalence.py``,
 ``test_extent_equivalence.py``)."""
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """The execution-engine layer: registry, protocol, and equivalence.
 
-The tentpole contract: every exact engine (scalar, window, extent) is
-observationally identical at machine scope — same RunResult, same stats,
-same wear registers — and the registry is the only dispatch point left
-(``Machine.run``, litmus and drill all resolve engines by name).  The
-epoch signature kernels must count exactly what the columns hold, and
-the CLI rejects unknown engine names with the one-line exit-2
-convention.
+The contract: every exact engine (scalar, extent, and the windowed
+drain at any window size) is observationally identical at machine
+scope — same RunResult, same stats, same wear registers — and the
+registry is the only dispatch point (``Machine.run``, the CLI and the
+machine crash fuzzer resolve engines by name).  The epoch signature
+kernels must count exactly what the columns hold, and the CLI rejects
+unknown engine names with the one-line exit-2 convention.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.engine.scalar import ScalarEngine
 from repro.engine.window import WindowEngine
 from repro.workloads import load_workload
 
-BUILTINS = ("epoch", "extent", "scalar", "window")
+BUILTINS = ("epoch", "extent", "scalar")
 
 
 def _result_fields(result) -> dict:
@@ -60,10 +60,6 @@ class TestRegistry:
         assert default_engine_name() == "extent"
         assert resolve_engine(None).name == "extent"
 
-    def test_alias_batch_resolves_to_window(self):
-        assert canonical_engine_name("batch") == "window"
-        assert resolve_engine("batch").name == "window"
-
     def test_unknown_name_raises_with_inventory(self):
         with pytest.raises(ValueError, match="unknown engine 'warp'"):
             canonical_engine_name("warp")
@@ -78,10 +74,10 @@ class TestRegistry:
         assert resolve_engine(engine) is engine
 
     def test_set_default_round_trip(self):
-        previous = set_default_engine("window")
+        previous = set_default_engine("scalar")
         try:
             assert previous == "extent"
-            assert resolve_engine(None).name == "window"
+            assert resolve_engine(None).name == "scalar"
         finally:
             set_default_engine(previous)
         assert default_engine_name() == "extent"
@@ -108,7 +104,7 @@ class TestProtocol:
     def test_builtin_conformance(self, engine):
         assert isinstance(engine, ExecutionEngine)
         assert_execution_engine(engine)
-        assert engine.name in BUILTINS
+        assert resolve_engine(engine) is engine
 
     def test_nonconformant_object_is_named_and_rejected(self):
         class Hollow:
@@ -117,16 +113,17 @@ class TestProtocol:
             def drain(self, core, records):
                 pass
 
-        with pytest.raises(TypeError, match="flush_cache, drive_program"):
+        with pytest.raises(TypeError, match=r"missing/invalid: flush_cache\)"):
             assert_execution_engine(Hollow(), context="test engine")
         with pytest.raises(TypeError, match="name"):
             assert_execution_engine(object())
 
 
 class TestMachineEquivalence:
-    """Scalar, window and extent engines are *exact*: one workload, three
-    engines, identical RunResults (the observational contract the epoch
-    engine's forced-boundary mode then inherits)."""
+    """The exact engines agree: one workload, the scalar engine and a
+    windowed drain at a non-default window size against the default
+    extent engine, identical RunResults (the observational contract the
+    epoch engine's forced-boundary mode then inherits)."""
 
     REFS = 6_000
 
@@ -138,7 +135,10 @@ class TestMachineEquivalence:
     @pytest.mark.parametrize("name", ("scalar", "window"))
     def test_exact_engines_match_the_default(self, name):
         baseline, base_machine = self._run(None)
-        result, machine = self._run(name)
+        # The unregistered windowed drain, with windows that end
+        # mid-phase rather than on the default 4096-record grain.
+        engine = WindowEngine(window=97) if name == "window" else name
+        result, machine = self._run(engine)
         assert baseline.engine == "extent"
         assert result.engine == name
         assert _result_fields(result) == _result_fields(baseline)
@@ -156,7 +156,7 @@ class TestMachineEquivalence:
         assert machine.engine.name == "scalar"
 
     def test_exact_engines_report_no_epoch_payload(self):
-        result, _ = self._run("window")
+        result, _ = self._run("scalar")
         assert result.epoch is None
 
 
@@ -213,15 +213,10 @@ class TestCLIEngineFlag:
                      "--engine", "epoch"]) == 0
         assert "(epoch engine)" in capsys.readouterr().out
 
-    def test_run_alias_accepted(self, capsys):
-        assert main(["run", "--workload", "aes", "--refs", "2000",
-                     "--engine", "batch"]) == 0
-        assert "(window engine)" in capsys.readouterr().out
-
     @pytest.mark.parametrize("argv", (
         ["run", "--engine", "warp"],
         ["stats", "--engine", "warp"],
-        ["litmus", "--trials", "1", "--engine", "warp"],
+        ["drill", "--trials", "1", "--engine", "warp"],
         ["drill", "--engine", "warp"],
         ["fuzz", "machine", "--engine", "warp"],
         ["profile", "fig2b", "--engine", "warp"],
@@ -230,8 +225,25 @@ class TestCLIEngineFlag:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "error: unknown engine 'warp'" in err
-        assert "epoch, extent, scalar, window" in err
+        assert "epoch, extent, scalar" in err
 
     def test_fuzz_target_without_engine_support_is_rejected(self, capsys):
         assert main(["fuzz", "psm", "--engine", "epoch"]) == 2
         assert "--engine applies to 'machine'" in capsys.readouterr().err
+
+    def test_drill_campaign_rejects_engine(self, capsys):
+        assert main(["drill", "--trials", "1", "--engine", "scalar"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--engine applies to the single-machine drill" in err
+
+    @pytest.mark.parametrize("name", ("window", "batch"))
+    def test_deleted_engine_names_are_unknown(self, name, capsys):
+        assert main(["run", "--refs", "2000", "--engine", name]) == 2
+        assert f"error: unknown engine '{name}'" in capsys.readouterr().err
+
+    def test_litmus_has_no_engine_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["litmus", "--trials", "1", "--engine", "scalar"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err

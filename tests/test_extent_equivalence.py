@@ -1,20 +1,19 @@
-"""Extent-flush/scalar equivalence for every backend and interposer.
+"""The extent flush against the write-back spelled out by hand.
 
-An extent list flushed through ``backend_flush_extents`` must be
-observationally identical to the scalar line loop
-(:func:`~repro.memory.extent.default_flush_extents`) — same report, same
-per-line responses, same stats tree, wear registers, counters and device
-state.  On a backend the dispatch is that loop; the interposers forward
-extents whole and must still match it.  These tests drive the same dirty
-populations through two fresh instances of each port, one per path, and
-diff everything observable.
+:func:`~repro.memory.extent.default_flush_extents` writes every line of
+an extent list back through scalar ``access`` and folds the responses
+into a :class:`~repro.memory.extent.FlushReport`.  Against a hand-written
+loop (one WRITE per line, the report fields computed by hand) it must
+give the same report, the same per-line responses, and leave the same
+stats tree, wear registers, counters and device state — on every
+backend, through the interposer chain and partition routing, and with a
+:class:`FaultInjector` cutting power mid-extent (same error, same tick
+count, same served-prefix state).
 
-Also covered here: the interposer chain and partition routing, the
-FaultInjector's exact mid-extent crash split (the served prefix must
-match the scalar loop line for line), flush/drain stats restarting from
-zero after ``power_cycle`` under a full chain, SnG Stop/Go report
-identity across the two flush paths, and the incremental PCB snapshot's
-reuse accounting.
+Also covered here: flush/drain stats restarting from zero after
+``power_cycle`` under a full chain, SnG Stop/Go report identity between
+the two write-backs, the incremental PCB snapshot's reuse accounting,
+and :class:`DirtyExtentMap` coalescing.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from repro.memory.dram import DRAMConfig, DRAMSubsystem
 from repro.memory.extent import (
     DirtyExtentMap,
     Extent,
-    backend_flush_extents,
+    FlushReport,
     coalesce_lines,
     default_flush_extents,
 )
@@ -76,6 +75,23 @@ def make_extents(capacity: int, count: int, seed: int) -> list[Extent]:
     return coalesce_lines(line * CACHELINE_BYTES for line in chosen)
 
 
+def flush_by_hand(port, extents: list[Extent], time: float) -> FlushReport:
+    """The write-back spelled out: one WRITE ``access`` per line, in
+    order, with the report's horizon and backpressure folded by hand."""
+    responses = []
+    for extent in extents:
+        for address in range(extent.start, extent.end, extent.size):
+            responses.append(port.access(MemoryRequest(
+                MemoryOp.WRITE, address, size=extent.size, time=time)))
+    blocked = 0.0
+    for response in responses:
+        blocked += response.blocked_ns
+    return FlushReport(
+        lines=len(responses), extents=len(extents), start_ns=time,
+        done_ns=max([time] + [r.complete_time for r in responses]),
+        blocked_ns=blocked, responses=responses)
+
+
 def assert_equivalent(scalar_backend, extent_backend, scalar_report,
                       extent_report):
     assert scalar_report.lines == extent_report.lines
@@ -112,8 +128,8 @@ class TestBackendEquivalence:
         extents = make_extents(capacity, count, seed=hash(name) & 0xFFFF)
         scalar = BACKENDS[name]()
         port = BACKENDS[name]()
-        scalar_report = default_flush_extents(scalar, extents, 0.0)
-        extent_report = backend_flush_extents(port, extents, 0.0)
+        scalar_report = flush_by_hand(scalar, extents, 0.0)
+        extent_report = default_flush_extents(port, extents, 0.0)
         assert_equivalent(scalar, port, scalar_report, extent_report)
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
@@ -125,8 +141,8 @@ class TestBackendEquivalence:
         port = BACKENDS[name]()
         warm_up(scalar, capacity, seed=11)
         warm_up(port, capacity, seed=11)
-        scalar_report = default_flush_extents(scalar, extents, 5_000.0)
-        extent_report = backend_flush_extents(port, extents, 5_000.0)
+        scalar_report = flush_by_hand(scalar, extents, 5_000.0)
+        extent_report = default_flush_extents(port, extents, 5_000.0)
         assert_equivalent(scalar, port, scalar_report, extent_report)
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
@@ -144,13 +160,13 @@ class TestBackendEquivalence:
         extents = coalesce_lines(addresses)
         scalar = BACKENDS[name]()
         port = BACKENDS[name]()
-        scalar_report = default_flush_extents(scalar, extents, 0.0)
-        extent_report = backend_flush_extents(port, extents, 0.0)
+        scalar_report = flush_by_hand(scalar, extents, 0.0)
+        extent_report = default_flush_extents(port, extents, 0.0)
         assert_equivalent(scalar, port, scalar_report, extent_report)
 
     def test_psm_out_of_capacity_matches_scalar_error(self):
-        """Both paths raise the same AddressSpaceError text and leave
-        identical served-prefix state behind."""
+        """Both write-backs raise the same AddressSpaceError text and
+        leave identical served-prefix state behind."""
         psm_scalar = PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10))
         psm_port = PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10))
         lines = psm_scalar.capacity // CACHELINE_BYTES
@@ -159,9 +175,9 @@ class TestBackendEquivalence:
             Extent((lines - 4) * CACHELINE_BYTES, 16),  # runs past the end
         ]
         with pytest.raises(AddressSpaceError) as scalar_err:
-            default_flush_extents(psm_scalar, extents, 0.0)
+            flush_by_hand(psm_scalar, extents, 0.0)
         with pytest.raises(AddressSpaceError) as port_err:
-            backend_flush_extents(psm_port, extents, 0.0)
+            default_flush_extents(psm_port, extents, 0.0)
         assert str(scalar_err.value) == str(port_err.value)
         assert state_of(psm_scalar) == state_of(psm_port)
 
@@ -177,8 +193,8 @@ class TestBackendEquivalence:
         extents = make_extents(1 << 20, 120, seed=77)
         scalar = Minimal()
         fallback = Minimal()
-        scalar_report = default_flush_extents(scalar, extents, 0.0)
-        extent_report = backend_flush_extents(fallback, extents, 0.0)
+        scalar_report = flush_by_hand(scalar, extents, 0.0)
+        extent_report = default_flush_extents(fallback, extents, 0.0)
         assert isinstance(extent_report.responses, list)  # default loop
         assert scalar_report.done_ns == extent_report.done_ns
         assert scalar_report.blocked_ns == extent_report.blocked_ns
@@ -197,8 +213,8 @@ class TestInterposerEquivalence:
         extents = make_extents(capacity, 500, seed=21)
         scalar = self._chain()
         port = self._chain()
-        scalar_report = default_flush_extents(scalar, extents, 0.0)
-        extent_report = port.flush_extents(extents, 0.0)
+        scalar_report = flush_by_hand(scalar, extents, 0.0)
+        extent_report = default_flush_extents(port, extents, 0.0)
         assert_equivalent(scalar, port, scalar_report, extent_report)
         assert extent_report.lines == sum(e.lines for e in extents)
 
@@ -216,13 +232,13 @@ class TestInterposerEquivalence:
         extents = make_extents(2 * half, 500, seed=33)
         scalar = build()
         port = build()
-        scalar_report = default_flush_extents(scalar, extents, 0.0)
-        extent_report = port.flush_extents(extents, 0.0)
+        scalar_report = flush_by_hand(scalar, extents, 0.0)
+        extent_report = default_flush_extents(port, extents, 0.0)
         assert_equivalent(scalar, port, scalar_report, extent_report)
 
     def test_partition_subdivides_straddling_extent(self):
-        """A line-aligned extent across the boundary is split, not
-        rejected — exactly what the scalar per-line loop does."""
+        """A line-aligned extent across the boundary is served line by
+        line on both sides of it, not rejected."""
         half = 1 << 20
 
         def build():
@@ -236,13 +252,13 @@ class TestInterposerEquivalence:
         straddling = [Extent(half - 2 * CACHELINE_BYTES, 4)]
         scalar = build()
         port = build()
-        scalar_report = default_flush_extents(scalar, straddling, 0.0)
-        extent_report = port.flush_extents(straddling, 0.0)
+        scalar_report = flush_by_hand(scalar, straddling, 0.0)
+        extent_report = default_flush_extents(port, straddling, 0.0)
         assert_equivalent(scalar, port, scalar_report, extent_report)
 
     def test_partition_boundary_crossing_matches_scalar_error(self):
         """A line that spans a non-line-aligned region edge raises the
-        same boundary-crossing error on both paths."""
+        same boundary-crossing error from both write-backs."""
         edge = (1 << 20) + 32  # mid-line region edge
 
         def build():
@@ -257,9 +273,9 @@ class TestInterposerEquivalence:
         scalar = build()
         port = build()
         with pytest.raises(AddressSpaceError) as scalar_err:
-            default_flush_extents(scalar, crossing, 0.0)
+            flush_by_hand(scalar, crossing, 0.0)
         with pytest.raises(AddressSpaceError) as port_err:
-            port.flush_extents(crossing, 0.0)
+            default_flush_extents(port, crossing, 0.0)
         assert str(scalar_err.value) == str(port_err.value)
         assert "crosses the region boundary" in str(port_err.value)
 
@@ -272,17 +288,17 @@ class TestInterposerEquivalence:
                                                  ranks=4)))])
         outside = [Extent(0, 2), Extent(1 << 21, 1)]
         with pytest.raises(AddressSpaceError) as scalar_err:
-            default_flush_extents(scalar, outside, 0.0)
+            flush_by_hand(scalar, outside, 0.0)
         with pytest.raises(AddressSpaceError) as port_err:
-            port.flush_extents(outside, 0.0)
+            default_flush_extents(port, outside, 0.0)
         assert str(scalar_err.value) == str(port_err.value)
         assert "outside every partition region" in str(port_err.value)
 
 
 class TestFaultInjectorMidExtent:
-    """Satellite regression: the crash index must split extents exactly —
-    served prefix, wear registers and ``completed`` length all equal to
-    the scalar loop's."""
+    """A crash index inside an extent tears it exactly: the same error,
+    tick count and served-prefix state (wear registers included) as the
+    hand-written loop."""
 
     CONFIG = dict(dimms=2, lines_per_dimm=1 << 10)
 
@@ -298,18 +314,12 @@ class TestFaultInjectorMidExtent:
         port = self._build(crash_at)
 
         with pytest.raises(InjectedPowerFailure) as scalar_err:
-            default_flush_extents(scalar, extents, 0.0)
+            flush_by_hand(scalar, extents, 0.0)
         with pytest.raises(InjectedPowerFailure) as port_err:
-            port.flush_extents(extents, 0.0)
+            default_flush_extents(port, extents, 0.0)
 
         assert str(scalar_err.value) == str(port_err.value)
-        scalar_served = scalar_err.value.completed
-        port_served = port_err.value.completed
-        assert len(scalar_served) == crash_at
-        assert len(port_served) == crash_at
-        for index, (a, b) in enumerate(zip(scalar_served, port_served)):
-            assert repr(a) == repr(b), f"served line {index} diverged"
-        assert scalar.op_index == port.op_index
+        assert scalar.op_index == port.op_index == crash_at
         assert scalar.tripped and port.tripped
         assert state_of(scalar.inner) == state_of(port.inner)
 
@@ -317,8 +327,8 @@ class TestFaultInjectorMidExtent:
         scalar = self._build(10_000)
         port = self._build(10_000)
         extents = [Extent(0, 8), Extent(1 << 12, 4)]
-        scalar_report = default_flush_extents(scalar, extents, 0.0)
-        extent_report = port.flush_extents(extents, 0.0)
+        scalar_report = flush_by_hand(scalar, extents, 0.0)
+        extent_report = default_flush_extents(port, extents, 0.0)
         assert scalar.op_index == port.op_index == 12
         assert not scalar.tripped and not port.tripped
         assert_equivalent(scalar.inner, port.inner, scalar_report,
@@ -347,7 +357,7 @@ class TestStatsResetAfterPowerCycle:
         extents = make_extents(
             capacity_of(PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10))),
             400, seed=5)
-        chain.flush_extents(extents, 0.0)
+        default_flush_extents(chain, extents, 0.0)
         flat = registry.flat()
         tap_writes = [v for k, v in flat.items() if "write" in k and v]
         assert tap_writes, "flush produced no write stats through the tap"
@@ -365,13 +375,13 @@ class TestStatsResetAfterPowerCycle:
         assert not psm._channel_busy
 
         # The same chain keeps serving after the cycle, from zero.
-        report = chain.flush_extents(extents[:4], 0.0)
+        report = default_flush_extents(chain, extents[:4], 0.0)
         assert chain.write_latency.count == report.lines
 
 
 class TestSnGReportIdentity:
-    """Stop/Go reports must be byte-identical whichever flush path the
-    port drains the dirty population through."""
+    """Stop/Go reports must be byte-identical whether the dirty
+    population drains through the extent flush or the hand loop."""
 
     def _dirty(self, psm):
         extents = make_extents(psm.capacity, 256, seed=13)
@@ -402,8 +412,8 @@ class TestSnGReportIdentity:
         return dataclasses.asdict(stop), dataclasses.asdict(go)
 
     def test_stop_and_go_reports_identical(self):
-        scalar_stop, scalar_go = self._run(default_flush_extents)
-        extent_stop, extent_go = self._run(backend_flush_extents)
+        scalar_stop, scalar_go = self._run(flush_by_hand)
+        extent_stop, extent_go = self._run(default_flush_extents)
         assert scalar_stop == extent_stop
         assert scalar_go == extent_go
 
@@ -441,14 +451,6 @@ class TestDirtyExtentMap:
         assert not dirty
         assert dirty.take() == []
 
-    def test_note_window_records_only_writes(self):
-        from repro.memory.batch import RequestWindow
-
-        dirty = DirtyExtentMap()
-        dirty.note_window(RequestWindow(
-            [True, False, True], [0, 64, 128], [0.0, 0.0, 0.0]))
-        assert sorted(e.start for e in dirty.extents()) == [0, 128]
-
     def test_delta_checkpoint_costing_is_quiet_when_clean(self):
         psm = PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10))
         dirty = DirtyExtentMap()
@@ -467,8 +469,8 @@ class TestDirtyExtentMap:
 
 
 class TestFaultInjectorExtentEdges:
-    """Satellite regression: the off-by-one edges of the crash split —
-    op 0, the final line of an extent list, and one past the end."""
+    """The off-by-one edges of a crash inside an extent flush — op 0,
+    the final line of an extent list, and one past the end."""
 
     CONFIG = dict(dimms=2, lines_per_dimm=1 << 10)
     EXTENTS = [Extent(0, 8), Extent(1 << 12, 4)]   # 12 lines exactly
@@ -480,35 +482,31 @@ class TestFaultInjectorExtentEdges:
     def test_crash_at_op_zero_serves_empty_prefix(self):
         scalar = self._build(0)
         port = self._build(0)
-        with pytest.raises(InjectedPowerFailure) as scalar_err:
-            default_flush_extents(scalar, self.EXTENTS, 0.0)
-        with pytest.raises(InjectedPowerFailure) as port_err:
-            port.flush_extents(self.EXTENTS, 0.0)
-        assert scalar_err.value.completed == []
-        assert port_err.value.completed == []
+        with pytest.raises(InjectedPowerFailure):
+            flush_by_hand(scalar, self.EXTENTS, 0.0)
+        with pytest.raises(InjectedPowerFailure):
+            default_flush_extents(port, self.EXTENTS, 0.0)
         assert scalar.op_index == port.op_index == 0
+        assert state_of(port.inner) == state_of(self._build(None).inner)
         assert state_of(scalar.inner) == state_of(port.inner)
 
     def test_crash_at_final_line_serves_all_but_one(self):
         scalar = self._build(11)
         port = self._build(11)
-        with pytest.raises(InjectedPowerFailure) as scalar_err:
-            default_flush_extents(scalar, self.EXTENTS, 0.0)
-        with pytest.raises(InjectedPowerFailure) as port_err:
-            port.flush_extents(self.EXTENTS, 0.0)
-        assert len(scalar_err.value.completed) == 11
-        assert len(port_err.value.completed) == 11
-        for a, b in zip(scalar_err.value.completed,
-                        port_err.value.completed):
-            assert repr(a) == repr(b)
-        assert scalar.op_index == port.op_index == 11
+        with pytest.raises(InjectedPowerFailure):
+            flush_by_hand(scalar, self.EXTENTS, 0.0)
+        with pytest.raises(InjectedPowerFailure):
+            default_flush_extents(port, self.EXTENTS, 0.0)
+        served = self._build(None)
+        flush_by_hand(served, [Extent(0, 8), Extent(1 << 12, 3)], 0.0)
+        assert scalar.op_index == port.op_index == served.op_index == 11
         assert state_of(scalar.inner) == state_of(port.inner)
 
     def test_crash_one_past_the_end_forwards_whole(self):
         scalar = self._build(12)
         port = self._build(12)
-        scalar_report = default_flush_extents(scalar, self.EXTENTS, 0.0)
-        port_report = port.flush_extents(self.EXTENTS, 0.0)
+        scalar_report = flush_by_hand(scalar, self.EXTENTS, 0.0)
+        port_report = default_flush_extents(port, self.EXTENTS, 0.0)
         assert not scalar.tripped and not port.tripped
         assert scalar.op_index == port.op_index == 12
         assert_equivalent(scalar.inner, port.inner, scalar_report,
@@ -576,7 +574,7 @@ class TestDirtyExtentMapAdversarial:
 
         scalar = self._partition(half_lines)
         port = self._partition(half_lines)
-        scalar_report = default_flush_extents(scalar, extents, 0.0)
-        port_report = backend_flush_extents(port, extents, 0.0)
+        scalar_report = flush_by_hand(scalar, extents, 0.0)
+        port_report = default_flush_extents(port, extents, 0.0)
         assert scalar_report.lines == port_report.lines == len(list(lines))
         assert_equivalent(scalar, port, scalar_report, port_report)

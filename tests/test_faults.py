@@ -5,11 +5,9 @@ Three layers are pinned here:
 * mechanism — :class:`CompoundFaultInjector` fires its whole schedule on
   one global tick count (so a follow-on cut lands inside recovery
   traffic), and :class:`MediaFaultModel` implements retry / ECC-correct /
-  retire semantics identically on every execution path via the
-  scalar-only override contract;
+  retire semantics on the scalar ``access`` every request crosses;
 * engine — explicit crash-during-recovery and torn-extent-flush plans
-  run clean against the fixed oracle on all three lowerings, with
-  byte-identical recovered state, and the deliberately broken
+  run clean against the fixed oracle, and the deliberately broken
   degradation rule (retired-unit remap disabled) is detected and
   1-minimized end to end;
 * plumbing — drill campaigns are pure functions of ``(seed, trial)``,
@@ -39,7 +37,7 @@ from repro.faults import (
     run_drill,
     run_drill_program,
 )
-from repro.litmus.engine import EXECUTION_PATHS, litmus_backend
+from repro.litmus.engine import litmus_backend
 from repro.litmus.ir import (
     LitmusOp,
     LitmusProgram,
@@ -50,7 +48,7 @@ from repro.litmus.ir import (
 )
 from repro.litmus.generate import generate_program
 from repro.litmus.oracle import PersistencyModel
-from repro.memory.batch import backend_access_batch
+from repro.memory.batch import default_access_batch
 from repro.memory.port import InjectedPowerFailure
 from repro.memory.request import CACHELINE_BYTES, MemoryOp, MemoryRequest
 from repro.ocpmem.psm import PSM, PSMConfig
@@ -153,9 +151,9 @@ class TestCompoundFaultInjector:
                                   address=line * CACHELINE_BYTES,
                                   data=line_value(line + 1), time=0.0)
                     for line in range(3)]
-        with pytest.raises(InjectedPowerFailure) as failure:
-            backend_access_batch(port, requests)
-        assert len(failure.value.completed) == 1   # torn: only line 0 served
+        with pytest.raises(InjectedPowerFailure):
+            default_access_batch(port, requests)
+        assert port.op_index == 1                  # torn: only line 0 served
         port.flush(0.0)
         assert read_line(port, 0).data == line_value(1)
         assert not any(read_line(port, 1).data)
@@ -227,19 +225,6 @@ class TestMediaFaultModel:
         assert port.fault_counters()["units_retired"] == 1
         assert not any(read_line(port, 2).data)     # media wiped, still clean
 
-    def test_batch_path_sees_identical_fault_semantics(self):
-        scalar = self.port([MediaFault(1, STUCK, escalate_after=2)])
-        batch = self.port([MediaFault(1, STUCK, escalate_after=2)])
-        for port in (scalar, batch):
-            write_line(port, 1, 4)
-        reads = [MemoryRequest(MemoryOp.READ, address=CACHELINE_BYTES,
-                               time=0.0) for _ in range(3)]
-        scalar_data = [scalar.access(request).data for request in reads]
-        batch_data = [response.data
-                      for response in backend_access_batch(batch, reads)]
-        assert scalar_data == batch_data
-        assert scalar.fault_counters() == batch.fault_counters()
-
 
 class TestDrillEngine:
     def test_crash_during_recovery_is_clean_on_all_paths(self):
@@ -259,18 +244,7 @@ class TestDrillEngine:
         for first in range(ticks):
             plan = FaultPlan("split", cuts=(first, first + 2))
             verdict = run_drill_program(program, plan)
-            assert verdict.ok, (first, verdict.violations,
-                                verdict.divergences)
-
-    def test_paths_converge_to_identical_state(self):
-        program = program_of(store(0, 1), cut(), store(1, 2), store(0, 3))
-        plan = FaultPlan("conv", cuts=(1, 4),
-                         media=(MediaFault(1, TRANSIENT),))
-        runs = {path: execute_plan(program, path, plan)
-                for path in EXECUTION_PATHS}
-        states = {repr(sorted(run.observed.items()))
-                  for run in runs.values()}
-        assert len(states) == 1
+            assert verdict.ok, (first, verdict.violations)
 
     def test_broken_remap_detected_and_one_minimized(self):
         # Extra removable structure on purpose: minimization must strip
@@ -313,19 +287,19 @@ class TestDrillEngine:
         program = program_of(store(0, 1), store(1, 2), cut())
         nested = FaultPlan("p", cuts=(1, 5))
         strict = run_drill_program(program, nested)
-        assert strict.executed == len(EXECUTION_PATHS) + 1  # + truncated probe
+        assert strict.executed == 2         # + the truncated-plan probe
         loose = run_drill_program(
             program, nested,
             model=PersistencyModel(recovery_is_idempotent=False))
-        assert loose.executed == len(EXECUTION_PATHS)
+        assert loose.executed == 1
         single = run_drill_program(program, FaultPlan("p", cuts=(1,)))
-        assert single.executed == len(EXECUTION_PATHS)
+        assert single.executed == 1
 
     def test_media_faults_never_perturb_observed_values(self):
         program = program_of(store(1, 1), cut(), store(1, 2))
-        clean = execute_plan(program, "scalar", FaultPlan(cuts=(2,)))
+        clean = execute_plan(program, FaultPlan(cuts=(2,)))
         faulty = execute_plan(
-            program, "scalar",
+            program,
             FaultPlan(cuts=(2,), media=(MediaFault(1, STUCK),
                                         MediaFault(0, TRANSIENT))))
         assert clean.observed == faulty.observed
@@ -403,7 +377,7 @@ class TestDrillCampaign:
         assert report.ok
         assert report.programs == 8
         assert report.cuts >= 8             # every plan has >= 1 cut
-        assert report.executed >= 8 * len(EXECUTION_PATHS)
+        assert report.executed >= 8
         assert report.recoveries >= 8       # every first cut crashes
         assert "-> OK" in report.summary()
 

@@ -1,8 +1,9 @@
 """The crash-consistency litmus engine, end to end.
 
 Covers the IR/timeline algebra, generator determinism, the persistency
-oracle's rule folding, exhaustive crash-point enumeration over all
-three execution paths, the prefix-digest dedup, the intentionally
+oracle's rule folding, the lowering's port traffic pinned tick for tick
+to the timeline, exhaustive crash-point enumeration, the prefix-digest
+dedup, the intentionally
 broken oracle rules (the engine must *detect* a violation and emit a
 1-minimal counterexample), campaign determinism (serial == parallel,
 byte-identical) and the ``repro litmus`` CLI.
@@ -18,7 +19,6 @@ import pytest
 
 from repro.cli import main
 from repro.litmus import (
-    EXECUTION_PATHS,
     SHAPES,
     build_timeline,
     generate_program,
@@ -27,6 +27,7 @@ from repro.litmus import (
     run_program,
 )
 from repro.litmus.campaign import LitmusOutcome, litmus_trial
+from repro.litmus.engine import drive_program, litmus_backend
 from repro.litmus.ir import (
     LitmusOp,
     LitmusProgram,
@@ -43,6 +44,8 @@ from repro.litmus.oracle import (
     allowed_after,
     check_observation,
 )
+from repro.memory.port import FaultInjector, Interposer
+from repro.memory.request import CACHELINE_BYTES, MemoryOp
 
 
 def _program(*ops: LitmusOp, lines: int = 8,
@@ -194,15 +197,60 @@ class TestOracle:
         assert bad and bad[0][3] is True
 
 
+class _Recorder(Interposer):
+    """Logs every port operation as the timeline event it should tick."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.log: list[tuple] = []
+
+    def access(self, request):
+        line = request.address // CACHELINE_BYTES
+        if request.op is MemoryOp.READ:
+            self.log.append(("load", line))
+        elif request.data is None:
+            self.log.append(("writeback", line))
+        else:
+            self.log.append(("store", line, request.data[0]))
+        return self.inner.access(request)
+
+    def flush(self, time):
+        self.log.append(("flush",))
+        return self.inner.flush(time)
+
+    def drain(self, time):
+        self.log.append(("fence",))
+        return self.inner.drain(time)
+
+
+class TestLoweringTimeline:
+    """The lowering's port traffic is the timeline, tick for tick: the
+    crash index the enumerator arms names exactly the event the oracle
+    folds."""
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_port_traffic_matches_timeline(self, shape):
+        for seed in range(8):
+            program = generate_program(random.Random(seed), shape)
+            timeline = build_timeline(program)
+            injector = FaultInjector(litmus_backend(program),
+                                     crash_at_op=None, count_drains=True)
+            recorder = _Recorder(injector)
+            drive = drive_program(recorder, program)
+            assert not drive.crashed
+            assert injector.op_index == total_ticks(timeline)
+            ticking = [entry.event for entry in timeline if entry.ticks]
+            assert recorder.log == ticking, (shape, seed)
+
+
 class TestEngine:
     def test_crash_at_op_zero_observes_initial_state(self):
         program = _program(S(0, 1), F(0))
         from repro.litmus.engine import _execute
 
-        for path in EXECUTION_PATHS:
-            observed = _execute(program, path, 0)
-            assert all(version == 0 and not torn
-                       for version, torn in observed.values())
+        observed = _execute(program, 0)
+        assert all(version == 0 and not torn
+                   for version, torn in observed.values())
 
     def test_flushed_store_survives_every_later_crash(self):
         program = _program(S(2, 1), F(2), S(2, 2), L(2))
@@ -212,23 +260,21 @@ class TestEngine:
         from repro.litmus.engine import _execute
 
         for crash_at in range(2, total_ticks(timeline)):
-            for path in EXECUTION_PATHS:
-                version, torn = _execute(program, path, crash_at)[2]
-                assert version in (1, 2) and not torn
+            version, torn = _execute(program, crash_at)[2]
+            assert version in (1, 2) and not torn
 
     def test_enumerates_every_crash_point(self):
         program = _program(S(0, 1), S(1, 2), CUT, L(0))
         verdict = run_program(program)
         # T = 2 stores + 2 writebacks + 1 flush + 1 load
         assert verdict.crash_points == 6
-        # per path: crash points minus dedups, plus the completion run
-        per_path = verdict.crash_points + 1 - verdict.deduped // len(
-            EXECUTION_PATHS)
-        assert verdict.executed == per_path * len(EXECUTION_PATHS)
+        # crash points minus dedups, plus the completion run
+        assert verdict.executed == \
+            verdict.crash_points + 1 - verdict.deduped
 
     def test_dedup_prunes_load_only_suffixes(self):
         program = _program(S(0, 1), L(0), L(1), L(0))
-        verdict = run_program(program, paths=("scalar",))
+        verdict = run_program(program)
         # crashes at ticks 2 and 3 share tick 1's mutating prefix
         assert verdict.deduped == 2
         assert verdict.ok
@@ -238,11 +284,7 @@ class TestEngine:
         for seed in range(4):
             program = generate_program(random.Random(seed), shape)
             verdict = run_program(program)
-            assert verdict.ok, (verdict.violations + verdict.divergences)
-
-    def test_unknown_path_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            run_program(_program(S(0, 1)), paths=("warp",))
+            assert verdict.ok, verdict.violations
 
 
 class TestBrokenOracle:
@@ -255,8 +297,6 @@ class TestBrokenOracle:
     def test_violation_detected_on_every_path(self):
         verdict = run_program(self.PROGRAM, model=self.BROKEN)
         assert not verdict.ok
-        paths = {ce.path for ce in verdict.violations}
-        assert paths == set(EXECUTION_PATHS)
         first = verdict.violations[0]
         assert first.observed == 0 and first.allowed == (1,)
         assert "allowed {v1}" in first.render()

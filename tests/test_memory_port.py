@@ -14,6 +14,7 @@ from repro.core.machine import (
     _BACKEND_FACTORIES,
     register_backend_factory,
 )
+from repro.memory.batch import default_access_batch
 from repro.memory.dram import DRAMConfig, DRAMSubsystem
 from repro.memory.port import (
     AddressRange,
@@ -258,6 +259,31 @@ class TestAddressRangePartition:
         assert any(p.startswith("region0.") for p in paths)
         assert any(p.startswith("region1.") for p in paths)
 
+    def test_power_parts_charge_the_counters_handed_in(self):
+        """``Machine.power_report`` hands a composite per-window deltas
+        and extrapolated totals: an all-zero dict charges no traffic."""
+        hybrid = self._hybrid()
+        for line in range(100):
+            hybrid.access(MemoryRequest(MemoryOp.WRITE, line * 64,
+                                        time=float(line)))
+        zero = {key: 0.0 for key in hybrid.counters()}
+        for name, _, counters in hybrid.power_parts(zero):
+            assert not counters or not any(counters.values()), name
+
+    def test_power_parts_from_live_counters_match_each_region(self):
+        hybrid = self._hybrid()
+        for line in range(100):
+            hybrid.access(MemoryRequest(MemoryOp.WRITE, line * 64,
+                                        time=float(line)))
+            hybrid.access(MemoryRequest(MemoryOp.READ, CAPACITY + line * 64,
+                                        time=float(line)))
+        expected = []
+        for region in hybrid.regions:
+            expected += region.backend.power_parts(region.backend.counters())
+        assert hybrid.power_parts(hybrid.counters()) == expected
+        assert any(counters and counters.get("writes")
+                   for _, _, counters in expected)
+
 
 class TestStatsRegistry:
     def test_snapshot_and_flat(self):
@@ -412,19 +438,17 @@ class TestMachineIntegration:
 
 
 class TestFaultInjectorBoundaries:
-    """Satellite regression: ``completed`` prefix accounting at the
-    off-by-one edges — a cut scheduled at op 0 and exactly at the ends
-    of an operation stream."""
+    """Served-prefix accounting at the off-by-one edges — a cut
+    scheduled at op 0 and exactly at the ends of an operation stream."""
 
     def _injector(self, crash_at, **kwargs):
         return FaultInjector(_psm(), crash_at_op=crash_at, **kwargs)
 
     def test_crash_at_op_zero_serves_nothing(self):
         port = self._injector(0)
-        with pytest.raises(InjectedPowerFailure) as excinfo:
+        with pytest.raises(InjectedPowerFailure):
             port.access(MemoryRequest(MemoryOp.WRITE, 0,
                                       data=b"\x07" * 64, time=0.0))
-        assert excinfo.value.completed == []
         assert port.tripped and port.op_index == 0
         # nothing reached the backend: the line still reads as initial
         response = port.access(MemoryRequest(MemoryOp.READ, 0, time=0.0))
@@ -435,10 +459,14 @@ class TestFaultInjectorBoundaries:
         requests = [MemoryRequest(MemoryOp.WRITE, i * 64,
                                   data=bytes([i + 1]) * 64, time=0.0)
                     for i in range(6)]
-        with pytest.raises(InjectedPowerFailure) as excinfo:
-            port.access_batch(requests)
-        assert excinfo.value.completed == []
+        with pytest.raises(InjectedPowerFailure):
+            default_access_batch(port, requests)
         assert port.op_index == 0 and port.tripped
+        # nothing reached the backend: every line still reads as initial
+        for request in requests:
+            response = port.access(MemoryRequest(
+                MemoryOp.READ, request.address, time=0.0))
+            assert not response.data or not any(response.data)
 
     def test_schedule_rearm_resets_the_count(self):
         port = self._injector(None)

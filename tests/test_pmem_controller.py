@@ -83,3 +83,26 @@ class TestNMEMController:
         nmem.access(MemoryRequest(MemoryOp.WRITE, address=0))
         response = nmem.access(MemoryRequest(MemoryOp.FLUSH, time=0.0))
         assert response.complete_time >= 0.0
+
+    def _written(self, writes=100):
+        nmem = self._nmem()
+        for line in range(writes):
+            nmem.access(MemoryRequest(MemoryOp.WRITE, address=line * 64,
+                                      time=float(line)))
+        return nmem
+
+    def test_power_parts_charge_the_counters_handed_in(self):
+        """``Machine.power_report`` hands per-window deltas and
+        extrapolated totals: an all-zero dict charges no traffic to
+        either tier."""
+        nmem = self._written()
+        zero = {key: 0.0 for key in nmem.counters()}
+        for name, _, counters in nmem.power_parts(zero):
+            assert not counters or not any(counters.values()), name
+
+    def test_power_parts_from_live_counters_match_each_tier(self):
+        nmem = self._written()
+        expected = (nmem.dram.power_parts(nmem.dram.counters())
+                    + nmem.pmem.power_parts(nmem.pmem.counters())
+                    + [("nmem_ctrl", 1.0, {"fills": 100.0})])
+        assert nmem.power_parts(nmem.counters()) == expected

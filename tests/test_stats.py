@@ -1,7 +1,6 @@
 """Tests for the statistics accumulators."""
 
 import math
-import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -79,19 +78,6 @@ class TestLatencyStats:
         s = LatencyStats()
         s.extend(values)
         assert s.variance >= 0.0
-
-    def test_record_many_sequence_identical_to_scalar_loop(self):
-        rng = random.Random(11)
-        values = [rng.uniform(10.0, 500.0) for _ in range(5000)]
-        scalar = LatencyStats(capacity=128)
-        for value in values:
-            scalar.record(value)
-        bulk = LatencyStats(capacity=128)
-        bulk.record_many(values)
-        assert bulk.count == scalar.count
-        assert bulk.total == scalar.total
-        assert bulk._reservoir == scalar._reservoir
-        assert bulk._stride == scalar._stride
 
 
 class TestHistogram:
