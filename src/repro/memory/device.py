@@ -28,6 +28,10 @@ __all__ = [
 ]
 
 
+#: storage block size (one cacheline)
+_BLOCK_BYTES = 64
+
+
 class DeviceBusyError(RuntimeError):
     """Raised when a non-blocking access is attempted on an occupied die."""
 
@@ -78,16 +82,21 @@ class PRAMTiming:
 class _Storage:
     """Sparse byte storage shared by the device models.
 
-    Addresses are device-local.  Only functional users (ECC recovery tests,
-    PMDK pools, EP-cut replay) store real bytes; the temporal path never
-    touches this, so the dict stays empty and costs nothing.
+    Addresses are device-local.  Bytes live in 64 B blocks, each
+    allocated on the first write that touches it; a byte never written
+    reads as zero.  Only functional users (ECC recovery tests, PMDK
+    pools, EP-cut replay) store real bytes; the temporal path never
+    touches this, so the block map stays empty and costs nothing.  An
+    empty map is how the device models tell that nothing was ever
+    written.
     """
 
     __slots__ = ("capacity", "_bytes")
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._bytes: dict[int, int] = {}
+        #: block index -> the block's bytes
+        self._bytes: dict[int, bytearray] = {}
 
     def check(self, address: int, size: int) -> None:
         if address < 0 or address + size > self.capacity:
@@ -97,13 +106,46 @@ class _Storage:
             )
 
     def write(self, address: int, data: bytes) -> None:
-        self.check(address, len(data))
-        for i, b in enumerate(data):
-            self._bytes[address + i] = b
+        size = len(data)
+        self.check(address, size)
+        blocks = self._bytes
+        block, offset = divmod(address, _BLOCK_BYTES)
+        if offset == 0 and size == _BLOCK_BYTES:  # one whole block
+            blocks[block] = bytearray(data)
+            return
+        done = 0
+        while done < size:
+            chunk = min(_BLOCK_BYTES - offset, size - done)
+            stored = blocks.get(block)
+            if stored is None:
+                stored = blocks[block] = bytearray(_BLOCK_BYTES)
+            stored[offset:offset + chunk] = data[done:done + chunk]
+            done += chunk
+            block += 1
+            offset = 0
 
     def read(self, address: int, size: int) -> bytes:
         self.check(address, size)
-        return bytes(self._bytes.get(address + i, 0) for i in range(size))
+        size = max(size, 0)  # a negative size reads nothing
+        blocks = self._bytes
+        block, offset = divmod(address, _BLOCK_BYTES)
+        if offset + size <= _BLOCK_BYTES:
+            stored = blocks.get(block)
+            if stored is None:
+                return bytes(size)
+            return bytes(stored[offset:offset + size])
+        out = bytearray()
+        while size > 0:
+            chunk = min(_BLOCK_BYTES - offset, size)
+            stored = blocks.get(block)
+            if stored is None:
+                out += bytes(chunk)
+            else:
+                out += stored[offset:offset + chunk]
+            size -= chunk
+            block += 1
+            offset = 0
+        return bytes(out)
 
     def wipe(self) -> None:
         self._bytes.clear()
@@ -130,6 +172,9 @@ class PRAMDevice:
     """
 
     ROW_BYTES = 1024  # die-local row granularity for thermal cooling
+
+    __slots__ = ("timing", "device_id", "storage", "busy_until", "_cooling",
+                 "read_count", "write_count", "wear", "track_wear")
 
     def __init__(
         self,
@@ -160,19 +205,18 @@ class PRAMDevice:
     def cooling_until(self, address: int) -> float:
         return self._cooling.get(self._row(address), 0.0)
 
-    def is_busy(self, time: float, address: Optional[int] = None) -> bool:
-        """Is the die (or, with ``address``, the target row) unavailable?"""
-        if time < self.busy_until:
-            return True
-        return address is not None and time < self.cooling_until(address)
+    def ready_at(self, address: int) -> float:
+        """When an access to ``address`` can start: the later of the die
+        going idle and the target row finishing its cooling window."""
+        cooling = self._cooling.get(address // self.ROW_BYTES, 0.0)
+        busy = self.busy_until
+        return cooling if cooling > busy else busy
 
     def busy_wait(self, time: float, address: Optional[int] = None) -> float:
         """How long an arrival at ``time`` must wait to access the die
         (and, if given, the target row's cooling window)."""
-        wait_until = self.busy_until
-        if address is not None:
-            wait_until = max(wait_until, self.cooling_until(address))
-        return max(0.0, wait_until - time)
+        ready = self.busy_until if address is None else self.ready_at(address)
+        return max(0.0, ready - time)
 
     def read(
         self, time: float, address: int, size: int, *, blocking: bool = True
@@ -184,16 +228,23 @@ class PRAMDevice:
         reconstruct instead.
         """
         self.storage.check(address, size)
-        if not blocking and self.is_busy(time, address):
+        ready = self.ready_at(address)
+        if not blocking and time < ready:
             raise DeviceBusyError(
                 f"PRAM die {self.device_id} busy until {self.busy_until}"
             )
-        start = max(time, self.busy_until, self.cooling_until(address))
-        complete = start + self.timing.read_ns
-        self.busy_until = complete
-        self.read_count += 1
+        complete = self.occupy_read(time, ready)
         data = self.storage.read(address, size) if self.storage._bytes else None
         return complete, data
+
+    def occupy_read(self, time: float, ready: float) -> float:
+        """The timing half of :meth:`read`, for a caller that already holds
+        the target's :meth:`ready_at` and knows the address is in range:
+        occupy the die for one read and count it; returns its completion."""
+        complete = (ready if ready > time else time) + self.timing.read_ns
+        self.busy_until = complete
+        self.read_count += 1
+        return complete
 
     def peek(self, address: int, size: int) -> bytes:
         """Functional read with no timing side effects (used by ECC checks)."""
@@ -221,15 +272,7 @@ class PRAMDevice:
         if length <= 0:
             raise ValueError("write needs data or a positive size")
         self.storage.check(address, length)
-        start = max(time, self.busy_until, self.cooling_until(address))
-        pulse_end = start + self.timing.write_service_ns
-        stable = pulse_end + self.timing.cooling_ns
-        self.busy_until = pulse_end
-        self._set_cooling(address, stable, time)
-        self.write_count += 1
-        if self.track_wear:
-            block = address - (address % 32)
-            self.wear[block] = self.wear.get(block, 0) + 1
+        stable = self.program(time, address) + self.timing.cooling_ns
         if data is not None:
             self.storage.write(address, data)
         if early_return:
@@ -238,12 +281,27 @@ class PRAMDevice:
             complete = stable  # synchronous writes wait out stability
         return complete, stable
 
-    def _set_cooling(self, address: int, until: float, now: float) -> None:
+    def program(self, time: float, address: int) -> float:
+        """The timing half of :meth:`write`, for a caller that knows the
+        address is in range: one programming pulse issued at ``time``
+        occupies the die, starts the row's cooling window and counts the
+        write (and its wear); returns the pulse end."""
+        start = self.ready_at(address)
+        if time > start:
+            start = time
+        pulse_end = start + self.timing.write_service_ns
+        self.busy_until = pulse_end
         if len(self._cooling) > 64:  # prune expired windows
             self._cooling = {
-                row: t for row, t in self._cooling.items() if t > now
+                row: t for row, t in self._cooling.items() if t > time
             }
-        self._cooling[self._row(address)] = until
+        self._cooling[address // self.ROW_BYTES] = (
+            pulse_end + self.timing.cooling_ns)
+        self.write_count += 1
+        if self.track_wear:
+            block = address - (address % 32)
+            self.wear[block] = self.wear.get(block, 0) + 1
+        return pulse_end
 
     def drain(self, time: float) -> float:
         """Time at which all in-flight programming pulses have finished

@@ -35,9 +35,12 @@ class UncorrectableError(Exception):
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    size = len(a)
+    if size != len(b):
+        raise ValueError(f"length mismatch: {size} vs {len(b)}")
+    # as two wide integers, so the XOR is one C-level operation
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")) \
+        .to_bytes(size, "little")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from typing import Literal, Optional
 
 from repro.memory.device import PRAMDevice, PRAMTiming
 from repro.memory.request import CACHELINE_BYTES, PRAM_DEVICE_BYTES
+from repro.ocpmem.ecc import xor_bytes
 
 __all__ = ["BareNVDIMM", "DieSlot", "Layout"]
 
@@ -65,10 +66,10 @@ class BareNVDIMM:
         self.dies_per_group = _DIES // self.groups
         slots_per_die = -(-lines // self.groups)  # ceil
         die_capacity = slots_per_die * _SLOT_BYTES
-        self.dies = [
-            PRAMDevice(die_capacity, timing, device_id=dimm_id * _DIES + i)
-            for i in range(_DIES)
-        ]
+        timing = timing or PRAMTiming()  # one record shared by the rank
+        first_id = dimm_id * _DIES
+        self.dies = [PRAMDevice(die_capacity, timing, device_id)
+                     for device_id in range(first_id, first_id + _DIES)]
         #: (die, address) slots whose media ECC reports containment —
         #: injected by :meth:`corrupt_slot`, cleared by a fresh store.
         self._corrupted: set[tuple[int, int]] = set()
@@ -87,13 +88,22 @@ class BareNVDIMM:
         enabled (and programmed) at their full 32 B granularity.
         """
         self._check_line(line)
-        group = line % self.groups
-        slot_index = line // self.groups
-        base = group * self.dies_per_group
+        _, first, address = self.slot_of(line)
         return [
-            DieSlot(die=base + i, address=slot_index * _SLOT_BYTES)
+            DieSlot(die=first + i, address=address)
             for i in range(self.dies_per_group)
         ]
+
+    def slot_of(self, line: int) -> tuple[int, int, int]:
+        """``(group, first die, die-local address)`` of an in-range line.
+
+        The line's CE group is ``line % groups``; its slot sits at the
+        same address on each of the group's ``dies_per_group``
+        consecutive dies, starting at the first die.  Arithmetic only: no
+        range check and nothing allocated but the tuple.
+        """
+        slot_index, group = divmod(line, self.groups)
+        return group, group * self.dies_per_group, slot_index * _SLOT_BYTES
 
     def group_dies(self, group: int) -> list[PRAMDevice]:
         if not 0 <= group < self.groups:
@@ -117,19 +127,33 @@ class BareNVDIMM:
         if self.layout != "dual_channel":
             raise ValueError("functional storage is dual_channel-only")
         half0, half1 = data[:_HALF], data[_HALF:]
-        parity = bytes(a ^ b for a, b in zip(half0, half1))
-        slots = self.slots_of(line)
-        self.dies[slots[0].die].storage.write(slots[0].address, half0 + parity)
-        self.dies[slots[1].die].storage.write(slots[1].address, half1 + parity)
-        self._corrupted.discard((slots[0].die, slots[0].address))
-        self._corrupted.discard((slots[1].die, slots[1].address))
+        parity = xor_bytes(half0, half1)
+        self._check_line(line)
+        _, first, address = self.slot_of(line)
+        self.store_at(first, address, half0, half1, parity)
+
+    def store_at(self, die: int, address: int, half0: bytes, half1: bytes,
+                 parity: bytes) -> None:
+        """Store a line's halves + parity at slot ``address`` of ``die``
+        and its sibling (the line's dual-channel group), no timing."""
+        dies = self.dies
+        dies[die].storage.write(address, half0 + parity)
+        dies[die + 1].storage.write(address, half1 + parity)
+        corrupted = self._corrupted
+        if corrupted:
+            corrupted.discard((die, address))
+            corrupted.discard((die + 1, address))
 
     def load_slot(self, line: int, which: int) -> tuple[bytes, bytes]:
         """(half, parity) stored on one die of the line's group."""
         if self.layout != "dual_channel":
             raise ValueError("functional storage is dual_channel-only")
         slot = self.slots_of(line)[which]
-        raw = self.dies[slot.die].peek(slot.address, _SLOT_BYTES)
+        return self.load_at(slot.die, slot.address)
+
+    def load_at(self, die: int, address: int) -> tuple[bytes, bytes]:
+        """(half, parity) stored at slot ``address`` of ``die``."""
+        raw = self.dies[die].peek(address, _SLOT_BYTES)
         return raw[:_HALF], raw[_HALF:]
 
     def corrupt_slot(self, line: int, which: int) -> None:
@@ -147,7 +171,11 @@ class BareNVDIMM:
 
     def is_corrupt(self, line: int, which: int) -> bool:
         slot = self.slots_of(line)[which]
-        return (slot.die, slot.address) in self._corrupted
+        return self.is_corrupt_at(slot.die, slot.address)
+
+    def is_corrupt_at(self, die: int, address: int) -> bool:
+        """Does slot ``address`` of ``die`` carry the containment bit?"""
+        return (die, address) in self._corrupted
 
     def wipe(self) -> None:
         """Reset-port support: clear all media contents and fault state."""
@@ -159,7 +187,10 @@ class BareNVDIMM:
     # -- timing helpers ---------------------------------------------------------
 
     def drain(self, time: float) -> float:
-        return max([time] + [die.busy_until for die in self.dies])
+        for die in self.dies:
+            if die.busy_until > time:
+                time = die.busy_until
+        return time
 
     def power_cycle(self) -> None:
         for die in self.dies:

@@ -54,7 +54,7 @@ from repro.memory.request import (
 from repro.memory.rowbuffer import WriteAggregationBuffer
 from repro.ocpmem.ecc import SymbolECC, XORCodec
 from repro.ocpmem.nvdimm import BareNVDIMM, Layout
-from repro.ocpmem.wear import StartGap
+from repro.ocpmem.wear import StartGap, WearRegisters
 from repro.sim.stats import LatencyStats, RatioStat, StatsRegistry
 
 __all__ = ["PSM", "PSMConfig", "MachineCheckError"]
@@ -127,20 +127,13 @@ class PSM:
         self.config = config or PSMConfig()
         self.functional = functional
         cfg = self.config
+        timing = cfg.pram_timing or PRAMTiming()  # one record for every die
         self.nvdimms = [
             BareNVDIMM(cfg.lines_per_dimm, cfg.layout,
-                       timing=cfg.pram_timing, dimm_id=i)
+                       timing=timing, dimm_id=i)
             for i in range(cfg.dimms)
         ]
-        move_fn = self._move_line if functional else None
-        self.wear = StartGap(
-            lines=cfg.total_lines - 1,  # one physical spare line
-            threshold=cfg.wear_threshold,
-            seed=cfg.wear_seed,
-            move_fn=move_fn,
-            rotate_seed_every=cfg.rotate_seed_every,
-            randomize_unit=cfg.wear_randomize_unit,
-        )
+        self.wear = self._start_gap()
         self.xcc = XORCodec(half_bytes=_HALF)
         self.symbol_ecc = SymbolECC() if cfg.symbol_ecc else None
         self._buffers: dict[tuple[int, int], WriteAggregationBuffer] = {}
@@ -165,6 +158,17 @@ class PSM:
     def capacity(self) -> int:
         """Host-visible capacity in bytes (logical lines)."""
         return self.wear.lines * CACHELINE_BYTES
+
+    def _start_gap(self) -> StartGap:
+        cfg = self.config
+        return StartGap(
+            lines=cfg.total_lines - 1,  # one physical spare line
+            threshold=cfg.wear_threshold,
+            seed=cfg.wear_seed,
+            move_fn=self._move_line if self.functional else None,
+            rotate_seed_every=cfg.rotate_seed_every,
+            randomize_unit=cfg.wear_randomize_unit,
+        )
 
     def _route(self, physical_line: int) -> tuple[BareNVDIMM, int]:
         dimm = self.nvdimms[physical_line % len(self.nvdimms)]
@@ -203,13 +207,14 @@ class PSM:
     # -- boundary ---------------------------------------------------------------
 
     def access(self, request: MemoryRequest) -> MemoryResponse:
-        if request.op is MemoryOp.FLUSH:
+        op = request.op
+        if op is MemoryOp.FLUSH:
             return MemoryResponse(request, complete_time=self.flush(request.time))
-        if request.op is MemoryOp.RESET:
+        if op is MemoryOp.RESET:
             return MemoryResponse(request, complete_time=self.reset(request.time))
         if request.size > CACHELINE_BYTES:
             raise ValueError("PSM boundary is cacheline-granular")
-        if request.is_write:
+        if op is MemoryOp.WRITE:
             return self._serve_write(request)
         return self._serve_read(request)
 
@@ -219,17 +224,23 @@ class PSM:
         cfg = self.config
         t = request.time + cfg.port_ns
         physical_line, dimm, local_line = self._translate(request.address)
-        group = dimm.group_of(local_line)
-        logical_line = request.address // CACHELINE_BYTES
-        self.background_ns += self.wear.record_write(logical_line)
+        group, first, _ = dimm.slot_of(local_line)
+        self.background_ns += self.wear.record_write(
+            request.address // CACHELINE_BYTES)
 
         # Backpressure: a DIMM whose channel/media backlog is too deep
         # stalls the port until programming catches up.
-        backlog = max(
-            self._group_backlog(dimm, group, t),
-            self._channel_wait(dimm, t),
-        )
-        stall = max(0.0, backlog - cfg.write_backlog_limit_ns)
+        busiest = 0.0  # dies are idle from time 0
+        for die in dimm.dies[first:first + dimm.dies_per_group]:
+            if die.busy_until > busiest:
+                busiest = die.busy_until
+        channel = self._channel_busy.get(dimm.dimm_id, 0.0)
+        backlog = busiest - t if busiest > t else 0.0
+        if channel - t > backlog:
+            backlog = channel - t
+        stall = backlog - cfg.write_backlog_limit_ns
+        if stall <= 0.0:
+            stall = 0.0
         t += stall
         self.write_stall_ns += stall
 
@@ -238,13 +249,12 @@ class PSM:
             # is held only for the handshake, programming happens in the
             # background (early return).
             buf = self._buffer(dimm.dimm_id, group)
-            local_address = local_line * CACHELINE_BYTES
-            absorbed, to_drain = buf.write(t, local_address)
+            absorbed, to_drain = buf.write(t, local_line * CACHELINE_BYTES)
             if request.data is not None:
                 self._pending[physical_line] = request.data
             if to_drain is not None:
                 page, beats = to_drain
-                self._drain_page(t, dimm, group, page, beats)
+                self._drain_page(t, dimm, page, beats)
             complete = t + cfg.buffer_ns + cfg.port_ns
             self.buffer_hits.record(absorbed)
         else:
@@ -253,9 +263,8 @@ class PSM:
             # transfer+accept handshake; without it (LightPC-B) the channel
             # is held until the PRAM core finishes programming *and*
             # cooling — the head-of-line blocking the PSM exists to remove.
-            start = max(t, self._channel_busy.get(dimm.dimm_id, 0.0))
             accept, pulse_end = self._program_line(
-                start, dimm, local_line, physical_line,
+                channel if channel > t else t, dimm, local_line,
                 data=request.data, staggered=False,
             )
             if cfg.early_return_writes:
@@ -275,14 +284,10 @@ class PSM:
             blocked_ns=stall,
         )
 
-    def _channel_wait(self, dimm: BareNVDIMM, time: float) -> float:
-        return max(0.0, self._channel_busy.get(dimm.dimm_id, 0.0) - time)
-
     def _drain_page(
         self,
         time: float,
         dimm: BareNVDIMM,
-        group: int,
         page: int,
         beats: set[int],
     ) -> None:
@@ -296,7 +301,7 @@ class PSM:
             physical_line = self._physical_of_local(dimm, local_line)
             data = self._pending.pop(physical_line, None)
             _, t = self._program_line(
-                t, dimm, local_line, physical_line, data=data, staggered=True,
+                t, dimm, local_line, data=data, staggered=True,
             )
 
     def _physical_of_local(self, dimm: BareNVDIMM, local_line: int) -> int:
@@ -307,7 +312,6 @@ class PSM:
         time: float,
         dimm: BareNVDIMM,
         local_line: int,
-        physical_line: int,
         data: Optional[bytes],
         staggered: bool,
     ) -> tuple[float, float]:
@@ -318,33 +322,25 @@ class PSM:
         is programming at a time (LightPC row-buffer drains); the parallel
         variant is the conventional-controller behaviour of LightPC-B.
         """
-        slots = dimm.slots_of(local_line)
         self.media_line_writes += 1
+        _, first, address = dimm.slot_of(local_line)
         if data is not None and dimm.layout == "dual_channel":
             half0, half1 = data[:_HALF], data[_HALF:]
-            self.xcc.encode(half0, half1)  # one combinational cycle
-            dimm.store_line(local_line, data)
-        issue = time
-        pulse_end = time
-        accept = time
-        for slot in slots:
-            die = dimm.dies[slot.die]
-            complete, _stable = die.write(
-                issue, slot.address, size=_HALF * 2, early_return=True
-            )
-            accept = max(accept, complete)
-            pulse_end = max(pulse_end, die.busy_until)
+            parity = self.xcc.encode(half0, half1)  # one combinational cycle
+            dimm.store_at(first, address, half0, half1, parity)
+        issue = accept = pulse_end = time
+        for die in dimm.dies[first:first + dimm.dies_per_group]:
+            end = die.program(issue, address)
+            accepted = issue + die.timing.accept_ns
+            if accepted > accept:
+                accept = accepted
+            if end > pulse_end:
+                pulse_end = end
             if staggered:
                 # next die starts once this pulse ends (cooling is
                 # per-row and does not block the sibling's programming)
-                issue = die.busy_until
+                issue = end
         return accept, pulse_end
-
-    def _group_backlog(self, dimm: BareNVDIMM, group: int, time: float) -> float:
-        return max(
-            0.0,
-            max(d.busy_until for d in dimm.group_dies(group)) - time,
-        )
 
     # -- read path ------------------------------------------------------------------
 
@@ -352,7 +348,7 @@ class PSM:
         cfg = self.config
         t = request.time + cfg.port_ns
         physical_line, dimm, local_line = self._translate(request.address)
-        group = dimm.group_of(local_line)
+        group, first, address = dimm.slot_of(local_line)
 
         # 1. row buffer holds the youngest copy?
         if cfg.write_aggregation:
@@ -369,21 +365,28 @@ class PSM:
         # The synchronous DDR channel is shared per DIMM: a write being
         # held on it (LightPC-B) blocks every read behind it, whatever die
         # it targets — the head-of-line blocking of Fig. 16.
-        channel_wait = self._channel_wait(dimm, t)
+        channel_wait = self._channel_busy.get(dimm.dimm_id, 0.0) - t
         if channel_wait > 0:
             self.read_blocked_ns += channel_wait
             t += channel_wait
 
-        slots = dimm.slots_of(local_line)
         if cfg.layout == "dram_like":
-            return self._read_dram_like(request, t, dimm, slots)
+            return self._read_dram_like(request, t, dimm, local_line)
 
-        die0 = dimm.dies[slots[0].die]
-        die1 = dimm.dies[slots[1].die]
-        corrupt0 = self.functional and dimm.is_corrupt(local_line, 0)
-        corrupt1 = self.functional and dimm.is_corrupt(local_line, 1)
-        busy0 = die0.is_busy(t, slots[0].address)
-        busy1 = die1.is_busy(t, slots[1].address)
+        die0 = dimm.dies[first]
+        die1 = dimm.dies[first + 1]
+        if self.functional:
+            corrupt0 = dimm.is_corrupt_at(first, address)
+            corrupt1 = dimm.is_corrupt_at(first + 1, address)
+        else:
+            corrupt0 = corrupt1 = False
+        # each die can serve the line once it is idle and the row cooled
+        ready0 = die0.ready_at(address)
+        ready1 = die1.ready_at(address)
+        busy0 = ready0 > t
+        busy1 = ready1 > t
+        wait0 = ready0 - t if busy0 else 0.0
+        wait1 = ready1 - t if busy1 else 0.0
 
         if corrupt0 and corrupt1:
             return self._contained_error(request, t, dimm, local_line)
@@ -395,13 +398,8 @@ class PSM:
             # programming pulse cannot be preempted, so the worst wait is
             # bounded by the remaining pulse, approximated as half an
             # occupancy window.
-            which = self._pick_survivor(
-                die0.busy_wait(t, slots[0].address),
-                die1.busy_wait(t, slots[1].address),
-                corrupt0, corrupt1,
-            )
-            slot = slots[which]
-            die = dimm.dies[slot.die]
+            which = self._pick_survivor(wait0, wait1, corrupt0, corrupt1)
+            die = die1 if which else die0
             if cfg.write_aggregation:
                 # Staggered drains keep at most one die of the group
                 # actively programming; the survivor's backlog is queued
@@ -409,7 +407,7 @@ class PSM:
                 wait = 0.0
             else:
                 wait = min(
-                    die.busy_wait(t, slot.address),
+                    wait1 if which else wait0,
                     die.timing.write_occupancy_ns / 2.0,
                 )
             self.read_blocked_ns += wait
@@ -421,7 +419,7 @@ class PSM:
                 t + wait + die.timing.read_ns + cfg.reconstruct_extra_ns
                 + cfg.xor_decode_ns + cfg.port_ns
             )
-            data = self._reconstruct_data(dimm, local_line, which)
+            data = self._reconstruct_data(dimm, first + which, address, which)
             self.reconstructions += 1
             # the channel is held only for the pipelined data burst
             self._channel_busy[dimm.dimm_id] = t + 20.0
@@ -432,20 +430,17 @@ class PSM:
 
         # Plain path: both halves in parallel; wait on busy dies — this is
         # the baseline's read-after-write head-of-line blocking.
-        wait = max(
-            die0.busy_wait(t, slots[0].address),
-            die1.busy_wait(t, slots[1].address),
-        )
+        wait = wait0 if wait0 >= wait1 else wait1
         self.read_blocked_ns += wait
-        c0, _ = die0.read(t, slots[0].address, _HALF)
-        c1, _ = die1.read(t, slots[1].address, _HALF)
-        complete = max(c0, c1) + cfg.port_ns
+        c0 = die0.occupy_read(t, ready0)
+        c1 = die1.occupy_read(t, ready1)
+        complete = (c0 if c0 >= c1 else c1) + cfg.port_ns
         # the channel is held only for the pipelined data burst
         self._channel_busy[dimm.dimm_id] = t + 20.0
         data: Optional[bytes] = None
         if self.functional:
-            half0, parity0 = dimm.load_slot(local_line, 0)
-            half1, _ = dimm.load_slot(local_line, 1)
+            half0, parity0 = dimm.load_at(first, address)
+            half1, _ = dimm.load_at(first + 1, address)
             if not self.xcc.verify(half0, half1, parity0):
                 # Shouldn't happen without injected faults; contained.
                 return self._contained_error(request, t, dimm, local_line)
@@ -466,11 +461,11 @@ class PSM:
         return 0 if wait0 <= wait1 else 1
 
     def _reconstruct_data(
-        self, dimm: BareNVDIMM, local_line: int, survivor: int
+        self, dimm: BareNVDIMM, die: int, address: int, survivor: int
     ) -> Optional[bytes]:
         if not self.functional:
             return None
-        half, parity = dimm.load_slot(local_line, survivor)
+        half, parity = dimm.load_at(die, address)
         other = self.xcc.reconstruct(half, parity)
         return (half + other) if survivor == 0 else (other + half)
 
@@ -496,18 +491,21 @@ class PSM:
         )
 
     def _read_dram_like(
-        self, request: MemoryRequest, t: float, dimm: BareNVDIMM, slots
+        self, request: MemoryRequest, t: float, dimm: BareNVDIMM,
+        local_line: int,
     ) -> MemoryResponse:
         """Strawman layout: every access enables all eight dies."""
-        completes = []
-        wait = 0.0
-        for slot in slots:
+        complete = wait = 0.0
+        for slot in dimm.slots_of(local_line):
             die = dimm.dies[slot.die]
-            wait = max(wait, die.busy_wait(t, slot.address))
-            c, _ = die.read(t, slot.address, _HALF)
-            completes.append(c)
+            ready = die.ready_at(slot.address)
+            if ready - t > wait:
+                wait = ready - t
+            done = die.occupy_read(t, ready)
+            if done > complete:
+                complete = done
         self.read_blocked_ns += wait
-        complete = max(completes) + self.config.port_ns
+        complete += self.config.port_ns
         self.read_latency.record(complete - request.time)
         return MemoryResponse(request, complete_time=complete, blocked_ns=wait)
 
@@ -519,14 +517,12 @@ class PSM:
         This is the memory-synchronization interface SnG's Auto-Stop uses;
         after it returns there are no early-returned requests in flight.
         """
-        t = time
-        for (dimm_id, group), buf in self._buffers.items():
+        for (dimm_id, _group), buf in self._buffers.items():
             closed = buf.flush()
             if closed is not None:
                 page, beats = closed
-                self._drain_page(t, self.nvdimms[dimm_id], group, page, beats)
-        t = max([t] + [d.drain(t) for d in self.nvdimms])
-        return t + self.config.port_ns
+                self._drain_page(time, self.nvdimms[dimm_id], page, beats)
+        return self.drain(time) + self.config.port_ns
 
     def reset(self, time: float) -> float:
         """Reset port: wipe all media (MCE recovery / cold re-init)."""
@@ -535,19 +531,14 @@ class PSM:
         self._pending.clear()
         self._buffers.clear()
         self._channel_busy.clear()
-        self.wear = StartGap(
-            lines=self.config.total_lines - 1,
-            threshold=self.config.wear_threshold,
-            seed=self.config.wear_seed,
-            move_fn=self._move_line if self.functional else None,
-            rotate_seed_every=self.config.rotate_seed_every,
-            randomize_unit=self.config.wear_randomize_unit,
-        )
+        self.wear = self._start_gap()
         return time + 1_000.0  # bulk wipe handshake
 
     def drain(self, time: float) -> float:
         """Quiesce time without closing row buffers (fence semantics)."""
-        return max([time] + [d.drain(time) for d in self.nvdimms])
+        for dimm in self.nvdimms:
+            time = dimm.drain(time)
+        return time
 
     def power_cycle(self) -> None:
         """Power loss: media persists; volatile PSM state must have been
@@ -560,15 +551,11 @@ class PSM:
         data becomes unreachable — the paper persists exactly these <64 B
         at SnG time (§VIII).
         """
-        lost = len(self._pending)
         self._pending.clear()
         self._buffers.clear()
         self._channel_busy.clear()
         for dimm in self.nvdimms:
             dimm.power_cycle()
-        self._lost_pending_lines = lost
-        from repro.ocpmem.wear import WearRegisters
-
         self.wear.restore_registers(WearRegisters(
             start=0, gap=self.wear.lines, write_count=0,
             seed=self.config.wear_seed, gap_cycles=0,
@@ -577,18 +564,17 @@ class PSM:
     # -- EP-cut register capture -------------------------------------------
 
     def capture_registers(self) -> bytes:
-        """Serialize the wear-leveler register file for the EP-cut."""
-        import pickle
-
-        return pickle.dumps(self.wear.registers())
+        """The wear-leveler register file for the EP-cut: the fixed 40 B
+        image of :meth:`WearRegisters.pack`."""
+        return self.wear.registers().pack()
 
     def restore_wear_registers(self, blob: bytes) -> None:
-        """Restore the register file Go read back from the BCB."""
-        import pickle
-
+        """Restore the register file Go read back from the BCB; ``b""``
+        means nothing was captured, any other length but 40 B raises
+        ``ValueError``."""
         if not blob:
             return
-        self.wear.restore_registers(pickle.loads(blob))
+        self.wear.restore_registers(WearRegisters.unpack(blob))
 
     # -- introspection -----------------------------------------------------------------
 

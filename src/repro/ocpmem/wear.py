@@ -19,6 +19,7 @@ single-address write streams) is implemented by :meth:`rotate_seed`.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -77,6 +78,11 @@ class FeistelPermutation:
         return y
 
 
+#: The register file as the EP-cut stores it: five signed 64-bit
+#: little-endian words in field order, 40 B.
+_REGISTER_FILE = struct.Struct("<5q")
+
+
 @dataclass(frozen=True)
 class WearRegisters:
     """The wear-leveler's persistent register file (fits in <64 B)."""
@@ -86,6 +92,21 @@ class WearRegisters:
     write_count: int
     seed: int
     gap_cycles: int
+
+    def pack(self) -> bytes:
+        """The fixed 40 B image the EP-cut persists."""
+        return _REGISTER_FILE.pack(self.start, self.gap, self.write_count,
+                                   self.seed, self.gap_cycles)
+
+    @classmethod
+    def unpack(cls, blob: bytes) -> "WearRegisters":
+        """Inverse of :meth:`pack`; any other length is a ``ValueError``."""
+        if len(blob) != _REGISTER_FILE.size:
+            raise ValueError(
+                f"wear register file is {_REGISTER_FILE.size} B, "
+                f"got {len(blob)} B"
+            )
+        return cls(*_REGISTER_FILE.unpack(blob))
 
 
 class StartGap:
@@ -128,9 +149,8 @@ class StartGap:
         self.move_fn = move_fn
         self.rotate_seed_every = rotate_seed_every
         self.randomize_unit = randomize_unit
-        units = max(1, lines // randomize_unit)
-        self._units = units
-        self._randomizer = FeistelPermutation(units, seed)
+        self._units = max(1, lines // randomize_unit)
+        self._reseed(seed)
         self.start = 0
         self.gap = lines  # physical line `lines` is the initial spare
         self.write_count = 0
@@ -148,20 +168,33 @@ class StartGap:
             raise ValueError(
                 f"logical line {logical_line} outside [0, {self.lines})"
             )
-        randomized = self._randomize_line(logical_line)
-        physical = (randomized + self.start) % self.lines
+        unit, offset = divmod(logical_line, self.randomize_unit)
+        base = self._unit_memo.get(unit)
+        if base is None:
+            base = self._randomize_unit(unit)
+        physical = (base + offset + self.start) % self.lines
         if physical >= self.gap:
             physical += 1
         return physical
 
-    def _randomize_line(self, line: int) -> int:
-        if self.randomize_unit == 1:
-            return self._randomizer.apply(line) if self.lines > 1 else 0
-        unit, offset = divmod(line, self.randomize_unit)
+    def _randomize_unit(self, unit: int) -> int:
+        """First randomized line of randomize unit ``unit``, memoized.
+
+        The Feistel walk depends only on the randomizer, not on
+        start/gap, so the memo holds until :meth:`_reseed` replaces it.
+        """
         if unit >= self._units:
             # The partial tail unit past the permutation domain stays put.
-            return line
-        return self._randomizer.apply(unit) * self.randomize_unit + offset
+            base = unit * self.randomize_unit
+        else:
+            base = self._randomizer.apply(unit) * self.randomize_unit
+        self._unit_memo[unit] = base
+        return base
+
+    def _reseed(self, seed: int) -> None:
+        """Install the randomizer for ``seed`` and drop the old one's memo."""
+        self._randomizer = FeistelPermutation(self._units, seed)
+        self._unit_memo: dict[int, int] = {}
 
     # -- write bookkeeping ----------------------------------------------------
 
@@ -224,8 +257,7 @@ class StartGap:
         of old->new physical mapping so functional contents stay correct.
         """
         old_map = {l: self.map(l) for l in range(self.lines)} if self.move_fn else None
-        new_seed = (self._randomizer.seed * 0x9E3779B1 + 0xABCD) & 0xFFFFFFFF
-        self._randomizer = FeistelPermutation(self._units, new_seed)
+        self._reseed((self._randomizer.seed * 0x9E3779B1 + 0xABCD) & 0xFFFFFFFF)
         self.seed_rotations += 1
         if old_map is not None and self.move_fn is not None:
             self._migrate(old_map)
@@ -277,7 +309,8 @@ class StartGap:
         self.gap = regs.gap
         self.write_count = regs.write_count
         self.gap_cycles = regs.gap_cycles
-        self._randomizer = FeistelPermutation(self._units, regs.seed)
+        if regs.seed != self._randomizer.seed:
+            self._reseed(regs.seed)
 
     # -- endurance analysis -----------------------------------------------------
 

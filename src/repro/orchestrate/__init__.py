@@ -29,7 +29,13 @@ how the work is sharded.  This package provides that:
   reporting as the campaign runs.
 """
 
-from repro.orchestrate.cache import NO_VALUE, ShardCache, ShardEntry, fingerprint
+from repro.orchestrate.cache import (
+    NO_VALUE,
+    ShardCache,
+    ShardEntry,
+    fingerprint,
+    source_digest,
+)
 from repro.orchestrate.pool import (
     MachinePool,
     lease_machine,
@@ -65,6 +71,7 @@ __all__ = [
     "ShardTimeoutError",
     "derive_seed",
     "fingerprint",
+    "source_digest",
     "lease_machine",
     "machine_for_workload",
     "machine_pool",

@@ -1,9 +1,11 @@
 """On-disk shard cache: re-running a campaign only executes new work.
 
 A shard's cache key is a SHA-256 over the campaign's *identity* — name,
-seed, trial-function parameters — plus the shard's trial range, so a
-warm re-run of the same campaign loads every shard from disk, while any
-change to the configuration or seed misses cleanly.
+seed, trial-function parameters — the digest of the ``repro`` package
+source (:func:`source_digest`) and the shard's trial range, so a warm
+re-run of the same campaign by the same code loads every shard from
+disk, while any change to the configuration, the seed or the code that
+runs the trials misses cleanly.
 
 Entries are versioned: a magic line, a JSON meta line (trial count,
 per-field sums, violation texts — what :class:`PackedShard.meta`
@@ -19,6 +21,7 @@ run pays the miss instead of every run forever.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -28,7 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-__all__ = ["NO_VALUE", "ShardCache", "ShardEntry", "fingerprint"]
+__all__ = ["NO_VALUE", "ShardCache", "ShardEntry", "fingerprint",
+           "source_digest"]
 
 #: Sentinel distinguishing "cache miss" from a cached ``None``.
 NO_VALUE = object()
@@ -68,6 +72,26 @@ def fingerprint(payload: Any) -> str:
     """Stable hex digest of an arbitrary (canonicalisable) payload."""
     text = json.dumps(_canonical(payload), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over the ``repro`` package source, computed once per process.
+
+    Every ``.py`` file under the package, in sorted order of its path
+    relative to the package root, contributes that path and its bytes.
+    A cached shard is a result of the code that ran it; folding this
+    into the shard key keeps a cache written by one revision from being
+    replayed by another.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for relative in sorted(path.relative_to(root).as_posix()
+                           for path in root.rglob("*.py")):
+        data = (root / relative).read_bytes()
+        digest.update(f"{relative}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 @dataclass

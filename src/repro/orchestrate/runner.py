@@ -43,7 +43,12 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from repro.orchestrate.cache import NO_VALUE, ShardCache, fingerprint
+from repro.orchestrate.cache import (
+    NO_VALUE,
+    ShardCache,
+    fingerprint,
+    source_digest,
+)
 from repro.orchestrate.pool import invalidate_executor, warm_executor
 from repro.orchestrate.progress import CampaignProgress
 from repro.orchestrate.results import CampaignSummary, PackedShard, pack_results
@@ -314,6 +319,8 @@ class CampaignRunner:
         if progress is not None:
             progress.start()
         base = campaign.fingerprint()
+        if self.cache is not None:
+            base = fingerprint({"campaign": base, "source": source_digest()})
         outputs: dict[int, Any] = {}
 
         def record(shard_index: int, packed: Optional[PackedShard],

@@ -40,6 +40,7 @@ from repro.orchestrate import (
     fingerprint,
     run_shard,
     run_shard_watched,
+    source_digest,
     trial_rng,
 )
 
@@ -213,6 +214,35 @@ class TestShardCache:
         warm = CampaignRunner(jobs=1, cache_dir=tmp_path, shard_size=4)
         warm.run(campaign)
         assert warm.last_stats.executed_shards == 0
+
+    def test_code_change_misses_every_shard(self, tmp_path, monkeypatch):
+        """A cache written by other code is never replayed: the digest
+        of the package source is part of every shard key."""
+        campaign = Campaign(name="count", trials=16, trial_fn=counted_trial)
+        CampaignRunner(jobs=1, cache_dir=tmp_path, shard_size=4).run(campaign)
+        warm = CampaignRunner(jobs=1, cache_dir=tmp_path, shard_size=4)
+        warm.run(campaign)
+        assert warm.last_stats.cached_shards == 4
+        monkeypatch.setattr("repro.orchestrate.runner.source_digest",
+                            lambda: "0" * 64)
+        other = CampaignRunner(jobs=1, cache_dir=tmp_path, shard_size=4)
+        other.run(campaign)
+        assert other.last_stats.executed_shards == 4
+        assert other.last_stats.cached_shards == 0
+
+    def test_source_digest_only_with_a_cache(self, monkeypatch):
+        def unreadable():
+            raise AssertionError("digest computed without a cache")
+
+        monkeypatch.setattr("repro.orchestrate.runner.source_digest",
+                            unreadable)
+        campaign = Campaign(name="count", trials=4, trial_fn=counted_trial)
+        assert len(CampaignRunner(jobs=1).run(campaign)) == 4
+
+    def test_source_digest_is_stable(self):
+        digest = source_digest()
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        assert source_digest() == digest
 
     def test_param_change_misses_cleanly(self, tmp_path):
         base = Campaign(name="count", trials=8, trial_fn=counted_trial,

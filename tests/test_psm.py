@@ -1,9 +1,11 @@
 """Tests for the Persistent Support Module."""
 
+import struct
+
 import pytest
 
 from repro.memory import MemoryOp, MemoryRequest
-from repro.ocpmem import MachineCheckError, PSM, PSMConfig
+from repro.ocpmem import MachineCheckError, PSM, PSMConfig, WearRegisters
 
 
 def _psm(functional=False, **overrides):
@@ -231,3 +233,46 @@ class TestCounters:
         regs = psm.wear.registers()
         assert regs.write_count == 150
         assert psm.wear.gap_moves >= 1
+
+
+class TestRegisterFile:
+    """The EP-cut register blob: the paper's <64 B, in a fixed format."""
+
+    def _busy_psm(self):
+        psm = _psm(wear_threshold=3, rotate_seed_every=1)
+        for i in range(40):
+            write(psm, (i % 5) * 64, time=i * 20.0)
+        return psm
+
+    def test_blob_fits_the_paper_budget(self):
+        blob = self._busy_psm().capture_registers()
+        assert len(blob) == 40 < 64
+
+    def test_roundtrip_through_power_cycle(self):
+        psm = self._busy_psm()
+        regs = psm.wear.registers()
+        blob = psm.capture_registers()
+        assert WearRegisters.unpack(blob) == regs
+        psm.power_cycle()
+        assert psm.wear.registers() != regs
+        psm.restore_wear_registers(blob)
+        assert psm.wear.registers() == regs
+        assert psm.capture_registers() == blob
+
+    def test_pack_layout_is_five_little_endian_words(self):
+        regs = WearRegisters(start=1, gap=2, write_count=3, seed=0x5EED,
+                             gap_cycles=5)
+        assert regs.pack() == struct.pack("<5q", 1, 2, 3, 0x5EED, 5)
+
+    def test_empty_blob_means_nothing_captured(self):
+        psm = self._busy_psm()
+        psm.power_cycle()
+        regs = psm.wear.registers()
+        psm.restore_wear_registers(b"")
+        assert psm.wear.registers() == regs
+
+    @pytest.mark.parametrize("size", [1, 39, 41, 64, 120])
+    def test_bad_length_raises(self, size):
+        psm = _psm()
+        with pytest.raises(ValueError, match="40 B"):
+            psm.restore_wear_registers(bytes(size))
