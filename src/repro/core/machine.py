@@ -21,7 +21,12 @@ from typing import Callable, Optional
 from repro.core.config import PlatformConfig, PlatformName
 from repro.core.results import PowerFailOutcome, RunResult
 from repro.cpu.complex import MultiCoreComplex
-from repro.engine.base import EngineSpec, ExecutionEngine, resolve_engine
+from repro.engine.base import (
+    EngineSpec,
+    ExecutionEngine,
+    fresh_engine,
+    resolve_engine,
+)
 from repro.memory.dram import DRAMSubsystem
 from repro.memory.port import MemoryBackend, assert_memory_backend
 from repro.ocpmem.psm import PSM
@@ -143,17 +148,19 @@ class Machine:
         template per platform config and resets it between trials
         instead of reconstructing.  Everything a trial can dirty is
         rebuilt or rewound — a factory-fresh backend and complex, a
-        dropped-and-re-registered stats tree, a fresh engine instance,
-        the kernel world repopulated in place (the expensive dpm list
-        is kept, its drivers rewound), a fresh SnG — so a reset machine
-        is byte-identical to a newly constructed one.  That contract is
+        dropped-and-re-registered stats tree, a fresh engine of the
+        current engine's class and constructor parameters
+        (:func:`~repro.engine.base.fresh_engine`), the kernel world
+        re-instantiated in place (the expensive dpm list is kept, its
+        drivers rewound), a fresh SnG — so a reset machine is
+        byte-identical to a newly constructed one.  That contract is
         enforced by ``tests/test_campaign_fastpath.py``, which compares
         run results and stats trees against a cold build.
         """
         factory = _BACKEND_FACTORIES[self.platform]
         backend = factory(self.config, self.functional)
         self.backend = backend
-        self.engine = resolve_engine(self.engine.name)
+        self.engine = fresh_engine(self.engine)
         self.complex = MultiCoreComplex(
             self.backend, cores=self.config.cores,
             core_config=self.config.core, engine=self.engine,

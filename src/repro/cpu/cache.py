@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import truth
 from typing import Optional
 
 from repro.memory.request import CACHELINE_BYTES
@@ -97,22 +99,30 @@ class Cache:
         ways[tag] = is_write
         return False, victim_address
 
+    def _dirty_sets(self) -> list[tuple[int, "OrderedDict[int, bool]"]]:
+        """(index, ways) of every set holding a dirty line: one C-level
+        pass over the sets, so a dump costs what its dirty sets hold."""
+        sets = self._sets
+        return [(index, sets[index]) for index in compress(
+            range(self._set_count), map(any, map(OrderedDict.values, sets)))]
+
+    def _addresses(self, dirty_sets) -> list[int]:
+        set_count = self._set_count
+        line_bytes = self._line_bytes
+        return [(tag * set_count + set_index) * line_bytes
+                for set_index, ways in dirty_sets
+                for tag, dirty in ways.items() if dirty]
+
     def dirty_lines(self) -> list[int]:
         """Base addresses of all dirty lines (what a cache dump must write)."""
-        out = []
-        for set_index, ways in enumerate(self._sets):
-            for tag, dirty in ways.items():
-                if dirty:
-                    line = tag * self._set_count + set_index
-                    out.append(line * self._line_bytes)
-        return out
+        return self._addresses(self._dirty_sets())
 
     def flush_dirty(self) -> list[int]:
         """Write back every dirty line; returns their base addresses."""
-        flushed = self.dirty_lines()
-        for ways in self._sets:
-            for tag in list(ways):
-                ways[tag] = False
+        dirty_sets = self._dirty_sets()
+        flushed = self._addresses(dirty_sets)
+        for _, ways in dirty_sets:
+            ways.update(dict.fromkeys(ways, False))
         return flushed
 
     def invalidate_all(self) -> None:
@@ -128,11 +138,12 @@ class Cache:
         self.dirty_evictions = 0
 
     def dirty_count(self) -> int:
-        return sum(1 for ways in self._sets for d in ways.values() if d)
+        return sum(map(truth, chain.from_iterable(
+            map(OrderedDict.values, self._sets))))
 
     @property
     def occupancy(self) -> int:
-        return sum(len(ways) for ways in self._sets)
+        return sum(map(len, self._sets))
 
     @property
     def read_hit_ratio(self) -> float:

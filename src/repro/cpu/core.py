@@ -17,7 +17,7 @@ core model is a calibrated accounting machine:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from repro.cpu.cache import Cache, CacheConfig
@@ -83,6 +83,14 @@ class CoreStats:
         if total <= 0:
             return 0.0
         return (self.read_stall_ns + self.write_stall_ns) / total
+
+    def as_dict(self) -> dict:
+        """The counters by field name, as ``dataclasses.asdict`` gives
+        them (every field holds a plain number)."""
+        return {name: getattr(self, name) for name in _CORE_STAT_FIELDS}
+
+
+_CORE_STAT_FIELDS = tuple(f.name for f in fields(CoreStats))
 
 
 class Core:
@@ -369,5 +377,5 @@ class Core:
 
     def register_stats(self, stats: StatsRegistry) -> None:
         """Publish execution counters and the D$ under this scope."""
-        stats.register("exec", lambda: asdict(self.stats))
+        stats.register("exec", lambda: self.stats.as_dict())
         self.cache.register_stats(stats.scoped("dcache"))

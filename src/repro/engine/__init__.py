@@ -25,6 +25,8 @@ from repro.engine.base import (
     available_engines,
     canonical_engine_name,
     default_engine_name,
+    engine_key,
+    fresh_engine,
     register_engine,
     resolve_engine,
     set_default_engine,
@@ -53,6 +55,8 @@ __all__ = [
     "available_engines",
     "canonical_engine_name",
     "default_engine_name",
+    "engine_key",
+    "fresh_engine",
     "register_engine",
     "resolve_engine",
     "set_default_engine",

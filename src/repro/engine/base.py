@@ -31,6 +31,8 @@ __all__ = [
     "available_engines",
     "canonical_engine_name",
     "default_engine_name",
+    "engine_key",
+    "fresh_engine",
     "register_engine",
     "resolve_engine",
     "set_default_engine",
@@ -53,6 +55,9 @@ class ExecutionEngine(Protocol):
 
     #: canonical registry name (``scalar`` / ``extent`` / ``epoch``)
     name: str
+
+    # Engines may also expose ``params``: the constructor keywords that
+    # rebuild them unused (see :func:`fresh_engine`).
 
     def drain(self, core, records, thread_id: int = 0, *,
               source=None, consumed: int = 0):
@@ -146,6 +151,22 @@ def resolve_engine(engine: EngineSpec = None) -> ExecutionEngine:
         return built
     assert_execution_engine(engine, context="engine instance")
     return engine
+
+
+def fresh_engine(engine: ExecutionEngine) -> ExecutionEngine:
+    """An unused engine configured like ``engine``: its class called
+    with its ``params`` (none if it defines none).  ``Machine.reset``
+    runs on this."""
+    built = type(engine)(**getattr(engine, "params", {}))
+    assert_execution_engine(built, context="fresh engine")
+    return built
+
+
+def engine_key(engine: ExecutionEngine) -> dict:
+    """What tells two engines' behaviour apart: class, name, params."""
+    kind = type(engine)
+    return {"class": f"{kind.__module__}.{kind.__qualname__}",
+            "name": engine.name, "params": dict(getattr(engine, "params", {}))}
 
 
 def assert_execution_engine(engine: object, context: str = "engine") -> None:

@@ -418,6 +418,12 @@ class EpochEngine(ExtentEngine):
         self._report = EpochReport()
         self._sessions: dict[int, _EpochSession] = {}
 
+    @property
+    def params(self) -> dict:
+        return {**super().params, "stable_windows": self.stable_windows,
+                "probe_interval": self.probe_interval,
+                "tolerance": self.tolerance, "min_windows": self.min_windows}
+
     # -- per-run report (optional engine extension) -----------------------
 
     def begin_run(self) -> None:

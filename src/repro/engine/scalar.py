@@ -19,6 +19,11 @@ class ScalarEngine:
 
     name = "scalar"
 
+    @property
+    def params(self) -> dict:
+        """Constructor keywords that build this engine afresh."""
+        return {}
+
     def drain(self, core, records, thread_id: int = 0, *,
               source=None, consumed: int = 0) -> None:
         execute = core.execute

@@ -31,6 +31,10 @@ class WindowEngine(ScalarEngine):
             raise ValueError("window must be positive")
         self.window = window
 
+    @property
+    def params(self) -> dict:
+        return {"window": self.window}
+
     def drain(self, core, records, thread_id: int = 0, *,
               source=None, consumed: int = 0) -> None:
         records = iter(records)

@@ -215,6 +215,14 @@ class PSM:
         if request.size > CACHELINE_BYTES:
             raise ValueError("PSM boundary is cacheline-granular")
         if op is MemoryOp.WRITE:
+            data = request.data
+            if data is not None and len(data) != CACHELINE_BYTES:
+                # the line is programmed whole (two 32 B die halves plus
+                # parity), so a partial line is refused before any state
+                # changes, not when its page later drains
+                raise ValueError(
+                    f"PSM writes carry whole {CACHELINE_BYTES} B lines, "
+                    f"got {len(data)} B of data")
             return self._serve_write(request)
         return self._serve_read(request)
 

@@ -103,13 +103,19 @@ def machine_for_workload(platform: str, workload, config=None,
     """Pooled equivalent of :meth:`repro.core.machine.Machine.for_workload`.
 
     The pool key fingerprints everything construction depends on —
-    platform, the workload-sized config, functional mode, canonical
-    engine name — so two trials share a template exactly when a fresh
-    build would have produced interchangeable machines.
+    platform, the workload-sized config, functional mode, and the
+    engine (its canonical name, or for an engine instance its class,
+    name and constructor parameters) — so two trials share a template
+    exactly when a fresh build would have produced interchangeable
+    machines.
     """
     from repro.core.config import PlatformConfig
     from repro.core.machine import Machine
-    from repro.engine.base import canonical_engine_name, default_engine_name
+    from repro.engine.base import (
+        canonical_engine_name,
+        default_engine_name,
+        engine_key,
+    )
 
     base = config or PlatformConfig()
     footprint = (
@@ -117,16 +123,16 @@ def machine_for_workload(platform: str, workload, config=None,
     )
     sized = base.sized_for(footprint * 2)
     if engine is None:
-        engine_name = default_engine_name()
+        engine_id = default_engine_name()
     elif isinstance(engine, str):
-        engine_name = canonical_engine_name(engine)
+        engine_id = canonical_engine_name(engine)
     else:
-        engine_name = engine.name
+        engine_id = engine_key(engine)
     key = fingerprint({
         "platform": platform,
         "config": sized,
         "functional": functional,
-        "engine": engine_name,
+        "engine": engine_id,
     })
     return lease_machine(
         key, lambda: Machine(platform, sized, functional, engine=engine))

@@ -10,7 +10,7 @@ from repro.pecos.device import (
     default_dpm_list,
 )
 from repro.pecos.interrupt import InterruptController
-from repro.pecos.kernel import Kernel, KernelConfig
+from repro.pecos.kernel import Kernel, KernelConfig, WorldSpec, world_spec
 from repro.pecos.scheduler import RunQueue, Scheduler, balance_assign
 from repro.pecos.schedsim import LiveTask, LiveWorld, WorldClock
 from repro.pecos.signals import DeliveryRecord, Signal, SignalDelivery
@@ -62,7 +62,9 @@ __all__ = [
     "VMA",
     "VMAKind",
     "WorldClock",
+    "WorldSpec",
     "balance_assign",
     "default_dpm_list",
     "run_event_driven_stop",
+    "world_spec",
 ]

@@ -43,7 +43,13 @@ class DeviceState(enum.Enum):
     OFF = "off"
 
 
-@dataclass
+_ACTIVE = DeviceState.ACTIVE
+_PREPARED = DeviceState.PREPARED
+_SUSPENDED = DeviceState.SUSPENDED
+_SUSPENDED_NOIRQ = DeviceState.SUSPENDED_NOIRQ
+
+
+@dataclass(slots=True)
 class DCB:
     """Device control block: the persistent snapshot of one device."""
 
@@ -81,22 +87,24 @@ class DeviceDriver:
     _mmio: bytes = field(default=b"", repr=False)
 
     def __post_init__(self) -> None:
+        seed = sum(self.name.encode()) & 0xFF
+        period = _RAMP[seed:] + _RAMP[:seed]
+        size = self.mmio_bytes
+        #: the name-derived MMIO image (bytes are immutable, so the live
+        #: image shares it until a write replaces it)
+        self._pristine_mmio = (period * ((size + 255) // 256))[:size]
         if not self._mmio:
-            seed = sum(self.name.encode()) & 0xFF
-            period = _RAMP[seed:] + _RAMP[:seed]
-            size = self.mmio_bytes
-            self._mmio = (period * ((size + 255) // 256))[:size]
+            self._mmio = self._pristine_mmio
 
     def reset(self) -> None:
         """Rewind to the just-constructed state (``Kernel.reset_world``).
 
         Everything mutable is rewound: power state, IRQ masking, and
-        the MMIO image (regenerated from the name-derived pattern, so a
-        trial's ``scribble_mmio`` churn does not leak into the next)."""
+        the MMIO image (back to the name-derived pattern, so a trial's
+        ``scribble_mmio`` churn does not leak into the next)."""
         self.state = DeviceState.ACTIVE
         self.irq_enabled = True
-        self._mmio = b""
-        self.__post_init__()
+        self._mmio = self._pristine_mmio
 
     # -- suspend chain ------------------------------------------------------
 
@@ -174,32 +182,83 @@ class DevicePMList:
     def __len__(self) -> int:
         return len(self.drivers)
 
+    def reset(self) -> None:
+        """Rewind every driver to its constructed state; drop the DCBs."""
+        for driver in self.drivers:
+            driver.reset()
+        self.dcbs.clear()
+
+    def mmio_bytes(self) -> int:
+        """The MMIO bytes a full dump or restore moves."""
+        return sum([driver.mmio_bytes for driver in self.drivers])
+
+    # The two chains below fuse the per-driver callbacks above into one
+    # loop per pass: the same transitions, costs, summation order and
+    # error texts, without a method call per driver per pass.
+
     def suspend_all(self) -> float:
         """Run the full suspend chain in dpm order; returns total ns."""
+        drivers = self.drivers
         total = 0.0
-        for driver in self.drivers:
-            total += driver.dpm_prepare()
-        for driver in self.drivers:
-            total += driver.dpm_suspend()
-        for driver in self.drivers:
-            cost, dcb = driver.dpm_suspend_noirq()
-            self.dcbs[driver.name] = dcb
+        for driver in drivers:  # dpm_prepare
+            if driver.state is not _ACTIVE:
+                raise DevicePMError(
+                    f"{driver.name}: prepare from {driver.state}")
+            driver.state = _PREPARED
+            total += driver.prepare_ns
+        for driver in drivers:  # dpm_suspend
+            if driver.state is not _PREPARED:
+                raise DevicePMError(
+                    f"{driver.name}: suspend from {driver.state}")
+            driver.irq_enabled = False
+            driver.state = _SUSPENDED
+            cost = driver.suspend_ns
+            if driver.manual:
+                cost *= 1.5  # hand-rolled SPI/GPIO quiescing
             total += cost
+        dcbs = self.dcbs
+        for driver in drivers:  # dpm_suspend_noirq
+            if driver.state is not _SUSPENDED:
+                raise DevicePMError(
+                    f"{driver.name}: noirq from {driver.state}")
+            driver.state = _SUSPENDED_NOIRQ
+            name = driver.name
+            dcbs[name] = DCB(name, driver.context_bytes, driver._mmio, False)
+            total += driver.suspend_noirq_ns
         return total
 
     def resume_all(self) -> float:
         """Inverse-order resume chain from the stored DCBs."""
+        backwards = self.drivers[::-1]
+        dcbs = self.dcbs
         total = 0.0
-        for driver in reversed(self.drivers):
-            dcb = self.dcbs.get(driver.name)
+        for driver in backwards:  # dpm_resume_noirq
+            name = driver.name
+            dcb = dcbs.get(name)
             if dcb is None:
-                raise DevicePMError(f"no DCB stored for {driver.name}")
-            total += driver.dpm_resume_noirq(dcb)
-        for driver in reversed(self.drivers):
-            total += driver.dpm_resume()
-        for driver in reversed(self.drivers):
-            total += driver.dpm_complete()
-        self.dcbs.clear()
+                raise DevicePMError(f"no DCB stored for {name}")
+            if driver.state is not _SUSPENDED_NOIRQ:
+                raise DevicePMError(
+                    f"{name}: resume_noirq from {driver.state}")
+            if dcb.device != name:
+                raise DevicePMError(f"DCB for {dcb.device} applied to {name}")
+            driver._mmio = dcb.mmio_image
+            driver.irq_enabled = True
+            driver.state = _SUSPENDED
+            total += driver.resume_noirq_ns
+        for driver in backwards:  # dpm_resume
+            if driver.state is not _SUSPENDED:
+                raise DevicePMError(
+                    f"{driver.name}: resume from {driver.state}")
+            driver.state = _PREPARED
+            total += driver.resume_ns
+        for driver in backwards:  # dpm_complete
+            if driver.state is not _PREPARED:
+                raise DevicePMError(
+                    f"{driver.name}: complete from {driver.state}")
+            driver.state = _ACTIVE
+            total += driver.complete_ns
+        dcbs.clear()
         return total
 
     def all_state(self, state: DeviceState) -> bool:

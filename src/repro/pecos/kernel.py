@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from repro.pecos.bootloader import Bootloader
 from repro.pecos.device import default_dpm_list
 from repro.pecos.scheduler import Scheduler
 from repro.pecos.task import Registers, Task, TaskState, VMA, VMAKind
 
-__all__ = ["Kernel", "KernelConfig"]
+__all__ = ["Kernel", "KernelConfig", "TaskSpec", "WorldSpec", "world_spec"]
 
 
 @dataclass(frozen=True)
@@ -36,13 +37,88 @@ class KernelConfig:
     seed: int = 7
 
 
+class TaskSpec(NamedTuple):
+    """One populated task, before it exists."""
+
+    name: str
+    kernel_thread: bool
+    registers: Registers
+    #: ``(kind, start, length, dirty_bytes)`` of each VMA
+    vmas: tuple[tuple[VMAKind, int, int, int], ...]
+    state: TaskState
+    pending_work_items: int
+
+
+@dataclass(frozen=True)
+class WorldSpec:
+    """The busy-configuration world of one :class:`KernelConfig`.
+
+    ``tasks`` lists the populated tasks in creation order, which is also
+    their order under init_task; ``queued`` indexes the runnable ones in
+    the order the balanced enqueue places them.
+    """
+
+    tasks: tuple[TaskSpec, ...]
+    queued: tuple[int, ...]
+
+
+@lru_cache(maxsize=16)
+def world_spec(config: KernelConfig) -> WorldSpec:
+    """The populated world ``config`` describes: a pure function of it.
+
+    ~72 user and ~48 kernel processes; every RNG draw happens here, in
+    one fixed order from ``config.seed``: user registers and VMA sizes,
+    then which tasks sleep and their pending work.
+    """
+    rng = random.Random(config.seed)
+    made: list[tuple[str, bool, Registers, tuple]] = []
+    for i in range(config.kernel_threads):
+        made.append((f"kworker/{i}", True, Registers(
+            pc=0x8000_0000 + i * 0x1000, sp=0x9000_0000 + i * 0x4000,
+            page_table_root=0,
+        ), ()))
+    for i in range(config.user_processes):
+        registers = Registers(
+            pc=0x0001_0000 + i * 0x100, sp=0x7fff_0000 - i * 0x8000,
+            gpr_checksum=rng.getrandbits(32),
+            page_table_root=0x1_0000_0000 + i * 0x1000,
+        )
+        heap = rng.choice([1 << 16, 1 << 18, 1 << 20])
+        vmas = (
+            (VMAKind.CODE, 0x10000, 1 << 16, 0),
+            (VMAKind.HEAP, 0x4000_0000, heap,
+             rng.randrange(heap // 4, heap)),
+            (VMAKind.STACK, 0x7fff_0000, 1 << 14,
+             rng.randrange(0, 1 << 14)),
+        )
+        made.append((f"user{i:02d}", False, registers, vmas))
+
+    # Scatter states: some running/runnable on queues, the rest asleep.
+    order = list(range(len(made)))
+    rng.shuffle(order)
+    n_sleeping = int(len(order) * config.sleeping_fraction)
+    pending = {index: rng.randrange(0, 3) for index in order[:n_sleeping]}
+    tasks = tuple(
+        TaskSpec(name, kernel_thread, registers, vmas,
+                 TaskState.INTERRUPTIBLE if index in pending
+                 else TaskState.RUNNABLE,
+                 pending.get(index, 0))
+        for index, (name, kernel_thread, registers, vmas) in enumerate(made)
+    )
+    return WorldSpec(tasks=tasks, queued=tuple(order[n_sleeping:]))
+
+
 class Kernel:
     """Kernel state: task tree + scheduler + dpm list + bootloader."""
 
     def __init__(self, config: Optional[KernelConfig] = None) -> None:
         self.config = config or KernelConfig()
-        self.scheduler = Scheduler(self.config.cores)
         self.dpm = default_dpm_list(self.config.extra_drivers)
+        self._rewind()
+
+    def _rewind(self) -> None:
+        """Everything but the dpm list as constructed: no tasks yet."""
+        self.scheduler = Scheduler(self.config.cores)
         self.bootloader = Bootloader()
         self.init_task = Task(name="init", kernel_thread=True,
                               state=TaskState.RUNNABLE)
@@ -53,43 +129,25 @@ class Kernel:
     # -- world building ----------------------------------------------------
 
     def populate(self) -> None:
-        """Create the busy-configuration process population."""
+        """Create the busy-configuration process population.
+
+        Instantiates :func:`world_spec` of the config: the tasks under
+        init_task in creation order (so pids follow it), then the
+        runnable ones onto the run queues.  Tasks adopted under
+        init_task before this call are left as they are.
+        """
         if self._populated:
             raise RuntimeError("kernel already populated")
-        cfg = self.config
-        rng = random.Random(cfg.seed)
-        for i in range(cfg.kernel_threads):
-            task = Task(name=f"kworker/{i}", kernel_thread=True)
-            task.registers = Registers(
-                pc=0x8000_0000 + i * 0x1000, sp=0x9000_0000 + i * 0x4000,
-                page_table_root=0,
-            )
-            self.init_task.adopt(task)
-        for i in range(cfg.user_processes):
-            task = Task(name=f"user{i:02d}")
-            task.registers = Registers(
-                pc=0x0001_0000 + i * 0x100, sp=0x7fff_0000 - i * 0x8000,
-                gpr_checksum=rng.getrandbits(32),
-                page_table_root=0x1_0000_0000 + i * 0x1000,
-            )
-            heap = rng.choice([1 << 16, 1 << 18, 1 << 20])
-            task.vmas = [
-                VMA(VMAKind.CODE, start=0x10000, length=1 << 16),
-                VMA(VMAKind.HEAP, start=0x4000_0000, length=heap,
-                    dirty_bytes=rng.randrange(heap // 4, heap)),
-                VMA(VMAKind.STACK, start=0x7fff_0000, length=1 << 14,
-                    dirty_bytes=rng.randrange(0, 1 << 14)),
-            ]
-            self.init_task.adopt(task)
-
-        # Scatter states: some running/runnable on queues, the rest asleep.
-        tasks = self.all_tasks()
-        rng.shuffle(tasks)
-        n_sleeping = int(len(tasks) * cfg.sleeping_fraction)
-        for task in tasks[:n_sleeping]:
-            task.state = TaskState.INTERRUPTIBLE
-            task.pending_work_items = rng.randrange(0, 3)
-        self.scheduler.enqueue_balanced(tasks[n_sleeping:])
+        spec = world_spec(self.config)
+        adopt = self.init_task.adopt
+        tasks = [
+            adopt(Task(name, kernel_thread, state, registers=registers,
+                       vmas=[VMA(*vma) for vma in vmas],
+                       pending_work_items=pending_work_items))
+            for name, kernel_thread, registers, vmas, state,
+            pending_work_items in spec.tasks
+        ]
+        self.scheduler.enqueue_balanced([tasks[i] for i in spec.queued])
         self._populated = True
 
     def reset_world(self) -> None:
@@ -99,31 +157,25 @@ class Kernel:
         construction (hundreds of :class:`DeviceDriver` dataclasses),
         and nothing about it is world-specific: drivers only ever
         change power state, IRQ masking, and MMIO contents, all of
-        which :meth:`DeviceDriver.reset` rewinds in place.  Everything
+        which :meth:`DevicePMList.reset` rewinds in place.  Everything
         else — scheduler queues, the task tree, the bootloader commit,
-        the persistent flag — is rebuilt, then :meth:`populate` reruns
-        deterministically from ``config.seed``, so a reset kernel is
-        indistinguishable from a fresh one.  This is the kernel half of
-        ``Machine.reset()``'s conformance contract.
+        the persistent flag — is rebuilt, then :meth:`populate`
+        instantiates the config's cached :func:`world_spec`, so a reset
+        kernel is indistinguishable from a fresh one.  This is the
+        kernel half of ``Machine.reset()``'s conformance contract.
         """
-        for driver in self.dpm.drivers:
-            driver.reset()
-        self.dpm.dcbs.clear()
-        self.scheduler = Scheduler(self.config.cores)
-        self.bootloader = Bootloader()
-        self.init_task = Task(name="init", kernel_thread=True,
-                              state=TaskState.RUNNABLE)
-        self.persistent_flag = False
-        if hasattr(self, "address_spaces"):
-            del self.address_spaces
-        self._populated = False
+        self.dpm.reset()
+        self.__dict__.pop("address_spaces", None)
+        self._rewind()
         self.populate()
 
     # -- queries -------------------------------------------------------------
 
     def all_tasks(self) -> list[Task]:
         """Every PCB reachable from init_task (excluding init itself)."""
-        return [t for t in self.init_task.walk() if t is not self.init_task]
+        tasks = list(self.init_task.walk())
+        del tasks[0]  # init_task, which the walk yields first
+        return tasks
 
     def sleeping_tasks(self) -> list[Task]:
         return [t for t in self.all_tasks() if t.is_sleeping]

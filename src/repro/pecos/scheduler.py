@@ -68,10 +68,19 @@ class Scheduler:
         return self.run_queues[cpu]
 
     def enqueue_balanced(self, tasks: Iterable[Task]) -> dict[int, list[Task]]:
-        """Distribute tasks across the emptiest queues; returns placement."""
-        placement: dict[int, list[Task]] = {q.cpu: [] for q in self.run_queues}
+        """Distribute tasks across the emptiest queues; returns placement.
+
+        Each task goes to the first of the emptiest queues.  The queue
+        lengths are tracked here rather than asked of every queue per
+        task.
+        """
+        queues = self.run_queues
+        placement: dict[int, list[Task]] = {q.cpu: [] for q in queues}
+        lengths = [len(q) for q in queues]
         for task in tasks:
-            queue = min(self.run_queues, key=len)
+            index = lengths.index(min(lengths))
+            lengths[index] += 1
+            queue = queues[index]
             queue.enqueue(task)
             placement[queue.cpu].append(task)
         return placement

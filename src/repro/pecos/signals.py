@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.pecos.task import Task, TaskFlags, TaskState
+from repro.pecos.task import Task, TaskState
 
 __all__ = ["DeliveryRecord", "Signal", "SignalDelivery"]
 
@@ -109,7 +109,7 @@ class SignalDelivery:
                 task.state = TaskState.ZOMBIE
             records.append(DeliveryRecord(
                 pid=task.pid, signal=signal, woke_task=False))
-        task.flags &= ~TaskFlags.SIGPENDING
+        task.clear_sigpending()
         self.delivered.extend(records)
         return records
 

@@ -243,8 +243,7 @@ class SnG:
 
         # ---- Auto-Stop: device stop ---------------------------------------
         device_stop_ns = kernel.dpm.suspend_all()
-        mmio_bytes = sum(d.mmio_bytes for d in kernel.dpm.drivers)
-        device_stop_ns += mmio_bytes * t.mmio_dump_ns_per_byte
+        device_stop_ns += kernel.dpm.mmio_bytes() * t.mmio_dump_ns_per_byte
         # master flushes its own cache after writing the DCBs
         dirty = self.dirty_lines_fn()
         if len(dirty) != cores:
@@ -315,27 +314,32 @@ class SnG:
         """Incremental per-task PCB digest.
 
         Each task serializes to a standalone canonical pickle of
-        ``(pid, name, registers, dirty_vma_bytes)``; the snapshot is the
-        concatenation in traversal order.  A per-pid cache keyed on the
-        tuple's value skips re-serializing tasks whose state is unchanged
-        since the previous cut — re-parked tasks save
-        ``registers.advanced(0)``, which compares *equal*, so steady-state
-        cuts re-pickle only tasks that actually progressed.  Equal values
-        pickle to equal bytes, which is why Go's byte-match audit
-        (:meth:`verify_resumed_state`) still holds under reuse.
+        ``(pid, name, pc, sp, gpr_checksum, page_table_root,
+        dirty_vma_bytes)``; the snapshot is the concatenation in
+        traversal order.  A per-pid cache keyed on everything but the
+        pid skips re-serializing tasks whose state is unchanged since
+        the previous cut — re-parked tasks save
+        ``registers.advanced(0)``, which compares *equal*, so
+        steady-state cuts re-pickle only tasks that actually progressed.
+        Equal values pickle to equal bytes, which is why Go's byte-match
+        audit (:meth:`verify_resumed_state`) still holds under reuse.
         """
         cache = self._pcb_cache
         fresh: dict[int, tuple[tuple, bytes]] = {}
         entries: list[bytes] = []
+        dumps = pickle.dumps
         for task in self.kernel.all_tasks():
             pid = task.pid
-            key = (task.name, task.registers, task.dirty_vma_bytes())
+            registers = task.registers
+            key = (task.name, registers.pc, registers.sp,
+                   registers.gpr_checksum, registers.page_table_root,
+                   task.dirty_vma_bytes())
             cached = cache.get(pid)
             if cached is not None and cached[0] == key:
                 blob = cached[1]
                 self.pcb_entries_reused += 1
             else:
-                blob = pickle.dumps((pid,) + key)
+                blob = dumps((pid,) + key)
                 self.pcb_entries_serialized += 1
             fresh[pid] = (key, blob)
             entries.append(blob)
@@ -378,20 +382,21 @@ class SnG:
 
         # Devices come back in inverse dpm order; MMIO regions restored.
         device_resume_ns = kernel.dpm.resume_all()
-        mmio_bytes = sum(d.mmio_bytes for d in kernel.dpm.drivers)
-        device_resume_ns += mmio_bytes * t.mmio_dump_ns_per_byte
+        device_resume_ns += kernel.dpm.mmio_bytes() * t.mmio_dump_ns_per_byte
 
         # Ready-to-schedule: TLB flush per core, then kernel tasks first,
         # user tasks second, all flipped back to TASK_NORMAL.
         reschedule_ns = cores * t.tlb_flush_ns
-        kernel_tasks = [t_ for t_ in kernel.all_tasks() if not t_.is_user]
-        user_tasks = [t_ for t_ in kernel.all_tasks() if t_.is_user]
+        tasks = kernel.all_tasks()
+        ordered = [task for task in tasks if task.kernel_thread]
+        ordered += [task for task in tasks if not task.kernel_thread]
         resumed = 0
-        for task in kernel_tasks + user_tasks:
+        resched_ns = t.task_resched_ns
+        for task in ordered:
             task.release()
             resumed += 1
-            reschedule_ns += t.task_resched_ns
-        kernel.scheduler.enqueue_balanced(kernel_tasks + user_tasks)
+            reschedule_ns += resched_ns
+        kernel.scheduler.enqueue_balanced(ordered)
         kernel.bootloader.clear_commit()
 
         report = GoReport(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 __all__ = ["Registers", "Task", "TaskFlags", "TaskState", "VMA", "VMAKind"]
@@ -37,6 +37,15 @@ class TaskFlags(enum.IntFlag):
     SIGPENDING = 1      # TIF_SIGPENDING: fake signal mask
     NEED_RESCHED = 2    # set_tsk_need_resched()
     KERNEL_THREAD = 4
+
+
+#: every TaskFlags value by its int: flag updates index this table with
+#: int arithmetic instead of running ``IntFlag``'s Python-level operators
+#: (the members are the ones those operators return)
+_FLAGS: tuple[TaskFlags, ...] = tuple(TaskFlags(value) for value in range(8))
+_SIGPENDING = TaskFlags.SIGPENDING._value_
+_NEED_RESCHED = TaskFlags.NEED_RESCHED._value_
+_KERNEL_THREAD = TaskFlags.KERNEL_THREAD._value_
 
 
 class VMAKind(enum.Enum):
@@ -78,7 +87,8 @@ class Registers:
     page_table_root: int = 0
 
     def advanced(self, delta_pc: int) -> "Registers":
-        return replace(self, pc=self.pc + delta_pc)
+        return Registers(self.pc + delta_pc, self.sp, self.gpr_checksum,
+                         self.page_table_root)
 
 
 @dataclass
@@ -101,7 +111,7 @@ class Task:
 
     def __post_init__(self) -> None:
         if self.kernel_thread:
-            self.flags |= TaskFlags.KERNEL_THREAD
+            self.flags = _FLAGS[self.flags._value_ | _KERNEL_THREAD]
 
     # -- tree -------------------------------------------------------------
 
@@ -111,10 +121,16 @@ class Task:
         return child
 
     def walk(self) -> Iterator["Task"]:
-        """Depth-first traversal from this task (init_task style)."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Depth-first preorder traversal from this task (init_task
+        style), on an explicit stack rather than nested generators."""
+        stack = [self]
+        pop = stack.pop
+        extend = stack.extend
+        while stack:
+            task = pop()
+            yield task
+            if task.children:
+                extend(reversed(task.children))
 
     # -- state transitions used by SnG --------------------------------------
 
@@ -127,15 +143,18 @@ class Task:
         return not self.kernel_thread
 
     def set_sigpending(self) -> None:
-        self.flags |= TaskFlags.SIGPENDING
+        self.flags = _FLAGS[self.flags._value_ | _SIGPENDING]
+
+    def clear_sigpending(self) -> None:
+        self.flags = _FLAGS[self.flags._value_ & ~_SIGPENDING]
 
     def set_need_resched(self) -> None:
-        self.flags |= TaskFlags.NEED_RESCHED
+        self.flags = _FLAGS[self.flags._value_ | _NEED_RESCHED]
 
     def lockdown(self) -> None:
         """Drive-to-Idle terminal state: uninterruptible, off any queue."""
         self.state = TaskState.UNINTERRUPTIBLE
-        self.flags &= ~TaskFlags.NEED_RESCHED
+        self.flags = _FLAGS[self.flags._value_ & ~_NEED_RESCHED]
         self.cpu = None
 
     def release(self) -> None:
@@ -145,13 +164,13 @@ class Task:
                 f"release() on task {self.name!r} in state {self.state}"
             )
         self.state = TaskState.RUNNABLE
-        self.flags &= ~TaskFlags.SIGPENDING
+        self.clear_sigpending()
 
     def save_registers(self, registers: Registers) -> None:
         self.registers = registers
 
     def total_vma_bytes(self) -> int:
-        return sum(v.length for v in self.vmas)
+        return sum([v.length for v in self.vmas])
 
     def dirty_vma_bytes(self) -> int:
-        return sum(v.dirty_bytes for v in self.vmas)
+        return sum([v.dirty_bytes for v in self.vmas])

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import FunctionType
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -274,6 +276,37 @@ class TimeSeries:
 StatSource = Union["LatencyStats", "RatioStat", "Counter", int, float, object]
 
 _PATH_SEGMENT = re.compile(r"^[A-Za-z0-9_]+$")
+#: a whole dotted path whose every segment passes ``_PATH_SEGMENT`` (whose
+#: ``$`` also admits one trailing newline), checked in one call
+_PATH = re.compile(r"[A-Za-z0-9_]+\n?(?:\.[A-Za-z0-9_]+\n?)*")
+
+
+def _check_path(path: str) -> None:
+    """Raise the error naming why ``path`` is not a stat path."""
+    if not path:
+        raise ValueError("stat path must be non-empty")
+    for segment in path.split("."):
+        if not _PATH_SEGMENT.match(segment):
+            raise ValueError(
+                f"invalid stat path segment {segment!r} in {path!r}; "
+                f"use [A-Za-z0-9_]+ joined by dots"
+            )
+
+
+# The two helpers below are memoized: a machine re-registers the same
+# few hundred paths on every reset.
+
+
+@lru_cache(maxsize=4096)
+def _is_path(path: str) -> bool:
+    return _PATH.fullmatch(path) is not None
+
+
+@lru_cache(maxsize=4096)
+def _interior_prefixes(path: str) -> tuple[str, ...]:
+    """Every proper dotted prefix of ``path``, shortest first."""
+    parts = path.split(".")
+    return tuple(".".join(parts[:end]) for end in range(1, len(parts)))
 
 
 class StatsRegistry:
@@ -296,68 +329,118 @@ class StatsRegistry:
     ``scoped(prefix)`` returns a view that shares the same entries but
     prepends ``prefix`` to every path, which is how a parent hands each
     child device its own subtree without the child knowing where it sits.
+
+    No registered path is a dotted prefix of another, so a collision
+    check is two lookups and a walk up the new path's own prefixes: the
+    views share, beside the entries, a count of the entries beneath each
+    interior prefix.  Registering costs O(depth), not O(entries).
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, StatSource] = {}
+        #: interior prefix -> how many entries lie beneath it
+        self._interior: dict[str, int] = {}
         self._prefix = ""
 
     # -- registration -------------------------------------------------------
 
     def _join(self, path: str) -> str:
-        if not path:
-            raise ValueError("stat path must be non-empty")
-        for segment in path.split("."):
-            if not _PATH_SEGMENT.match(segment):
-                raise ValueError(
-                    f"invalid stat path segment {segment!r} in {path!r}; "
-                    f"use [A-Za-z0-9_]+ joined by dots"
-                )
+        if type(path) is not str or not _is_path(path):
+            _check_path(path)
         return f"{self._prefix}.{path}" if self._prefix else path
 
     def scoped(self, prefix: str) -> "StatsRegistry":
         """A view over the same registry with ``prefix`` prepended."""
         view = StatsRegistry.__new__(StatsRegistry)
         view._entries = self._entries
+        view._interior = self._interior
         view._prefix = self._join(prefix)
         return view
+
+    def _collision(self, full: str) -> str:
+        """The registered path ``full`` collides with: itself, its one
+        registered ancestor, or its first registered descendant."""
+        entries = self._entries
+        if full in entries:
+            return full
+        if full in self._interior:
+            below = full + "."
+            return next(key for key in entries if key.startswith(below))
+        return next(prefix for prefix in _interior_prefixes(full)
+                    if prefix in entries)
 
     def register(self, path: str, source: StatSource) -> StatSource:
         """Bind ``source`` at ``path`` (relative to this scope)."""
         full = self._join(path)
-        for existing in self._entries:
-            if (existing == full or existing.startswith(full + ".")
-                    or full.startswith(existing + ".")):
-                raise ValueError(
-                    f"stat path {full!r} collides with registered "
-                    f"{existing!r}"
-                )
-        self._entries[full] = source
+        entries = self._entries
+        interior = self._interior
+        prefixes = _interior_prefixes(full)
+        if (full in entries or full in interior
+                or not entries.keys().isdisjoint(prefixes)):
+            raise ValueError(
+                f"stat path {full!r} collides with registered "
+                f"{self._collision(full)!r}"
+            )
+        entries[full] = source
+        count = interior.get
+        for prefix in prefixes:
+            interior[prefix] = count(prefix, 0) + 1
         return source
 
     def drop(self, prefix: str = "") -> int:
         """Remove every entry under ``prefix``; returns how many."""
         full = self._join(prefix) if prefix else self._prefix
-        doomed = [key for key in self._entries
-                  if not full or key == full or key.startswith(full + ".")]
+        entries = self._entries
+        interior = self._interior
+        if not full:
+            count = len(entries)
+            entries.clear()
+            interior.clear()
+            return count
+        if full in entries:
+            doomed = [full]
+        elif full in interior:
+            below = full + "."
+            doomed = [key for key in entries if key.startswith(below)]
+        else:
+            return 0
         for key in doomed:
-            del self._entries[key]
+            del entries[key]
+            for parent in _interior_prefixes(key):
+                left = interior[parent] - 1
+                if left:
+                    interior[parent] = left
+                else:
+                    del interior[parent]
         return len(doomed)
 
     # -- export -------------------------------------------------------------
 
+    def _scoped_entries(self) -> list[tuple[str, StatSource]]:
+        """(relative path, source) of every entry in this scope, sorted."""
+        entries = self._entries
+        if not self._prefix:
+            return [(key, entries[key]) for key in sorted(entries)]
+        below = self._prefix + "."
+        cut = len(below)
+        return [(key[cut:], entries[key]) for key in sorted(
+            key for key in entries if key.startswith(below))]
+
     def paths(self) -> list[str]:
         """Sorted registered paths visible from this scope (relative)."""
-        if not self._prefix:
-            return sorted(self._entries)
-        cut = len(self._prefix) + 1
-        return sorted(
-            key[cut:] for key in self._entries
-            if key.startswith(self._prefix + ".")
-        )
+        return [path for path, _ in self._scoped_entries()]
 
     @staticmethod
     def _resolve(source: StatSource):
+        # the common exact types first; subclasses take the chain below
+        kind = type(source)
+        if kind is int or kind is float:
+            return source
+        if kind is FunctionType:
+            return StatsRegistry._resolve(source())
+        if kind is dict:
+            return {key: StatsRegistry._resolve(value)
+                    for key, value in source.items()}
         if isinstance(source, LatencyStats):
             return source.summary()
         if isinstance(source, RatioStat):
@@ -379,14 +462,13 @@ class StatsRegistry:
     def snapshot(self) -> dict:
         """The stats tree under this scope as plain nested dicts."""
         tree: dict = {}
-        for path in self.paths():
+        resolve = self._resolve
+        for path, source in self._scoped_entries():
             node = tree
-            parts = path.split(".")
-            for part in parts[:-1]:
+            *parents, leaf = path.split(".")
+            for part in parents:
                 node = node.setdefault(part, {})
-            node[parts[-1]] = self._resolve(
-                self._entries[self._join(path)]
-            )
+            node[leaf] = resolve(source)
         return tree
 
     def flat(self) -> dict[str, float]:

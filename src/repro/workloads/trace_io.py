@@ -22,6 +22,7 @@ cached so every trial in a worker shares one mapping).
 from __future__ import annotations
 
 import struct
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -53,6 +54,8 @@ _FLAG_WRITE = 0x1
 _INSTR_BYTES = 4
 _ADDR_BYTES = 8
 _FLAG_BYTES = 1
+#: records per bulk column conversion while iterating a range
+_ITER_CHUNK = 4096
 
 
 class TraceFormatError(ValueError):
@@ -202,14 +205,18 @@ class ColumnarTrace:
         return instructions[lo:hi], addresses[lo:hi], flags[lo:hi]
 
     def _iter_range(self, lo: int, hi: int) -> Iterator[TraceRecord]:
+        # Columns convert to Python ints a chunk at a time: one C-level
+        # call per column and chunk (reading a memmap element by element
+        # costs a Python-level call each), in memory bounded by the
+        # chunk whatever the range.
         instructions, addresses, flags = self._columns_range(lo, hi)
-        new_record = tuple.__new__
-        for i in range(hi - lo):
-            yield new_record(TraceRecord, (
-                int(instructions[i]),
-                int(addresses[i]),
-                bool(int(flags[i]) & _FLAG_WRITE),
-            ))
+        make = partial(tuple.__new__, TraceRecord)
+        for start in range(0, hi - lo, _ITER_CHUNK):
+            stop = start + _ITER_CHUNK
+            writes = (flags[start:stop] & _FLAG_WRITE).astype(bool)
+            yield from map(make, zip(instructions[start:stop].tolist(),
+                                     addresses[start:stop].tolist(),
+                                     writes.tolist()))
 
     def close(self) -> None:
         """Drop the column mappings; a shared handle also leaves the

@@ -3,8 +3,9 @@
 This file enforces the fast-path contract rather than trusting it:
 
 * a ``Machine.reset()`` machine is byte-identical to a freshly built
-  one — run results, power-fail/recover outcomes, and the full stats
-  tree (the :class:`~repro.orchestrate.pool.MachinePool` contract);
+  one — run results, power-fail/recover outcomes, the full stats tree
+  and the engine's class and parameters (the
+  :class:`~repro.orchestrate.pool.MachinePool` contract);
 * warm-pool campaigns are byte-identical to cold-parallel and serial
   runs across seeds, for all four campaign consumers;
 * :class:`~repro.orchestrate.results.PackedShard` reconstructs the
@@ -22,6 +23,7 @@ import pytest
 from repro.analysis.crashfuzz import fuzz_machine, fuzz_trace
 from repro.analysis.sensitivity import read_latency_sweep
 from repro.core import Machine
+from repro.engine import EpochEngine, WindowEngine
 from repro.faults import run_drill
 from repro.litmus import run_litmus
 from repro.orchestrate import (
@@ -34,6 +36,7 @@ from repro.orchestrate import (
     fingerprint,
     pack_results,
 )
+from repro.orchestrate.pool import machine_for_workload
 from repro.power.psu import ATX_PSU
 from repro.workloads import load_workload
 
@@ -241,7 +244,54 @@ class TestMachineResetConformance:
         assert machine.run(workload) == baseline  # ...and reset undid it
 
 
+    @pytest.mark.parametrize("make", (
+        lambda: WindowEngine(window=97),
+        lambda: EpochEngine(window=512, tolerance=0.02),
+    ), ids=("window-97", "epoch-512-tight"))
+    def test_reset_keeps_engine_class_and_parameters(self, make):
+        """Reset rebuilds the engine it ran with, not the registry's
+        default for that engine's name (the unregistered window engine
+        has none; the epoch engine's defaults skip other windows)."""
+        workload = load_workload("aes", refs=20_000)
+        fresh = Machine.for_workload("lightpc", workload, engine=make())
+        baseline = fresh.run(workload)
+
+        machine = Machine.for_workload("lightpc", workload, engine=make())
+        machine.run(workload)
+        engine = machine.engine
+        machine.reset()
+        assert machine.engine is not engine
+        assert type(machine.engine) is type(engine)
+        assert machine.engine.params == make().params
+        assert machine.run(workload) == baseline
+        assert machine.stats_tree() == fresh.stats_tree()
+
+
 class TestMachinePool:
+    def test_engine_configurations_lease_separate_templates(
+            self, monkeypatch):
+        from repro.orchestrate import pool as pool_module
+
+        pool = MachinePool()
+        monkeypatch.setattr(pool_module, "_MACHINE_POOL", pool)
+        workload = load_workload("aes", refs=1_500)
+        tight = machine_for_workload(
+            "lightpc", workload,
+            engine=EpochEngine(window=512, tolerance=0.02))
+        loose = machine_for_workload(
+            "lightpc", workload, engine=EpochEngine(window=1024))
+        assert tight is not loose
+        assert (pool.built, pool.reused) == (2, 0)
+        assert tight.engine.params["window"] == 512
+        assert loose.engine.params["window"] == 1024
+        again = machine_for_workload(
+            "lightpc", workload,
+            engine=EpochEngine(window=512, tolerance=0.02))
+        assert again is tight
+        assert (pool.built, pool.reused) == (2, 1)
+        assert again.engine.params == EpochEngine(
+            window=512, tolerance=0.02).params
+
     def test_lease_builds_once_then_resets(self):
         workload = load_workload("aes", refs=1_500)
         pool = MachinePool()

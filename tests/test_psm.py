@@ -52,6 +52,27 @@ class TestBasicService:
         with pytest.raises(ValueError):
             psm.access(MemoryRequest(MemoryOp.READ, size=128))
 
+    @pytest.mark.parametrize("functional", (False, True))
+    @pytest.mark.parametrize("make", (_psm, _psm_b), ids=("lightpc",
+                                                         "lightpc_b"))
+    @pytest.mark.parametrize("size", (8, 32, 63))
+    def test_sub_line_data_write_refused_untouched(self, make, functional,
+                                                   size):
+        """A write carrying less than a line of data is refused before
+        any counter, wear register or pending line changes."""
+        psm = make(functional)
+        write(psm, 0, data=bytes(64) if functional else None)
+        before = (psm.counters(), psm.capture_registers(),
+                  dict(psm._pending), dict(psm.wear.physical_writes),
+                  psm.media_line_writes)
+        request = MemoryRequest(MemoryOp.WRITE, address=128, size=size,
+                                time=5.0, data=bytes(size))
+        with pytest.raises(ValueError, match="whole 64 B lines"):
+            psm.access(request)
+        assert (psm.counters(), psm.capture_registers(), dict(psm._pending),
+                dict(psm.wear.physical_writes), psm.media_line_writes) == before
+        assert psm.flush(10.0) >= 10.0  # the next flush is unharmed
+
     def test_row_buffer_serves_youngest_write(self):
         psm = _psm()
         w = write(psm, 0)
