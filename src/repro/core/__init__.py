@@ -7,7 +7,7 @@ from repro.core.config import (
     PlatformName,
     TABLE1,
 )
-from repro.core.machine import Machine, register_backend_factory
+from repro.core.machine import Machine
 from repro.core.results import PowerFailOutcome, RunResult
 
 __all__ = [
@@ -19,5 +19,4 @@ __all__ = [
     "PowerFailOutcome",
     "RunResult",
     "TABLE1",
-    "register_backend_factory",
 ]

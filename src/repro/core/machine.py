@@ -38,7 +38,7 @@ from repro.sim.stats import StatsRegistry
 from repro.workloads.suites import Workload
 from repro.workloads.trace import LocalityProfile, TraceGenerator
 
-__all__ = ["Machine", "register_backend_factory"]
+__all__ = ["Machine"]
 
 #: Background kernel-thread traffic profile (light, write-mixed).
 _KERNEL_NOISE_PROFILE = LocalityProfile(
@@ -64,17 +64,6 @@ _BACKEND_FACTORIES: dict[str, BackendFactory] = {
         config.psm_config(), functional=functional
     ),
 }
-
-
-def register_backend_factory(platform: str, factory: BackendFactory) -> None:
-    """Teach Machine a new platform name.
-
-    The factory's product must satisfy the memory port protocol; the
-    Machine asserts conformance at construction.  This is the extension
-    point for hybrid tiers — a single backend class (or interposer
-    composition) plus one registration makes a runnable platform.
-    """
-    _BACKEND_FACTORIES[platform] = factory
 
 
 class Machine:

@@ -1,4 +1,4 @@
-"""Multi-core complex: cores sharing one memory backend + an IPI fabric.
+"""Multi-core complex: cores sharing one memory backend.
 
 Concurrent execution is simulated by always advancing the core with the
 smallest local clock, so backend contention (die occupancy, backpressure)
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.cpu.core import Core, CoreConfig, CoreStats
 from repro.engine.base import EngineSpec, ExecutionEngine, resolve_engine
@@ -78,7 +78,6 @@ class MultiCoreComplex:
             Core(i, backend, self.core_config, overhead, engine=self.engine)
             for i in range(cores)
         ]
-        self._ipi_handlers: dict[int, Callable[[int, object], None]] = {}
 
     def set_engine(self, engine: EngineSpec) -> ExecutionEngine:
         """Repoint every core at ``engine``; returns the resolved engine."""
@@ -169,18 +168,3 @@ class MultiCoreComplex:
     def flush_all_caches(self) -> int:
         """Dump every core's cache; returns total lines written back."""
         return sum(core.flush_cache()[0] for core in self.cores)
-
-    # -- IPI fabric --------------------------------------------------------------------
-
-    def register_ipi_handler(
-        self, core_id: int, handler: Callable[[int, object], None]
-    ) -> None:
-        if not 0 <= core_id < len(self.cores):
-            raise ValueError(f"no core {core_id}")
-        self._ipi_handlers[core_id] = handler
-
-    def send_ipi(self, source: int, target: int, payload: object = None) -> None:
-        handler = self._ipi_handlers.get(target)
-        if handler is None:
-            raise RuntimeError(f"core {target} has no IPI handler registered")
-        handler(source, payload)

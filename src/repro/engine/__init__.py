@@ -13,8 +13,7 @@ One registry, three builtin engines:
 Every engine's persistence cut writes the dirty lines back through
 scalar ``access``.  ``Machine.run`` and the CLI select execution
 through :func:`resolve_engine`; new engines plug in via
-:func:`register_engine` exactly the way new memory tiers plug in via
-``register_backend_factory``.
+:func:`register_engine`.
 """
 
 from repro.engine.base import (

@@ -8,9 +8,8 @@ pipeline:
 * **flush_cache** — how a persistence cut dumps a core's dirty D$
   through the memory port.
 
-Engines are selected by name through a registry that mirrors
-``register_backend_factory`` in :mod:`repro.core.machine`: builtin
-engines (``scalar``, ``extent``, ``epoch``) self-register on import,
+Engines are selected by name through a registry: builtin engines
+(``scalar``, ``extent``, ``epoch``) self-register on import,
 externally-defined engines plug in via :func:`register_engine`, and
 every consumer (``Machine.run``, the CLI, the machine crash fuzzer,
 the figure drivers) resolves through :func:`resolve_engine`.

@@ -14,13 +14,12 @@ memory deserves a formal contract rather than duck typing:
   honestly: DRAM's ``capture_registers`` returns ``b""`` and its ``reset``
   raises :class:`PortNotSupportedError` — there is no silent pretending.
 * :class:`Interposer` — a wrapper port that forwards the whole surface to
-  an inner backend.  Subclasses observe or perturb traffic without the
-  backend (or the complex) knowing: :class:`LatencyTap`,
-  :class:`BandwidthThrottle`, :class:`AddressRangePartition` and
-  :class:`FaultInjector`.  Interposers chain —
-  ``LatencyTap(BandwidthThrottle(PSM(...)))`` is itself a backend — which
-  is how hybrid tiers and the crash fuzzers compose platforms without
-  touching device internals.
+  an inner backend; :class:`FaultInjector` subclasses it to cut power at a
+  scheduled operation.  :class:`AddressRangePartition` routes byte ranges
+  to several backends behind one port.  Both compose without the backend
+  (or the complex) knowing — ``FaultInjector(AddressRangePartition(...))``
+  is itself a backend — which is how hybrid tiers and the crash fuzzers
+  compose platforms without touching device internals.
 
 ``assert_memory_backend`` is the construction-time conformance check: it
 names every missing attribute instead of letting an incomplete backend
@@ -47,16 +46,14 @@ from repro.memory.request import (
     MemoryRequest,
     MemoryResponse,
 )
-from repro.sim.stats import LatencyStats, StatsRegistry
+from repro.sim.stats import StatsRegistry
 
 __all__ = [
     "AddressRange",
     "AddressRangePartition",
-    "BandwidthThrottle",
     "FaultInjector",
     "InjectedPowerFailure",
     "Interposer",
-    "LatencyTap",
     "MemoryBackend",
     "PortNotSupportedError",
     "PowerPart",
@@ -268,93 +265,6 @@ class Interposer:
         while isinstance(inner, Interposer):
             inner = inner.inner
         return inner
-
-
-class LatencyTap(Interposer):
-    """Observe-only interposer recording per-op latency distributions.
-
-    The tap publishes its distributions under ``taps.<name>`` of whatever
-    scope the chain is registered in, alongside (not instead of) the
-    backend's own stats.
-    """
-
-    def __init__(self, inner: MemoryBackend, name: str = "tap") -> None:
-        super().__init__(inner)
-        self.name = name
-        self.read_latency = LatencyStats(f"{name}.read")
-        self.write_latency = LatencyStats(f"{name}.write")
-
-    def access(self, request: MemoryRequest) -> MemoryResponse:
-        response = self.inner.access(request)
-        if request.op is MemoryOp.WRITE:
-            self.write_latency.record(response.latency)
-        elif request.op is MemoryOp.READ:
-            self.read_latency.record(response.latency)
-        return response
-
-    def power_cycle(self) -> None:
-        # The tap's distributions are controller-side SRAM counters: the
-        # rails dropping zeroes them along with the backend's volatile
-        # state.  Reset in place so StatsRegistry nodes that captured a
-        # reference keep resolving (no stale dotted paths).
-        self.read_latency.reset()
-        self.write_latency.reset()
-        self.inner.power_cycle()
-
-    def register_stats(self, stats: StatsRegistry) -> None:
-        scope = stats.scoped(f"taps.{self.name}")
-        scope.register("read", self.read_latency)
-        scope.register("write", self.write_latency)
-        self.inner.register_stats(stats)
-
-
-class BandwidthThrottle(Interposer):
-    """Cap sustained read/write bandwidth in front of any backend.
-
-    Models a narrower link (or a QoS shaper) by delaying requests so the
-    stream never exceeds ``bytes_per_ns``; the shaping delay is reported
-    as ``blocked_ns`` on top of whatever the backend charges.
-    """
-
-    def __init__(self, inner: MemoryBackend, bytes_per_ns: float) -> None:
-        super().__init__(inner)
-        if bytes_per_ns <= 0:
-            raise ValueError("bytes_per_ns must be positive")
-        self.bytes_per_ns = bytes_per_ns
-        self._free_at = 0.0
-        self.throttled_ns = 0.0
-
-    def access(self, request: MemoryRequest) -> MemoryResponse:
-        if request.op not in (MemoryOp.READ, MemoryOp.WRITE):
-            return self.inner.access(request)
-        delay = max(0.0, self._free_at - request.time)
-        shifted = replace(request, time=request.time + delay) if delay \
-            else request
-        self._free_at = shifted.time + request.size / self.bytes_per_ns
-        response = self.inner.access(shifted)
-        if delay == 0.0:
-            return response
-        self.throttled_ns += delay
-        return MemoryResponse(
-            request,
-            complete_time=response.complete_time,
-            occupied_until=response.occupied_until,
-            data=response.data,
-            reconstructed=response.reconstructed,
-            blocked_ns=response.blocked_ns + delay,
-            error_contained=response.error_contained,
-        )
-
-    def power_cycle(self) -> None:
-        # The link is idle after the rails drop; the shaping ledger is
-        # volatile controller state and restarts from zero.
-        self._free_at = 0.0
-        self.throttled_ns = 0.0
-        self.inner.power_cycle()
-
-    def register_stats(self, stats: StatsRegistry) -> None:
-        stats.register("throttle.throttled_ns", lambda: self.throttled_ns)
-        self.inner.register_stats(stats)
 
 
 @dataclass(frozen=True)

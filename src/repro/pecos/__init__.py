@@ -15,7 +15,6 @@ from repro.pecos.scheduler import RunQueue, Scheduler, balance_assign
 from repro.pecos.schedsim import LiveTask, LiveWorld, WorldClock
 from repro.pecos.signals import DeliveryRecord, Signal, SignalDelivery
 from repro.pecos.sng import GoReport, SnG, SnGTiming, StopReport
-from repro.pecos.sng_events import EventStopReport, run_event_driven_stop
 from repro.pecos.task import Registers, Task, TaskFlags, TaskState, VMA, VMAKind
 from repro.pecos.vm import (
     AddressSpace,
@@ -36,7 +35,6 @@ __all__ = [
     "DevicePMList",
     "DeviceState",
     "DeliveryRecord",
-    "EventStopReport",
     "GoReport",
     "InterruptController",
     "Kernel",
@@ -65,6 +63,5 @@ __all__ = [
     "WorldSpec",
     "balance_assign",
     "default_dpm_list",
-    "run_event_driven_stop",
     "world_spec",
 ]

@@ -64,7 +64,9 @@ class DeviceDriver:
     """One entry of dpm_list with its callback costs.
 
     ``order`` encodes the dependency position dpm regulates; suspension
-    walks ascending order, resume walks descending.
+    walks ascending order, resume walks descending.  The callbacks
+    themselves run as passes of :meth:`DevicePMList.suspend_all` and
+    :meth:`DevicePMList.resume_all`.
     """
 
     name: str
@@ -106,60 +108,6 @@ class DeviceDriver:
         self.irq_enabled = True
         self._mmio = self._pristine_mmio
 
-    # -- suspend chain ------------------------------------------------------
-
-    def dpm_prepare(self) -> float:
-        if self.state is not DeviceState.ACTIVE:
-            raise DevicePMError(f"{self.name}: prepare from {self.state}")
-        self.state = DeviceState.PREPARED
-        return self.prepare_ns
-
-    def dpm_suspend(self) -> float:
-        if self.state is not DeviceState.PREPARED:
-            raise DevicePMError(f"{self.name}: suspend from {self.state}")
-        self.irq_enabled = False
-        self.state = DeviceState.SUSPENDED
-        cost = self.suspend_ns
-        if self.manual:
-            cost *= 1.5  # hand-rolled SPI/GPIO quiescing
-        return cost
-
-    def dpm_suspend_noirq(self) -> tuple[float, DCB]:
-        if self.state is not DeviceState.SUSPENDED:
-            raise DevicePMError(f"{self.name}: noirq from {self.state}")
-        self.state = DeviceState.SUSPENDED_NOIRQ
-        dcb = DCB(
-            device=self.name,
-            context_bytes=self.context_bytes,
-            mmio_image=self._mmio,
-            irq_enabled=False,
-        )
-        return self.suspend_noirq_ns, dcb
-
-    # -- resume chain ---------------------------------------------------------
-
-    def dpm_resume_noirq(self, dcb: DCB) -> float:
-        if self.state is not DeviceState.SUSPENDED_NOIRQ:
-            raise DevicePMError(f"{self.name}: resume_noirq from {self.state}")
-        if dcb.device != self.name:
-            raise DevicePMError(f"DCB for {dcb.device} applied to {self.name}")
-        self._mmio = dcb.mmio_image
-        self.irq_enabled = True
-        self.state = DeviceState.SUSPENDED
-        return self.resume_noirq_ns
-
-    def dpm_resume(self) -> float:
-        if self.state is not DeviceState.SUSPENDED:
-            raise DevicePMError(f"{self.name}: resume from {self.state}")
-        self.state = DeviceState.PREPARED
-        return self.resume_ns
-
-    def dpm_complete(self) -> float:
-        if self.state is not DeviceState.PREPARED:
-            raise DevicePMError(f"{self.name}: complete from {self.state}")
-        self.state = DeviceState.ACTIVE
-        return self.complete_ns
-
     @property
     def mmio_snapshot(self) -> bytes:
         return self._mmio
@@ -192,9 +140,9 @@ class DevicePMList:
         """The MMIO bytes a full dump or restore moves."""
         return sum([driver.mmio_bytes for driver in self.drivers])
 
-    # The two chains below fuse the per-driver callbacks above into one
-    # loop per pass: the same transitions, costs, summation order and
-    # error texts, without a method call per driver per pass.
+    # Each chain runs one loop per dpm pass over the whole list, named
+    # after the Linux callback it stands for; a driver found in the wrong
+    # state stops the chain with a DevicePMError naming the pass.
 
     def suspend_all(self) -> float:
         """Run the full suspend chain in dpm order; returns total ns."""

@@ -1,16 +1,16 @@
-"""Interrupt fabric: the power-event signal and inter-processor interrupts.
+"""Interrupt fabric: the power-event signal and the IPI latency.
 
 The power-event interrupt nominates the first core that seizes it as the
 SnG *master*; the master then drives *workers* through IPIs — first to
 park just-woken tasks, later to offline cores one by one (paper §III-B).
+SnG prices each IPI at :data:`IPI_LATENCY_NS` and counts the ones it
+sends in :attr:`InterruptController.ipis_sent`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
-
-from repro.sim.engine import Simulator
+from dataclasses import dataclass
+from typing import Optional
 
 __all__ = ["InterruptController", "IPI_LATENCY_NS"]
 
@@ -20,21 +20,12 @@ IPI_LATENCY_NS = 5_000.0
 
 @dataclass
 class InterruptController:
-    """Delivers the power-event signal and routes IPIs between cores."""
+    """Delivers the power-event signal and prices IPIs between cores."""
 
-    sim: Simulator
     cores: int
     ipi_latency_ns: float = IPI_LATENCY_NS
-    _handlers: dict[int, Callable[[int, object], None]] = field(
-        default_factory=dict
-    )
     master: Optional[int] = None
     ipis_sent: int = 0
-
-    def register(self, core: int, handler: Callable[[int, object], None]) -> None:
-        if not 0 <= core < self.cores:
-            raise ValueError(f"no core {core}")
-        self._handlers[core] = handler
 
     def raise_power_event(self, seized_by: int = 0) -> int:
         """AC-loss interrupt: the seizing core becomes the SnG master."""
@@ -44,18 +35,6 @@ class InterruptController:
             raise RuntimeError("power event already seized")
         self.master = seized_by
         return seized_by
-
-    def send_ipi(self, source: int, target: int, payload: object = None) -> None:
-        """Deliver an IPI after the fabric latency."""
-        handler = self._handlers.get(target)
-        if handler is None:
-            raise RuntimeError(f"core {target} has no IPI handler")
-        self.ipis_sent += 1
-        self.sim.call_after(
-            self.ipi_latency_ns,
-            lambda: handler(source, payload),
-            name=f"ipi:{source}->{target}",
-        )
 
     def reset(self) -> None:
         self.master = None

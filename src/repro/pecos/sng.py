@@ -42,7 +42,6 @@ from repro.pecos.kernel import Kernel
 from repro.pecos.scheduler import balance_assign
 from repro.pecos.signals import SignalDelivery
 from repro.pecos.task import Task
-from repro.sim.engine import Simulator
 
 __all__ = ["GoReport", "SnG", "SnGTiming", "StopReport"]
 
@@ -155,7 +154,6 @@ class SnG:
         flush_port: Optional[Callable[[float], float]] = None,
         dirty_lines_fn: Optional[Callable[[], list[int]]] = None,
         timing: Optional[SnGTiming] = None,
-        sim: Optional[Simulator] = None,
         capture_hw_state: Optional[Callable[[], bytes]] = None,
         restore_hw_state: Optional[Callable[[bytes], None]] = None,
         port: Optional[MemoryBackend] = None,
@@ -175,10 +173,7 @@ class SnG:
         self.capture_hw_state = capture_hw_state
         self.restore_hw_state = restore_hw_state
         self.timing = timing or SnGTiming()
-        self.sim = sim or Simulator()
-        self.interrupts = InterruptController(
-            sim=self.sim, cores=kernel.config.cores
-        )
+        self.interrupts = InterruptController(cores=kernel.config.cores)
         self.signals = SignalDelivery()
         self.last_stop: Optional[StopReport] = None
         self.last_go: Optional[GoReport] = None

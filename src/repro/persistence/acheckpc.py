@@ -18,13 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memory.extent import DirtyExtentMap
 from repro.persistence.base import (
     OCPMEM_BULK_WRITE_BW,
     ExecutionProfile,
     PersistenceMechanism,
     PersistenceOutcome,
-    extent_dump_ns,
 )
 
 __all__ = ["ACheckPC"]
@@ -50,23 +48,6 @@ class ACheckPC(PersistenceMechanism):
 
     def checkpoints(self, profile: ExecutionProfile) -> float:
         return profile.instructions / self.instructions_per_call
-
-    def checkpoint_port_ns(
-        self, backend, dirty: DirtyExtentMap, at_ns: float = 0.0
-    ) -> float:
-        """Cost one checkpoint through a real memory port.
-
-        ``dirty`` holds the lines the function touched since the last
-        call boundary; ``take()`` clears it, so consecutive checkpoints
-        are deltas — a checkpoint with nothing new dirtied pays only the
-        commit bookkeeping.  The analytic :meth:`outcome` (used by the
-        figure goldens) is untouched; this is the port-accurate variant
-        for runs that model the memory system explicitly.
-        """
-        extents = dirty.take()
-        if not extents:
-            return self.commit_ns
-        return extent_dump_ns(backend, extents, at_ns) + self.commit_ns
 
     def outcome(self, profile: ExecutionProfile) -> PersistenceOutcome:
         n = self.checkpoints(profile)

@@ -19,14 +19,11 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, replace
 
-from repro.memory.extent import Extent, default_flush_extents
-
 __all__ = [
     "ExecutionProfile",
     "PersistenceMechanism",
     "PersistenceOutcome",
     "OCPMEM_BULK_WRITE_BW",
-    "extent_dump_ns",
 ]
 
 #: Sustained sequential write bandwidth into OC-PMEM for bulk dumps
@@ -35,21 +32,6 @@ OCPMEM_BULK_WRITE_BW = 0.5e9
 
 #: Sustained read bandwidth out of OC-PMEM for image reloads.
 OCPMEM_BULK_READ_BW = 2.2e9
-
-
-def extent_dump_ns(backend, extents: list[Extent], at_ns: float = 0.0) -> float:
-    """Cost of dumping dirty extents through a real memory port.
-
-    Drains the extents (write-back) and then waits out the backend's
-    flush port so the dump is durable on media — the same
-    drain-then-synchronize sequence SnG's Auto-Stop performs.  Returns
-    the elapsed nanoseconds from ``at_ns``.
-    """
-    report = default_flush_extents(backend, extents, at_ns)
-    done = backend.flush(at_ns)
-    if report.done_ns > done:
-        done = report.done_ns
-    return done - at_ns
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memory.extent import DirtyExtentMap
 from repro.persistence.base import (
     OCPMEM_BULK_WRITE_BW,
     ExecutionProfile,
     PersistenceMechanism,
     PersistenceOutcome,
-    extent_dump_ns,
 )
 
 __all__ = ["SCheckPC"]
@@ -51,21 +49,6 @@ class SCheckPC(PersistenceMechanism):
 
     def periods(self, profile: ExecutionProfile) -> float:
         return max(1.0, profile.wall_ns / self.period_ns)
-
-    def period_dump_port_ns(
-        self, backend, dirty: DirtyExtentMap, at_ns: float = 0.0
-    ) -> float:
-        """Cost one periodic VMA dump through a real memory port.
-
-        ``dirty`` holds the lines dirtied since the previous period;
-        ``take()`` clears it, so each period's dump is a delta over the
-        last — a quiet period costs nothing.  The analytic
-        :meth:`outcome` (used by the figure goldens) is untouched.
-        """
-        extents = dirty.take()
-        if not extents:
-            return 0.0
-        return extent_dump_ns(backend, extents, at_ns)
 
     def outcome(self, profile: ExecutionProfile) -> PersistenceOutcome:
         per_dump_ns = (

@@ -6,14 +6,13 @@ from repro.power.model import (
     PowerModel,
     PowerReport,
 )
-from repro.power.psu import ATX_PSU, SERVER_PSU, PSUModel, PowerEventInjector
+from repro.power.psu import ATX_PSU, SERVER_PSU, PSUModel
 
 __all__ = [
     "ATX_PSU",
     "COMPONENT_SPECS",
     "ComponentSpec",
     "PSUModel",
-    "PowerEventInjector",
     "PowerModel",
     "PowerReport",
     "SERVER_PSU",

@@ -1,4 +1,4 @@
-"""Power supply hold-up model and power-event injection (Fig. 8a, §III-B).
+"""Power supply hold-up model (Fig. 8a, §III-B).
 
 A PSU's output capacitors keep the rails in specification for a *hold-up
 time* after AC input is lost.  The ATX specification mandates 16 ms at
@@ -8,19 +8,15 @@ idle (lower draw discharges the capacitors more slowly).
 
 The model stores energy in the capacitors and discharges it at the
 platform's draw; hold-up = stored energy / load, capped by the rail-decay
-limit at very light load.  :class:`PowerEventInjector` schedules the AC
-loss on the discrete-event simulator and exposes the deadline SnG must
-beat.
+limit at very light load.  The hold-up is the deadline SnG's Stop must
+beat after the AC loss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
-from repro.sim.engine import Event, Simulator
-
-__all__ = ["ATX_PSU", "SERVER_PSU", "PSUModel", "PowerEventInjector"]
+__all__ = ["ATX_PSU", "SERVER_PSU", "PSUModel"]
 
 NS_PER_MS = 1e6
 
@@ -57,53 +53,3 @@ ATX_PSU = PSUModel(
 SERVER_PSU = PSUModel(
     name="server", stored_j=1.04, max_holdup_ms=95.0, spec_holdup_ms=55.0
 )
-
-
-class PowerEventInjector:
-    """Injects an AC-loss event and tracks the survival deadline.
-
-    On fire, ``on_power_event`` is invoked (SnG's interrupt handler); the
-    platform then has :meth:`deadline_ns` of simulated time before the
-    rails fall out of spec.  :meth:`check_survived` is the pass/fail the
-    crash experiments assert.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        psu: PSUModel,
-        load_w: float,
-        on_power_event: Optional[Callable[[float], None]] = None,
-    ) -> None:
-        self.sim = sim
-        self.psu = psu
-        self.load_w = load_w
-        self.on_power_event = on_power_event
-        self.event_time: Optional[float] = None
-        self._event: Optional[Event] = None
-
-    def schedule(self, at_ns: float) -> Event:
-        """Arm the AC loss at an absolute simulated time."""
-        if self._event is not None and not self._event.fired:
-            raise RuntimeError("a power event is already armed")
-        self._event = self.sim.call_at(at_ns, self._fire, name="ac-loss")
-        return self._event
-
-    def _fire(self) -> None:
-        self.event_time = self.sim.now
-        if self.on_power_event is not None:
-            self.on_power_event(self.sim.now)
-
-    @property
-    def deadline_ns(self) -> Optional[float]:
-        """Absolute time the rails leave specification, once fired."""
-        if self.event_time is None:
-            return None
-        return self.event_time + self.psu.holdup_ns(self.load_w)
-
-    def check_survived(self, work_done_at_ns: float) -> bool:
-        """Did the persistence work finish inside the hold-up window?"""
-        deadline = self.deadline_ns
-        if deadline is None:
-            raise RuntimeError("no power event has fired")
-        return work_done_at_ns <= deadline

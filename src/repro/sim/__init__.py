@@ -1,6 +1,5 @@
-"""Discrete-event simulation engine and statistics accumulators."""
+"""Statistics accumulators and the hierarchical stats registry."""
 
-from repro.sim.engine import Event, Process, SimulationError, Simulator, Timeout
 from repro.sim.stats import (
     Counter,
     Histogram,
@@ -14,16 +13,11 @@ from repro.sim.stats import (
 
 __all__ = [
     "Counter",
-    "Event",
     "Histogram",
     "LatencyStats",
-    "Process",
     "RatioStat",
-    "SimulationError",
-    "Simulator",
     "StatsRegistry",
     "TimeSeries",
-    "Timeout",
     "geometric_mean",
     "weighted_mean",
 ]

@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.memory.dram import DRAMConfig, DRAMSubsystem
+from repro.memory.port import AddressRange, AddressRangePartition, FaultInjector
 from repro.ocpmem.psm import PSM, PSMConfig
 from repro.pmem.controller import NMEMController, PMEMController
 from repro.pmem.dimm import PMEMDIMM
@@ -66,6 +67,16 @@ BACKENDS = {
         DRAMSubsystem(DRAMConfig(capacity=1 << 20, ranks=4)), _pmem()
     ),
 }
+
+
+def injector_partition_chain():
+    """injector -> partition -> one PSM per region: the shape the
+    compound-fault drills build over a multi-region litmus topology."""
+    span = _psm().capacity
+    return FaultInjector(AddressRangePartition([
+        AddressRange(index * span, (index + 1) * span, _psm())
+        for index in range(2)
+    ]))
 
 
 def capacity_of(backend) -> int:

@@ -25,6 +25,9 @@ state and flag enums, the VMA, the run queue and ``balance_assign``, the
 bootloader, the interrupt controller, the report types and the stats
 accumulators.  The task's pid counter is the shared global one, so both
 sides draw pids from one sequence, as two kernels in one process do.
+The SnG copy builds the imported interrupt controller the way the
+controller is built now, from the core count alone; the simulator it
+once took was never scheduled on or advanced.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from repro.pecos.task import (
     VMAKind,
     _pid_counter,
 )
-from repro.sim.engine import Simulator
 from repro.sim.stats import (
     _PATH_SEGMENT,
     Counter,
@@ -799,7 +801,6 @@ class SnG:
         flush_port: Optional[Callable[[float], float]] = None,
         dirty_lines_fn: Optional[Callable[[], list[int]]] = None,
         timing: Optional[SnGTiming] = None,
-        sim: Optional[Simulator] = None,
         capture_hw_state: Optional[Callable[[], bytes]] = None,
         restore_hw_state: Optional[Callable[[bytes], None]] = None,
         port: Optional[MemoryBackend] = None,
@@ -819,10 +820,7 @@ class SnG:
         self.capture_hw_state = capture_hw_state
         self.restore_hw_state = restore_hw_state
         self.timing = timing or SnGTiming()
-        self.sim = sim or Simulator()
-        self.interrupts = InterruptController(
-            sim=self.sim, cores=kernel.config.cores
-        )
+        self.interrupts = InterruptController(cores=kernel.config.cores)
         self.signals = SignalDelivery()
         self.last_stop: Optional[StopReport] = None
         self.last_go: Optional[GoReport] = None

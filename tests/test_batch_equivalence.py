@@ -34,10 +34,8 @@ from repro.memory.dram import DRAMConfig, DRAMSubsystem
 from repro.memory.port import (
     AddressRange,
     AddressRangePartition,
-    BandwidthThrottle,
     FaultInjector,
     InjectedPowerFailure,
-    LatencyTap,
 )
 from repro.memory.request import CACHELINE_BYTES, MemoryOp, MemoryRequest
 from repro.ocpmem.psm import PSM, PSMConfig
@@ -46,6 +44,7 @@ from tests.equivalence import (
     BACKENDS,
     capacity_of,
     case_id_prefix,  # noqa: F401  (autouse fixture)
+    injector_partition_chain,
     state_of,
 )
 
@@ -170,21 +169,15 @@ class TestBackendEquivalence:
 
 
 class TestInterposerEquivalence:
-    def _chain(self):
-        """tap -> throttle -> PSM, the shape machine platforms build."""
-        psm = PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10))
-        return LatencyTap(BandwidthThrottle(psm, bytes_per_ns=2.0),
-                          name="port")
-
-    def test_tap_throttle_chain_matches_scalar(self):
-        capacity = capacity_of(PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10)))
-        records = make_records(capacity, 500, seed=21)
-        scalar = make_core(self._chain())
-        windowed = make_core(self._chain())
+    def test_injector_partition_chain_matches_scalar(self):
+        records = make_records(capacity_of(injector_partition_chain()), 500,
+                               seed=21)
+        scalar = make_core(injector_partition_chain())
+        windowed = make_core(injector_partition_chain())
         run_scalar(scalar, records)
         run_windowed(windowed, records, 128)
         assert_equivalent(scalar, windowed)
-        assert windowed.backend.inner.throttled_ns > 0.0
+        assert windowed.backend.op_index > 0
 
     def test_partition_routes_batches_like_scalar(self):
         half = 1 << 20

@@ -130,18 +130,6 @@ class TestMultiCoreComplex:
         assert flushed > 0
         assert all(c == 0 for c in cx.dirty_line_counts())
 
-    def test_ipi_roundtrip(self):
-        cx = MultiCoreComplex(_backend(), cores=2)
-        got = []
-        cx.register_ipi_handler(1, lambda src, payload: got.append((src, payload)))
-        cx.send_ipi(0, 1, payload="offline")
-        assert got == [(0, "offline")]
-
-    def test_ipi_without_handler_raises(self):
-        cx = MultiCoreComplex(_backend(), cores=2)
-        with pytest.raises(RuntimeError):
-            cx.send_ipi(0, 1)
-
     def test_needs_at_least_one_core(self):
         with pytest.raises(ValueError):
             MultiCoreComplex(_backend(), cores=0)

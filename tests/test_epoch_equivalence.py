@@ -30,7 +30,7 @@ from repro.engine import base as engine_base
 from repro.engine.epoch import EpochEngine, EpochReport, _armed_fault
 from repro.engine.extent import ExtentEngine
 from repro.faults.compound import CompoundFaultInjector
-from repro.memory.port import BandwidthThrottle, FaultInjector, LatencyTap
+from repro.memory.port import FaultInjector, Interposer
 from repro.ocpmem.psm import PSM
 from repro.sim.stats import StatsRegistry
 from repro.workloads import load_workload
@@ -186,11 +186,10 @@ class TestExactnessEscapeHatches:
     def test_armed_injector_detected_through_the_chain(self):
         psm = PSM()
         assert not _armed_fault(psm)
-        idle = LatencyTap(FaultInjector(psm, crash_at_op=None), name="t")
+        idle = Interposer(FaultInjector(psm, crash_at_op=None))
         assert not _armed_fault(idle)
-        armed = LatencyTap(
-            BandwidthThrottle(FaultInjector(PSM(), crash_at_op=100),
-                              bytes_per_ns=2.0), name="t")
+        armed = FaultInjector(
+            Interposer(FaultInjector(PSM(), crash_at_op=100)))
         assert _armed_fault(armed)
         compound = CompoundFaultInjector(PSM(), cuts=[50, 90])
         assert _armed_fault(compound)

@@ -35,10 +35,8 @@ from repro.memory.extent import (
 from repro.memory.port import (
     AddressRange,
     AddressRangePartition,
-    BandwidthThrottle,
     FaultInjector,
     InjectedPowerFailure,
-    LatencyTap,
 )
 from repro.memory.request import (
     AddressSpaceError,
@@ -49,13 +47,12 @@ from repro.memory.request import (
 from repro.ocpmem.psm import PSM, PSMConfig
 from repro.pecos.kernel import Kernel
 from repro.pecos.sng import SnG
-from repro.persistence.acheckpc import ACheckPC
-from repro.persistence.scheckpc import SCheckPC
 from repro.sim.stats import StatsRegistry
 from tests.equivalence import (
     BACKENDS,
     capacity_of,
     case_id_prefix,  # noqa: F401  (autouse fixture)
+    injector_partition_chain,
     state_of,
 )
 
@@ -202,17 +199,11 @@ class TestBackendEquivalence:
 
 
 class TestInterposerEquivalence:
-    def _chain(self):
-        """tap -> throttle -> PSM, the shape machine platforms build."""
-        psm = PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10))
-        return LatencyTap(BandwidthThrottle(psm, bytes_per_ns=2.0),
-                          name="port")
-
-    def test_tap_throttle_chain_matches_scalar(self):
-        capacity = capacity_of(PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10)))
-        extents = make_extents(capacity, 500, seed=21)
-        scalar = self._chain()
-        port = self._chain()
+    def test_injector_partition_chain_matches_scalar(self):
+        extents = make_extents(capacity_of(injector_partition_chain()), 500,
+                               seed=21)
+        scalar = injector_partition_chain()
+        port = injector_partition_chain()
         scalar_report = flush_by_hand(scalar, extents, 0.0)
         extent_report = default_flush_extents(port, extents, 0.0)
         assert_equivalent(scalar, port, scalar_report, extent_report)
@@ -339,44 +330,34 @@ class TestStatsResetAfterPowerCycle:
     """Satellite: flush/drain counters under a full interposer chain
     restart from zero after ``power_cycle``; registry paths stay live."""
 
-    def _chain(self):
-        psm = PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10))
-        return LatencyTap(
-            BandwidthThrottle(
-                FaultInjector(psm, crash_at_op=None), bytes_per_ns=2.0
-            ),
-            name="port",
-        )
-
     def test_counters_restart_from_zero(self):
-        chain = self._chain()
+        chain = injector_partition_chain()
         registry = StatsRegistry()
         chain.register_stats(registry.scoped("memory"))
         before_keys = set(registry.flat())
 
-        extents = make_extents(
-            capacity_of(PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10))),
-            400, seed=5)
-        default_flush_extents(chain, extents, 0.0)
+        extents = make_extents(capacity_of(chain), 400, seed=5)
+        report = default_flush_extents(chain, extents, 0.0)
         flat = registry.flat()
-        tap_writes = [v for k, v in flat.items() if "write" in k and v]
-        assert tap_writes, "flush produced no write stats through the tap"
+        writes = [v for k, v in flat.items() if "write" in k and v]
+        assert writes, "flush produced no write stats through the chain"
+        psms = [region.backend for region in chain.inner.regions]
+        assert sum(psm.wear.write_count for psm in psms) == report.lines
 
         chain.power_cycle()
         flat = registry.flat()
         assert set(flat) == before_keys, "stale registry nodes leaked"
         # Controller-side state zeroes in place (registry references keep
         # resolving); host-side simulation stats on the PSM persist.
-        assert chain.read_latency.count == 0
-        assert chain.write_latency.count == 0
-        assert chain.inner.throttled_ns == 0.0
-        psm = chain.inner.inner.inner
-        assert not psm._pending and not psm._buffers
-        assert not psm._channel_busy
+        for psm in psms:
+            assert psm.wear.write_count == 0
+            assert not psm._pending and not psm._buffers
+            assert not psm._channel_busy
+        assert sum(psm.write_latency.count for psm in psms) == report.lines
 
         # The same chain keeps serving after the cycle, from zero.
-        report = default_flush_extents(chain, extents[:4], 0.0)
-        assert chain.write_latency.count == report.lines
+        again = default_flush_extents(chain, extents[:4], 0.0)
+        assert sum(psm.wear.write_count for psm in psms) == again.lines
 
 
 class TestSnGReportIdentity:
@@ -450,22 +431,6 @@ class TestDirtyExtentMap:
         assert dirty.take() == [Extent(0, 3)]
         assert not dirty
         assert dirty.take() == []
-
-    def test_delta_checkpoint_costing_is_quiet_when_clean(self):
-        psm = PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10))
-        dirty = DirtyExtentMap()
-        dirty.note_lines(range(0, 64 * CACHELINE_BYTES, CACHELINE_BYTES))
-
-        scheck = SCheckPC()
-        first = scheck.period_dump_port_ns(psm, dirty)
-        assert first > 0.0
-        assert scheck.period_dump_port_ns(psm, dirty) == 0.0  # drained
-
-        acheck = ACheckPC()
-        dirty.note_lines([0, 64])
-        cost = acheck.checkpoint_port_ns(psm, dirty)
-        assert cost > acheck.commit_ns
-        assert acheck.checkpoint_port_ns(psm, dirty) == acheck.commit_ns
 
 
 class TestFaultInjectorExtentEdges:

@@ -9,21 +9,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.machine import (
-    Machine,
-    _BACKEND_FACTORIES,
-    register_backend_factory,
-)
+from repro.core.machine import Machine, _BACKEND_FACTORIES
 from repro.memory.batch import default_access_batch
 from repro.memory.dram import DRAMConfig, DRAMSubsystem
 from repro.memory.port import (
     AddressRange,
     AddressRangePartition,
-    BandwidthThrottle,
     FaultInjector,
     InjectedPowerFailure,
     Interposer,
-    LatencyTap,
     MemoryBackend,
     PortNotSupportedError,
     assert_memory_backend,
@@ -159,32 +153,11 @@ class TestProtocolConformance:
 class TestInterposers:
     def test_chain_satisfies_protocol_and_unwraps(self):
         psm = _psm()
-        chain = LatencyTap(BandwidthThrottle(psm, bytes_per_ns=64.0))
+        chain = FaultInjector(Interposer(psm))
         assert_memory_backend(chain, context="interposer chain")
         assert chain.unwrap() is psm
         assert not chain.is_volatile
         assert chain.capacity == psm.capacity
-
-    def test_latency_tap_records(self):
-        tap = LatencyTap(_dram(), name="probe")
-        for i in range(4):
-            tap.access(MemoryRequest(MemoryOp.READ, address=i * 64))
-        tap.access(MemoryRequest(MemoryOp.WRITE, address=0))
-        assert tap.read_latency.count == 4
-        assert tap.write_latency.count == 1
-        stats = StatsRegistry()
-        tap.register_stats(stats)
-        assert "taps.probe.read.count" in stats.flat()
-
-    def test_bandwidth_throttle_delays_bursts(self):
-        throttle = BandwidthThrottle(_dram(), bytes_per_ns=0.064)
-        first = throttle.access(MemoryRequest(MemoryOp.READ, address=0,
-                                              time=0.0))
-        second = throttle.access(MemoryRequest(MemoryOp.READ, address=64,
-                                               time=first.complete_time))
-        # 64 B at 0.064 B/ns = 1000 ns of line time per access
-        assert second.blocked_ns > 0
-        assert throttle.throttled_ns > 0
 
     def test_fault_injector_trips_once_then_forwards(self):
         port = FaultInjector(_psm(), crash_at_op=2)
@@ -362,8 +335,8 @@ class TestMachineIntegration:
             def access(self, request):
                 raise NotImplementedError
 
-        register_backend_factory(
-            "broken", lambda config, functional: HalfBackend())
+        _BACKEND_FACTORIES["broken"] = (
+            lambda config, functional: HalfBackend())
         try:
             with pytest.raises(TypeError) as excinfo:
                 Machine("broken")
@@ -500,8 +473,8 @@ class TestFaultInjectorBoundaries:
 
 class TestWearRegisterRoundTripUnderChain:
     """Satellite: ``power_cycle`` + ``restore_wear_registers`` through a
-    full LatencyTap -> Throttle -> Partition -> FaultInjector chain must
-    round-trip the wear state and keep the stats tree shape intact."""
+    full FaultInjector -> Partition -> FaultInjector chain must round-trip
+    the wear state and keep the stats tree shape intact."""
 
     LINES_PER_REGION = 1 << 9
 
@@ -518,8 +491,7 @@ class TestWearRegisterRoundTripUnderChain:
             AddressRange(0, span, region_psm()),
             AddressRange(span, 2 * span, region_psm()),
         ])
-        return LatencyTap(BandwidthThrottle(partition, bytes_per_ns=2.0),
-                          name="port")
+        return FaultInjector(partition)
 
     def _write_both_regions(self, chain, count=64):
         span = 2 * self.LINES_PER_REGION * 64
@@ -580,5 +552,4 @@ class TestWearRegisterRoundTripUnderChain:
         chain.register_stats(after.scoped("memory"))
         assert set(after.flat()) == keys_before
         # the already-registered registry stays live across the cycle
-        # (interposers reset their distributions in place)
         assert set(before.flat()) == keys_before

@@ -13,64 +13,102 @@ from repro.pecos import (
     MachineRegisters,
     default_dpm_list,
 )
-from repro.sim import Simulator
+
+
+def _three() -> DevicePMList:
+    return DevicePMList([DeviceDriver("first", order=0),
+                         DeviceDriver("mid", order=1),
+                         DeviceDriver("last", order=2)])
+
+
+def _states(dpm: DevicePMList) -> list[DeviceState]:
+    return [driver.state for driver in dpm.drivers]
 
 
 class TestDeviceDriver:
+    """The per-driver dpm protocol, driven through the list's chains."""
+
     def test_suspend_chain_order_enforced(self):
-        drv = DeviceDriver("dev", order=0)
-        with pytest.raises(DevicePMError):
-            drv.dpm_suspend()  # prepare first
-        drv.dpm_prepare()
-        with pytest.raises(DevicePMError):
-            drv.dpm_suspend_noirq()  # suspend first
-        drv.dpm_suspend()
-        cost, dcb = drv.dpm_suspend_noirq()
-        assert drv.state is DeviceState.SUSPENDED_NOIRQ
-        assert dcb.device == "dev"
-        assert not dcb.irq_enabled
+        dpm = _three()
+        first, mid, last = dpm.drivers
+        mid.state = DeviceState.SUSPENDED  # wedged: already past prepare
+        with pytest.raises(DevicePMError) as err:
+            dpm.suspend_all()
+        assert str(err.value) == "mid: prepare from DeviceState.SUSPENDED"
+        # the prepare pass moved the driver ahead of the wedge only
+        assert _states(dpm) == [DeviceState.PREPARED, DeviceState.SUSPENDED,
+                                DeviceState.ACTIVE]
+        assert first.irq_enabled and last.irq_enabled
+        assert not dpm.dcbs
+
+        dpm.reset()
+        dpm.suspend_all()
+        assert dpm.all_state(DeviceState.SUSPENDED_NOIRQ)
+        assert not any(driver.irq_enabled for driver in dpm.drivers)
+        assert all(not dcb.irq_enabled for dcb in dpm.dcbs.values())
+        with pytest.raises(DevicePMError) as err:
+            dpm.suspend_all()  # a second Stop without Go
+        assert str(err.value) == (
+            "first: prepare from DeviceState.SUSPENDED_NOIRQ")
 
     def test_resume_chain_order_enforced(self):
-        drv = DeviceDriver("dev", order=0)
-        drv.dpm_prepare()
-        drv.dpm_suspend()
-        _, dcb = drv.dpm_suspend_noirq()
-        with pytest.raises(DevicePMError):
-            drv.dpm_resume()  # noirq first
-        drv.dpm_resume_noirq(dcb)
-        drv.dpm_resume()
-        drv.dpm_complete()
-        assert drv.state is DeviceState.ACTIVE
-        assert drv.irq_enabled
+        dpm = _three()
+        first, mid, last = dpm.drivers
+        dpm.suspend_all()
+        mid.state = DeviceState.SUSPENDED  # wedged: woke before its noirq
+        with pytest.raises(DevicePMError) as err:
+            dpm.resume_all()
+        assert str(err.value) == (
+            "mid: resume_noirq from DeviceState.SUSPENDED")
+        # resume walks backwards: only the driver behind the wedge moved
+        assert _states(dpm) == [DeviceState.SUSPENDED_NOIRQ,
+                                DeviceState.SUSPENDED, DeviceState.SUSPENDED]
+        assert last.irq_enabled and not first.irq_enabled
+        assert set(dpm.dcbs) == {"first", "mid", "last"}
+
+        dpm.reset()
+        dpm.suspend_all()
+        dpm.resume_all()
+        assert dpm.all_state(DeviceState.ACTIVE)
+        assert all(driver.irq_enabled for driver in dpm.drivers)
 
     def test_dcb_restores_mmio(self):
-        drv = DeviceDriver("dev", order=0)
-        original = drv.mmio_snapshot
-        drv.dpm_prepare()
-        drv.dpm_suspend()
-        _, dcb = drv.dpm_suspend_noirq()
-        drv.scribble_mmio()
-        assert drv.mmio_snapshot != original
-        drv.dpm_resume_noirq(dcb)
-        assert drv.mmio_snapshot == original
+        dpm = _three()
+        original = [driver.mmio_snapshot for driver in dpm.drivers]
+        dpm.suspend_all()
+        assert [dpm.dcbs[d.name].mmio_image for d in dpm.drivers] == original
+        for driver in dpm.drivers:
+            driver.scribble_mmio()
+        assert [d.mmio_snapshot for d in dpm.drivers] != original
+        dpm.resume_all()
+        assert [d.mmio_snapshot for d in dpm.drivers] == original
 
     def test_wrong_dcb_rejected(self):
-        a = DeviceDriver("a", order=0)
-        b = DeviceDriver("b", order=1)
-        for drv in (a, b):
-            drv.dpm_prepare()
-            drv.dpm_suspend()
-        _, dcb_a = a.dpm_suspend_noirq()
-        b.dpm_suspend_noirq()
-        with pytest.raises(DevicePMError):
-            b.dpm_resume_noirq(dcb_a)
+        dpm = DevicePMList([DeviceDriver("a", order=0),
+                            DeviceDriver("b", order=1)])
+        dpm.suspend_all()
+        dpm.dcbs["a"], dpm.dcbs["b"] = dpm.dcbs["b"], dpm.dcbs["a"]
+        b = dpm.drivers[1]
+        b.scribble_mmio()
+        scribbled = b.mmio_snapshot
+        with pytest.raises(DevicePMError) as err:
+            dpm.resume_all()  # b resumes first and finds a's DCB
+        assert str(err.value) == "DCB for a applied to b"
+        assert dpm.all_state(DeviceState.SUSPENDED_NOIRQ)
+        assert b.mmio_snapshot == scribbled and not b.irq_enabled
 
     def test_manual_peripherals_cost_more(self):
         auto = DeviceDriver("auto", order=0)
-        manual = DeviceDriver("manual", order=1, manual=True)
-        auto.dpm_prepare()
-        manual.dpm_prepare()
-        assert manual.dpm_suspend() > auto.dpm_suspend()
+        twins = DevicePMList([auto, DeviceDriver("manual", order=1,
+                                                 manual=True)])
+        fixed = 2 * (auto.prepare_ns + auto.suspend_noirq_ns)
+        # the manual twin's suspend pass costs 1.5x the automatic one's
+        assert twins.suspend_all() == fixed + 2.5 * auto.suspend_ns
+        autos = DevicePMList([DeviceDriver("auto", order=0),
+                              DeviceDriver("auto2", order=1)])
+        assert autos.suspend_all() == fixed + 2.0 * auto.suspend_ns
+        # resume has no manual surcharge
+        assert twins.resume_all() == autos.resume_all()
 
     @pytest.mark.parametrize("size", [0, 1, 255, 256, 257, 1000])
     def test_mmio_pattern_is_the_name_seeded_ramp(self, size):
@@ -162,34 +200,19 @@ class TestBootloader:
 
 class TestInterruptController:
     def test_power_event_nominates_master(self):
-        ic = InterruptController(sim=Simulator(), cores=4)
+        ic = InterruptController(cores=4)
         assert ic.raise_power_event(2) == 2
         assert ic.master == 2
 
     def test_double_seize_rejected(self):
-        ic = InterruptController(sim=Simulator(), cores=4)
+        ic = InterruptController(cores=4)
         ic.raise_power_event(0)
         with pytest.raises(RuntimeError):
             ic.raise_power_event(1)
 
-    def test_ipi_delivery_with_latency(self):
-        sim = Simulator()
-        ic = InterruptController(sim=sim, cores=2)
-        got = []
-        ic.register(1, lambda src, payload: got.append((sim.now, src, payload)))
-        ic.send_ipi(0, 1, payload="stop")
-        sim.run()
-        assert got == [(ic.ipi_latency_ns, 0, "stop")]
-        assert ic.ipis_sent == 1
-
-    def test_ipi_without_handler(self):
-        ic = InterruptController(sim=Simulator(), cores=2)
-        with pytest.raises(RuntimeError):
-            ic.send_ipi(0, 1)
-
     def test_invalid_core_ids(self):
-        ic = InterruptController(sim=Simulator(), cores=2)
-        with pytest.raises(ValueError):
-            ic.register(5, lambda s, p: None)
-        with pytest.raises(ValueError):
-            ic.raise_power_event(9)
+        ic = InterruptController(cores=2)
+        for core in (2, 9, -1):
+            with pytest.raises(ValueError):
+                ic.raise_power_event(core)
+        assert ic.master is None

@@ -5,11 +5,8 @@ import pytest
 from repro.power import (
     ATX_PSU,
     SERVER_PSU,
-    PSUModel,
-    PowerEventInjector,
     PowerModel,
 )
-from repro.sim import Simulator
 
 
 class TestPowerModel:
@@ -77,36 +74,3 @@ class TestPSU:
 
     def test_measured_exceeds_spec(self):
         assert ATX_PSU.holdup_ms(18.9) > ATX_PSU.spec_holdup_ms
-
-
-class TestPowerEventInjector:
-    def test_fire_and_deadline(self):
-        sim = Simulator()
-        fired = []
-        injector = PowerEventInjector(sim, ATX_PSU, load_w=18.9,
-                                      on_power_event=fired.append)
-        injector.schedule(1_000.0)
-        sim.run()
-        assert fired == [1_000.0]
-        assert injector.deadline_ns == pytest.approx(
-            1_000.0 + ATX_PSU.holdup_ns(18.9))
-
-    def test_survival_check(self):
-        sim = Simulator()
-        injector = PowerEventInjector(sim, ATX_PSU, load_w=18.9)
-        injector.schedule(0.0)
-        sim.run()
-        assert injector.check_survived(10e6)     # 10 ms: inside
-        assert not injector.check_survived(30e6)  # 30 ms: rails dead
-
-    def test_check_before_event_raises(self):
-        injector = PowerEventInjector(Simulator(), ATX_PSU, load_w=10.0)
-        with pytest.raises(RuntimeError):
-            injector.check_survived(0.0)
-
-    def test_double_arm_rejected(self):
-        sim = Simulator()
-        injector = PowerEventInjector(sim, ATX_PSU, load_w=10.0)
-        injector.schedule(5.0)
-        with pytest.raises(RuntimeError):
-            injector.schedule(10.0)

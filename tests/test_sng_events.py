@@ -3,7 +3,7 @@
 import pytest
 
 from repro.pecos import Kernel, KernelConfig, SnG
-from repro.pecos.sng_events import run_event_driven_stop
+from tests.sng_event_oracle import run_event_driven_stop
 
 
 def _pair(kernel_config=None, dirty=256):
@@ -81,7 +81,7 @@ class TestEventDrivenProperties:
 
 class TestGoAgreement:
     def test_go_totals_agree(self):
-        from repro.pecos.sng_events import run_event_driven_go
+        from tests.sng_event_oracle import run_event_driven_go
 
         closed_kernel = Kernel()
         closed_kernel.populate()
@@ -98,7 +98,7 @@ class TestGoAgreement:
             closed.device_resume_ns, rel=0.08)
 
     def test_go_reschedule_scales_with_tasks(self):
-        from repro.pecos.sng_events import run_event_driven_go
+        from tests.sng_event_oracle import run_event_driven_go
 
         small = Kernel(KernelConfig(user_processes=10, kernel_threads=10))
         small.populate()
