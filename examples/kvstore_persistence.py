@@ -21,6 +21,7 @@ Run:  python examples/kvstore_persistence.py
 """
 
 import struct
+import zlib
 
 from repro.core import Machine
 from repro.memory import MemoryOp, MemoryRequest
@@ -32,6 +33,11 @@ _SLOT = struct.Struct("<16s40s")  # key, value
 _BUCKETS = 64
 
 
+def _bucket(key: str) -> int:
+    """A key's bucket: a stable digest, not the per-process salted hash."""
+    return zlib.crc32(key.encode()) % _BUCKETS
+
+
 class PMDKStore:
     """Hash map over a persistent object pool with durable transactions."""
 
@@ -40,7 +46,7 @@ class PMDKStore:
         self.root = pool.root(_BUCKETS * _SLOT.size)
 
     def _slot(self, key: str) -> int:
-        return (hash(key) % _BUCKETS) * _SLOT.size
+        return _bucket(key) * _SLOT.size
 
     def put(self, key: str, value: str) -> None:
         record = _SLOT.pack(key.encode()[:16].ljust(16, b"\x00"),
@@ -65,8 +71,7 @@ class LightPCStore:
         self.machine = machine
 
     def _address(self, key: str) -> int:
-        slot = hash(key) % _BUCKETS
-        return self.BASE + slot * 64  # one cacheline per slot
+        return self.BASE + _bucket(key) * 64  # one cacheline per slot
 
     def put(self, key: str, value: str) -> None:
         record = _SLOT.pack(key.encode()[:16].ljust(16, b"\x00"),

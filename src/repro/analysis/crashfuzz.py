@@ -53,7 +53,13 @@ from repro.pmem.dimm import PMEMDIMM
 from repro.pmem.pmdk import PersistentObjectPool
 from repro.pmem.sector import SECTOR_BYTES, SectorDevice
 from repro.power.psu import ATX_PSU, PSUModel
-from repro.workloads.suites import ReplayWorkload, load_workload, spec
+from repro.workloads.suites import (
+    ReplayWorkload,
+    _materialize_stream,
+    _Replayable,
+    load_workload,
+    spec,
+)
 from repro.workloads.trace_io import open_trace, read_window, trace_meta
 
 __all__ = [
@@ -433,24 +439,16 @@ def materialize_fuzz_trace(workload: str = "aes", refs: int = 120_000,
     directory in the system temp dir), so repeated campaigns — and
     every worker of one — share a single file mapped read-only.
     """
-    import os
-
     from repro.workloads.trace import TraceGenerator
-    from repro.workloads.trace_io import save_trace_columnar
 
     directory = Path(trace_dir) if trace_dir is not None else (
         Path(tempfile.gettempdir()) / "repro-traces")
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{workload}-w{refs}-s{trace_seed}.coltrace"
-    if not path.exists():
-        # The workload's thread-0 stream shape, scaled to ``refs``
-        # records (window trials replay a single stream).
-        generator = TraceGenerator(spec(workload).profile,
-                                   seed=trace_seed * 1009)
-        tmp = path.with_suffix(".tmp")
-        save_trace_columnar(generator.records(refs), tmp)
-        os.replace(tmp, path)
-    return path
+    # The workload's thread-0 stream shape, scaled to ``refs`` records
+    # (window trials replay a single stream).
+    stream = _Replayable(
+        TraceGenerator(spec(workload).profile, seed=trace_seed * 1009), refs)
+    return _materialize_stream(stream, directory,
+                               f"{workload}-w{refs}-s{trace_seed}")
 
 
 def fuzz_trace(trials: int = 200, window: int = 192, seed: int = 4, *,

@@ -43,7 +43,7 @@ from repro.power.psu import ATX_PSU, SERVER_PSU
 from repro.sim.stats import LatencyStats, geometric_mean
 from repro.workloads.registry import WORKLOAD_SPECS
 from repro.workloads.stream import STREAM_KERNELS, StreamKernel, stream_kernel
-from repro.workloads.suites import Workload, load_workload
+from repro.workloads.suites import Workload, load_workload, shared_streams
 
 __all__ = [
     "ExperimentResult",
@@ -113,13 +113,18 @@ _MATRIX_PLATFORMS = ("legacy", "lightpc_b", "lightpc")
 def _matrix_trial(
     trial: int, rng, names: tuple[str, ...] = (), refs: int = 24_000,
     seed: int = 42, engine: Optional[str] = None,
-) -> tuple[tuple[str, str], RunResult]:
-    """One (workload, platform) cell of the matrix (deterministic)."""
-    name = names[trial // len(_MATRIX_PLATFORMS)]
-    platform = _MATRIX_PLATFORMS[trial % len(_MATRIX_PLATFORMS)]
+) -> list[tuple[tuple[str, str], RunResult]]:
+    """One workload's row of the matrix: its cell on every platform
+    (deterministic), the three runs replaying one set of streams."""
+    name = names[trial]
     workload = load_workload(name, refs=refs, seed=seed)
-    machine = Machine.for_workload(platform, workload, engine=engine)
-    return (name, platform), machine.run(workload)
+    with shared_streams():
+        return [
+            ((name, platform),
+             Machine.for_workload(platform, workload, engine=engine)
+             .run(workload))
+            for platform in _MATRIX_PLATFORMS
+        ]
 
 
 @lru_cache(maxsize=8)
@@ -135,14 +140,14 @@ def _matrix_cached(
         # Joins the campaign fingerprint: cells simulated under one
         # engine must never reload from another engine's shard cache.
         params["engine"] = engine
-    cells = runner.run(Campaign(
+    rows = runner.run(Campaign(
         name="platform_matrix",
-        trials=len(names) * len(_MATRIX_PLATFORMS),
+        trials=len(names),
         trial_fn=_matrix_trial,
         seed=seed,
         params=params,
     ))
-    return dict(cells)
+    return dict(cell for row in rows for cell in row)
 
 
 def platform_matrix(
@@ -155,13 +160,15 @@ def platform_matrix(
 ) -> dict[tuple[str, str], RunResult]:
     """Run every workload on all three platforms (cached per argument set).
 
-    ``jobs > 1`` fans the (workload, platform) cells across processes
-    via :class:`repro.orchestrate.CampaignRunner`; each cell is a
-    deterministic trial, so results match the serial run exactly at any
-    parallelism.  ``cache_dir`` enables the runner's on-disk shard cache,
-    so repeated sweeps over the same argument set reload instead of
-    re-simulating.  ``engine`` selects the execution engine every cell
-    runs through (registry name; ``None`` keeps the exact default).
+    ``jobs > 1`` fans the workloads across processes via
+    :class:`repro.orchestrate.CampaignRunner`.  Each workload is one
+    deterministic trial that runs all three platforms over streams it
+    generates once (:func:`~repro.workloads.suites.shared_streams`), so
+    results match the serial run exactly at any parallelism.
+    ``cache_dir`` enables the runner's on-disk shard cache, so repeated
+    sweeps over the same argument set reload instead of re-simulating.
+    ``engine`` selects the execution engine every cell runs through
+    (registry name; ``None`` keeps the exact default).
     """
     names = tuple(workloads) if workloads is not None else tuple(WORKLOAD_SPECS)
     if engine is not None:
@@ -293,51 +300,54 @@ def figure4(
     for name in names:
         workload = load_workload(name, refs=refs)
         footprint = workload.spec.profile.working_set_lines * 64
-        for mode_name in MODE_NAMES:
-            mode = build_mode(
-                mode_name,
-                dram_capacity=max(1 << 26, footprint * 4),
-                pmem_capacity=max(1 << 27, footprint * 8),
-            )
-            # Warm the backend-side caches (NMEM tags, DIMM internals)
-            # with a throwaway pass, like the paper's steady-state runs.
-            warm = MultiCoreComplex(
-                mode.backend, cores=8, overhead=mode.overhead
-            ).run_traces(workload.traces())
-            cx = MultiCoreComplex(
-                mode.backend, cores=8, overhead=mode.overhead
-            )
-            # The measured pass starts after the backend has quiesced so
-            # leftover media occupancy does not pollute the timing.
-            result = cx.run_traces(
-                workload.traces(),
-                start_ns=mode.backend.drain(warm.wall_ns) + 1_000.0,
-            )
-            per_access_ns = result.wall_ns / max(1, workload.total_refs())
-            per_mode_latency[mode_name].append(per_access_ns)
+        # the warm and measured passes of every mode replay one set of
+        # streams
+        with shared_streams():
+            for mode_name in MODE_NAMES:
+                mode = build_mode(
+                    mode_name,
+                    dram_capacity=max(1 << 26, footprint * 4),
+                    pmem_capacity=max(1 << 27, footprint * 8),
+                )
+                # Warm the backend-side caches (NMEM tags, DIMM internals)
+                # with a throwaway pass, like the paper's steady-state runs.
+                warm = MultiCoreComplex(
+                    mode.backend, cores=8, overhead=mode.overhead
+                ).run_traces(workload.traces())
+                cx = MultiCoreComplex(
+                    mode.backend, cores=8, overhead=mode.overhead
+                )
+                # The measured pass starts after the backend has quiesced so
+                # leftover media occupancy does not pollute the timing.
+                result = cx.run_traces(
+                    workload.traces(),
+                    start_ns=mode.backend.drain(warm.wall_ns) + 1_000.0,
+                )
+                per_access_ns = result.wall_ns / max(1, workload.total_refs())
+                per_mode_latency[mode_name].append(per_access_ns)
 
-            parts = []
-            duration = max(result.wall_ns, 1.0)
-            if mode.dram is not None:
-                counters = mode.dram.counters()
-                parts.append(("dram_dimm", 4.0, {
-                    k: v / 4.0 for k, v in counters.items()
-                }))
-                parts.append(("dram_complex", 1.0, None))
-            if mode.pmem is not None:
-                n = len(mode.pmem.dimms)
-                merged: dict[str, float] = {}
-                for dimm in mode.pmem.dimms:
-                    for key, value in dimm.counters().items():
-                        merged[key] = merged.get(key, 0.0) + value
-                parts.append(("pmem_dimm", float(n), {
-                    k: v / n for k, v in merged.items()
-                }))
-            if mode_name == "mem_mode":
-                parts.append(("nmem_ctrl", 1.0, None))
-            per_mode_power[mode_name].append(
-                model.report(duration, parts).total_w
-            )
+                parts = []
+                duration = max(result.wall_ns, 1.0)
+                if mode.dram is not None:
+                    counters = mode.dram.counters()
+                    parts.append(("dram_dimm", 4.0, {
+                        k: v / 4.0 for k, v in counters.items()
+                    }))
+                    parts.append(("dram_complex", 1.0, None))
+                if mode.pmem is not None:
+                    n = len(mode.pmem.dimms)
+                    merged: dict[str, float] = {}
+                    for dimm in mode.pmem.dimms:
+                        for key, value in dimm.counters().items():
+                            merged[key] = merged.get(key, 0.0) + value
+                    parts.append(("pmem_dimm", float(n), {
+                        k: v / n for k, v in merged.items()
+                    }))
+                if mode_name == "mem_mode":
+                    parts.append(("nmem_ctrl", 1.0, None))
+                per_mode_power[mode_name].append(
+                    model.report(duration, parts).total_w
+                )
 
     base_latency = geometric_mean(per_mode_latency["dram_only"])
     base_power = geometric_mean(per_mode_power["dram_only"])
@@ -441,13 +451,15 @@ def figure14(
     for name in workloads:
         workload = load_workload(name, refs=refs)
         fractions = []
-        for freq in frequencies:
-            config = PlatformConfig(core=CoreConfig(frequency_ghz=freq))
-            machine = Machine.for_workload("legacy", workload, config)
-            result = machine.run(workload)
-            stall = result.complex_result.memory_stall_fraction
-            fractions.append(stall)
-            rows.append([name, freq, round(stall, 4)])
+        # every frequency replays one set of streams
+        with shared_streams():
+            for freq in frequencies:
+                config = PlatformConfig(core=CoreConfig(frequency_ghz=freq))
+                machine = Machine.for_workload("legacy", workload, config)
+                result = machine.run(workload)
+                stall = result.complex_result.memory_stall_fraction
+                fractions.append(stall)
+                rows.append([name, freq, round(stall, 4)])
         trend[name] = fractions
     notes = {
         f"{name}_stall_ratio_1.8_vs_0.8": trend[name][-1] / max(trend[name][0], 1e-9)
@@ -483,7 +495,9 @@ def table2(
     rows = []
     for name in sorted(names):
         spec = WORKLOAD_SPECS[name]
-        measured = characterize(load_workload(name, refs=refs))
+        # characterize's warm-up and measured passes share each stream
+        with shared_streams():
+            measured = characterize(load_workload(name, refs=refs))
         rows.append([
             name,
             spec.category,

@@ -35,7 +35,7 @@ from repro.pecos.sng import SnG
 from repro.power.model import PowerModel
 from repro.power.psu import ATX_PSU, PSUModel
 from repro.sim.stats import StatsRegistry
-from repro.workloads.suites import Workload
+from repro.workloads.suites import Workload, _Replayable
 from repro.workloads.trace import LocalityProfile, TraceGenerator
 
 __all__ = ["Machine"]
@@ -242,7 +242,7 @@ class Machine:
                     seed=991 + i,
                     base_address=base + i * (1 << 20),
                 )
-                traces = list(traces) + [_Replay(generator, noise_refs)]
+                traces = list(traces) + [_Replayable(generator, noise_refs)]
         begin_run = getattr(self.engine, "begin_run", None)
         if begin_run is not None:
             begin_run()
@@ -369,22 +369,3 @@ class Machine:
         self.kernel.populate()
         return None
 
-
-class _Replay:
-    """Re-iterable wrapper over a deterministic trace generator."""
-
-    #: drawn from one fixed locality profile — statistically stationary,
-    #: so the epoch engine may advance it analytically
-    stationary = True
-
-    def __init__(self, generator: TraceGenerator, count: int) -> None:
-        self._generator = generator
-        self._count = count
-
-    @property
-    def count(self) -> int:
-        """Record count — the engine layer's trace length hint."""
-        return self._count
-
-    def __iter__(self):
-        return self._generator.records(self._count)

@@ -16,6 +16,7 @@ from repro.workloads.suites import (
     load_workload,
     materialize_traces,
     replay_workload,
+    shared_streams,
 )
 from repro.workloads.trace import LocalityProfile, TraceGenerator, TraceRecord
 from repro.workloads.trace_io import (
@@ -58,6 +59,7 @@ __all__ = [
     "replay_workload",
     "save_trace",
     "save_trace_columnar",
+    "shared_streams",
     "spec",
     "trace_meta",
     "trace_stats",

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.workloads.registry import WORKLOAD_SPECS, WorkloadSpec, spec
 from repro.workloads.trace import TraceGenerator, TraceRecord
@@ -17,6 +19,7 @@ __all__ = [
     "load_workload",
     "materialize_traces",
     "replay_workload",
+    "shared_streams",
 ]
 
 #: Default scaled-down reference count per workload (the paper's runs are
@@ -41,7 +44,8 @@ class Workload:
         return self.spec.threads
 
     def traces(self, refs: int | None = None) -> list[Iterable[TraceRecord]]:
-        """One lazily-generated trace per thread.
+        """One trace per thread, generated lazily (replayed from the
+        store inside a :func:`shared_streams` scope).
 
         Threads of a multithreaded workload share the working-set layout
         but stride their hot regions apart (distinct base addresses) the
@@ -65,9 +69,60 @@ class Workload:
         return max(1, self.refs // self.threads) * self.threads
 
 
+#: Most records one :func:`shared_streams` scope stores.  At the figure
+#: drivers' defaults the largest workload puts 25,920 records in its
+#: scope (Fig. 15 at 24k references, kernel noise included); at about
+#: 111 B per stored record the cap keeps a scope under 7.5 MiB.  A
+#: stream that does not fit what is left stays lazy.
+STREAM_BUDGET = 1 << 16
+
+
+class _StreamStore:
+    """The records of the streams replayed inside one scope."""
+
+    __slots__ = ("streams", "room")
+
+    def __init__(self) -> None:
+        self.streams: dict[tuple, tuple[TraceRecord, ...]] = {}
+        self.room = STREAM_BUDGET
+
+
+#: the open scope's store; ``None`` outside every scope
+_store: ContextVar[Optional[_StreamStore]] = ContextVar(
+    "repro_stream_store", default=None)
+
+
+@contextmanager
+def shared_streams() -> Iterator[None]:
+    """Inside this scope, generate each trace stream once and replay it.
+
+    A stream's records are a pure function of its identity (profile,
+    seed, base address, footprint limit and length), so the first
+    iteration of a stream stores them as a tuple and every later
+    iteration of any view with the same identity, on any platform, mode
+    or frequency, replays that tuple.  Storage stops at
+    :data:`STREAM_BUDGET` records; a stream past it is generated on
+    every iteration, as outside a scope.  Nested scopes share the
+    outermost store, and the store is dropped when the outermost scope
+    exits, so no record outlives the driver call that opened it.
+    """
+    if _store.get() is not None:
+        yield
+        return
+    token = _store.set(_StreamStore())
+    try:
+        yield
+    finally:
+        _store.reset(token)
+
+
 @dataclass(frozen=True)
 class _Replayable:
-    """Re-iterable view over a deterministic generator."""
+    """Re-iterable view over a deterministic generator.
+
+    Every iteration generates the records afresh, except inside a
+    :func:`shared_streams` scope, where the scope's store replays them.
+    """
 
     #: one fixed locality profile end to end — statistically stationary,
     #: so the epoch engine may advance its steady state analytically
@@ -77,8 +132,27 @@ class _Replayable:
     generator: TraceGenerator
     count: int
 
+    @property
+    def identity(self) -> tuple:
+        """What the records are a pure function of: ``(profile, seed,
+        base_address, footprint_limit, count)``."""
+        generator = self.generator
+        return (generator.profile, generator.seed, generator.base_address,
+                generator.footprint_limit, self.count)
+
     def __iter__(self) -> Iterator[TraceRecord]:
-        return self.generator.records(self.count)
+        store = _store.get()
+        if store is None:
+            return self.generator.records(self.count)
+        key = self.identity
+        records = store.streams.get(key)
+        if records is None:
+            if self.count > store.room:
+                return self.generator.records(self.count)
+            records = tuple(self.generator.records(self.count))
+            store.streams[key] = records
+            store.room -= len(records)
+        return iter(records)
 
     def columns(self) -> tuple[list[int], list[int], list[bool]]:
         """Column-wise view (``save_trace_columnar``'s fast path)."""
@@ -121,26 +195,43 @@ def materialize_traces(workload: Workload, directory: str | os.PathLike,
     """Write the workload's per-thread streams as columnar trace files.
 
     Idempotent and content-addressed: file names carry (spec, refs,
-    seed, thread), so a campaign can materialise once and every worker
+    seed, thread) and a digest of each stream's identity and of the
+    package source, so a campaign can materialise once and every worker
     maps the same files read-only.  Returns one path per thread.
     """
-    from repro.workloads.trace_io import save_trace_columnar
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     total = refs if refs is not None else workload.refs
     per_thread = max(1, total // workload.threads)
-    paths: list[Path] = []
-    for thread, stream in enumerate(workload.traces(refs)):
-        path = directory / (
-            f"{workload.name}-r{per_thread}-s{workload.seed}"
-            f"-t{thread}.coltrace")
-        if not path.exists():
-            tmp = path.with_suffix(".tmp")
-            save_trace_columnar(stream, tmp)
-            os.replace(tmp, path)
-        paths.append(path)
-    return paths
+    return [
+        _materialize_stream(
+            stream, Path(directory),
+            f"{workload.name}-r{per_thread}-s{workload.seed}-t{thread}")
+        for thread, stream in enumerate(workload.traces(refs))
+    ]
+
+
+def _materialize_stream(stream: _Replayable, directory: Path,
+                        stem: str) -> Path:
+    """Write ``stream`` once as ``directory/<stem>-<digest>.coltrace``.
+
+    The digest folds the stream's identity and the package source
+    (:func:`~repro.orchestrate.cache.source_digest`), so a file left by
+    another profile, seed or length, or by another revision of the
+    generator, is never replayed as this stream.  Each writer writes its
+    own temporary file and renames it into place, so processes that
+    materialise the same file at once never take each other's away.
+    """
+    from repro.orchestrate.cache import fingerprint, source_digest
+    from repro.workloads.trace_io import save_trace_columnar
+
+    digest = fingerprint({"stream": stream.identity,
+                          "source": source_digest()})
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{stem}-{digest[:16]}.coltrace"
+    if not path.exists():
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        save_trace_columnar(stream, tmp)
+        os.replace(tmp, path)
+    return path
 
 
 def replay_workload(name: str, paths: Sequence[str | os.PathLike],

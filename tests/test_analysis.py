@@ -17,7 +17,8 @@ from repro.analysis import (
     table1,
     table2,
 )
-from repro.workloads import load_workload
+from repro.analysis import experiments
+from repro.workloads import load_workload, spec
 
 SMALL = ("aes", "mcf")
 
@@ -107,6 +108,56 @@ class TestDrivers:
         assert len(result.rows) == len(SMALL)
         for row in result.rows:
             assert row[2] > 0  # reads measured
+
+
+def _run_digest(result):
+    return (result.wall_ns, result.ipc, result.energy_j,
+            result.backend_counters, result.stats)
+
+
+class TestStreamSharing:
+    """Each driver generates a workload's streams once per workload."""
+
+    def test_figure4_generates_each_stream_once(self, generated):
+        figure4(workloads=("aes",), refs=2000)
+        # 5 modes x (warm + measured pass), one generation per thread
+        assert len(generated) == len(set(generated)) == spec("aes").threads
+
+    def test_figure14_generates_each_stream_once(self, generated):
+        figure14(workloads=("redis",), refs=1600)
+        # 6 frequencies; 8 threads plus the two kernel-noise streams
+        assert len(generated) == len(set(generated)) == 8 + 2
+
+    def test_table2_generates_each_stream_once(self, generated):
+        table2(("redis",), refs=1600)
+        assert len(generated) == len(set(generated)) == 8
+
+    def test_matrix_generates_each_stream_once(self, generated):
+        experiments._matrix_cached.cache_clear()
+        platform_matrix(SMALL, refs=4000)
+        # three platforms per workload, one generation per stream: each
+        # workload's threads plus its two kernel-noise streams
+        assert len(generated) == sum(spec(name).threads + 2
+                                     for name in SMALL)
+        for name in SMALL:
+            mine = [call for call in generated
+                    if call[0] == spec(name).profile]
+            assert len(mine) == len(set(mine)) == spec(name).threads
+
+    def test_matrix_is_one_trial_per_workload(self):
+        rows = [experiments._matrix_trial(trial, None, names=SMALL,
+                                          refs=2000)
+                for trial in range(len(SMALL))]
+        assert [[cell for cell, _ in row] for row in rows] == [
+            [(name, platform) for platform in ("legacy", "lightpc_b",
+                                               "lightpc")]
+            for name in SMALL]
+
+    def test_matrix_parallel_equals_serial(self, small_matrix):
+        parallel = platform_matrix(SMALL, refs=4000, jobs=2)
+        assert list(parallel) == list(small_matrix)
+        for cell, result in small_matrix.items():
+            assert _run_digest(parallel[cell]) == _run_digest(result)
 
 
 class TestRendering:

@@ -1,16 +1,26 @@
 """Tests for the workload registry, trace generation, and STREAM kernels."""
 
+import dataclasses
+import multiprocessing
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.workloads.suites as suites
+from repro.analysis.crashfuzz import materialize_fuzz_trace
 from repro.workloads import (
     CATEGORIES,
     LocalityProfile,
     STREAM_KERNELS,
     TraceGenerator,
+    TraceRecord,
     WORKLOAD_SPECS,
     all_workloads,
     load_workload,
+    materialize_traces,
+    open_trace,
+    shared_streams,
+    trace_meta,
     spec,
     stream_kernel,
     workload_names,
@@ -133,6 +143,137 @@ class TestWorkloads:
     def test_all_workloads_filter(self):
         assert len(all_workloads()) == 17
         assert len(all_workloads(category="hpc")) == 3
+
+
+class TestSharedStreams:
+    def test_replay_equals_a_fresh_generator(self):
+        workload = load_workload("redis", refs=1600)
+        fresh = [list(trace) for trace in workload.traces()]
+        with shared_streams():
+            for _ in range(2):
+                replayed = [list(trace) for trace in workload.traces()]
+                assert replayed == fresh
+                for records in replayed:
+                    assert all(isinstance(r, TraceRecord) for r in records)
+                    # the epoch signature reads attributes, not positions
+                    assert [r.is_write for r in records] == \
+                        [w for _, _, w in records]
+
+    def test_second_view_generates_nothing(self, generated):
+        workload = load_workload("redis", refs=1600)
+        with shared_streams():
+            for trace in workload.traces():
+                list(trace)
+            assert len(generated) == 8
+            for trace in load_workload("redis", refs=1600).traces():
+                list(trace)
+            assert len(generated) == 8
+
+    def test_nothing_retained_after_exit(self, generated):
+        trace = load_workload("aes", refs=500).traces()[0]
+        with shared_streams():
+            list(trace)
+            list(trace)
+        assert suites._store.get() is None
+        list(trace)
+        assert len(generated) == 2
+
+    def test_nothing_retained_after_an_exception(self, generated):
+        trace = load_workload("aes", refs=500).traces()[0]
+        with pytest.raises(RuntimeError):
+            with shared_streams():
+                list(trace)
+                raise RuntimeError("driver failed")
+        assert suites._store.get() is None
+        with shared_streams():
+            list(trace)
+        assert len(generated) == 2
+
+    def test_nested_scopes_share_the_outermost_store(self, generated):
+        trace = load_workload("aes", refs=500).traces()[0]
+        with shared_streams():
+            outer = suites._store.get()
+            with shared_streams():
+                assert suites._store.get() is outer
+                list(trace)
+            assert suites._store.get() is outer
+            list(trace)
+        assert suites._store.get() is None
+        assert len(generated) == 1
+
+    def test_stream_over_the_budget_stays_lazy(self, generated, monkeypatch):
+        monkeypatch.setattr(suites, "STREAM_BUDGET", 700)
+        first, second = (load_workload("aes", refs=500, seed=seed).traces()[0]
+                         for seed in (1, 2))
+        with shared_streams():
+            assert list(first) == list(first)  # fits: stored
+            assert list(second) == list(second)  # past what is left
+            assert suites._store.get().room == 200
+            assert len(suites._store.get().streams) == 1
+        assert len(generated) == 3
+
+
+class TestMaterialize:
+    """A materialised trace file stands for one stream of one revision."""
+
+    def _aes_writes(self, path):
+        return sum(r.is_write for r in open_trace(path).records())
+
+    def _swap_aes_profile(self, monkeypatch):
+        aes = spec("aes")
+        monkeypatch.setitem(WORKLOAD_SPECS, "aes", dataclasses.replace(
+            aes, profile=dataclasses.replace(aes.profile,
+                                             write_fraction=0.6)))
+
+    def test_fuzz_trace_follows_the_profile(self, tmp_path, monkeypatch):
+        before = materialize_fuzz_trace("aes", 2000, 42, tmp_path)
+        assert materialize_fuzz_trace("aes", 2000, 42, tmp_path) == before
+        self._swap_aes_profile(monkeypatch)
+        after = materialize_fuzz_trace("aes", 2000, 42, tmp_path)
+        assert after != before
+        current = TraceGenerator(spec("aes").profile, seed=42 * 1009)
+        assert self._aes_writes(after) == \
+            sum(r.is_write for r in current.records(2000))
+        assert self._aes_writes(after) > self._aes_writes(before)
+
+    def test_workload_traces_follow_the_profile(self, tmp_path, monkeypatch):
+        (before,) = materialize_traces(load_workload("aes", refs=2000),
+                                       tmp_path)
+        self._swap_aes_profile(monkeypatch)
+        (after,) = materialize_traces(load_workload("aes", refs=2000),
+                                      tmp_path)
+        assert after != before
+        (trace,) = load_workload("aes", refs=2000).traces()
+        assert self._aes_writes(after) == sum(r.is_write for r in trace)
+
+    def test_a_concurrent_writer_keeps_its_own_temp_file(self, tmp_path,
+                                                         monkeypatch):
+        """Another process materialising the same file meanwhile must not
+        take this writer's temporary file away."""
+        from repro.workloads import trace_io
+
+        save = trace_io.save_trace_columnar
+        args = ("aes", 2000, 42, tmp_path)
+
+        def save_while_another_process_writes(records, path):
+            count = save(records, path)
+            other = multiprocessing.get_context("spawn").Process(
+                target=materialize_fuzz_trace, args=args)
+            other.start()
+            other.join(timeout=120)
+            assert other.exitcode == 0
+            return count
+
+        monkeypatch.setattr(trace_io, "save_trace_columnar",
+                            save_while_another_process_writes)
+        assert trace_meta(materialize_fuzz_trace(*args))["records"] == 2000
+
+    def test_source_digest_enters_the_name(self, tmp_path, monkeypatch):
+        before = materialize_fuzz_trace("aes", 500, 42, tmp_path)
+        from repro.orchestrate import cache
+
+        monkeypatch.setattr(cache, "source_digest", lambda: "another")
+        assert materialize_fuzz_trace("aes", 500, 42, tmp_path) != before
 
 
 class TestStream:
