@@ -103,7 +103,7 @@ class Machine:
         if not self.backend.is_volatile:
             self.sng = SnG(
                 kernel=self.kernel,
-                dirty_lines_fn=self._dump_caches,
+                dirty_lines_fn=self.complex.dump_caches,
                 port=self.backend,
             )
         self._powered = True
@@ -161,7 +161,7 @@ class Machine:
         if not self.backend.is_volatile:
             self.sng = SnG(
                 kernel=self.kernel,
-                dirty_lines_fn=self._dump_caches,
+                dirty_lines_fn=self.complex.dump_caches,
                 port=self.backend,
             )
         self._powered = True
@@ -190,7 +190,7 @@ class Machine:
         if not backend.is_volatile:
             self.sng = SnG(
                 kernel=self.kernel,
-                dirty_lines_fn=self._dump_caches,
+                dirty_lines_fn=self.complex.dump_caches,
                 port=backend,
             )
 
@@ -281,19 +281,6 @@ class Machine:
         )
         self.runs.append(result)
         return result
-
-    def _dump_caches(self) -> list[int]:
-        """SnG's cache dump: count *and functionally write back* every
-        core's dirty lines, so the EP-cut's memory image really contains
-        them before the backend flush port runs.  Each core's dirty set
-        coalesces into extents and is written back one scalar ``access``
-        per line (``Core.flush_cache``); the per-core
-        :class:`~repro.memory.extent.FlushReport` stays available as
-        ``core.last_flush_report`` for audits."""
-        counts = [core.cache.dirty_count() for core in self.complex.cores]
-        for core in self.complex.cores:
-            core.flush_cache()
-        return counts
 
     def _mean_cache_ratio(self, read: bool) -> float:
         ratios = [

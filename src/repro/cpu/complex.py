@@ -168,3 +168,17 @@ class MultiCoreComplex:
     def flush_all_caches(self) -> int:
         """Dump every core's cache; returns total lines written back."""
         return sum(core.flush_cache()[0] for core in self.cores)
+
+    def dump_caches(self) -> list[int]:
+        """SnG's cache dump: count *and functionally write back* every
+        core's dirty lines, so the EP-cut's memory image really contains
+        them before the backend flush port runs.  Each core's dirty set
+        coalesces into extents and is written back one scalar ``access``
+        per line (``Core.flush_cache``); the per-core
+        :class:`~repro.memory.extent.FlushReport` stays available as
+        ``core.last_flush_report`` for audits.  A method of the complex,
+        not of the machine, so the SnG holding it keeps no reference
+        back to its machine."""
+        counts = self.dirty_line_counts()
+        self.flush_all_caches()
+        return counts

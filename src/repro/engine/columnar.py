@@ -1,18 +1,17 @@
-"""Columnar epoch-summarization kernels (numpy).
+"""Columnar epoch-summarization kernels.
 
 The epoch engine decides whether a trace window belongs to the current
 steady-state phase from a compact :class:`WindowSignature` — R/W mix,
-compute density, unique-line pressure and row locality — computed by
-vectorizing over the window's address, write-flag and instruction
-columns.
+compute density, unique-line pressure and row locality — computed in
+one pass per column over the window's address, write-flag and
+instruction columns, with shifts, a ``set`` and C-level ``sum``/``map``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from repro.memory.request import CACHELINE_BYTES
 
@@ -24,6 +23,8 @@ __all__ = [
 
 #: DRAM/PSM row granularity assumed by the locality column (2 KiB).
 _ROW_BYTES = 2048
+_LINE_SHIFT = CACHELINE_BYTES.bit_length() - 1
+_ROW_SHIFT = _ROW_BYTES.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -78,23 +79,14 @@ def signature_of_columns(
     count = len(addresses)
     if count == 0:
         return WindowSignature(0, 0, 0, 0, 0.0)
-    lines = np.fromiter(
-        addresses, dtype=np.int64, count=count
-    ) // CACHELINE_BYTES
-    rows = lines * CACHELINE_BYTES // _ROW_BYTES
-    same_row = int((rows[1:] == rows[:-1]).sum())
-    writes = int(np.count_nonzero(
-        np.fromiter(is_write, dtype=bool, count=count)))
-    instr = int(np.fromiter(
-        instructions, dtype=np.int64, count=count).sum())
-    unique = int(np.unique(lines).size)
-    locality = same_row / (count - 1) if count > 1 else 1.0
+    rows = [address >> _ROW_SHIFT for address in addresses]
+    same_row = sum(map(operator.eq, rows, rows[1:]))
     return WindowSignature(
         records=count,
-        writes=writes,
-        instructions=instr,
-        unique_lines=unique,
-        row_locality=locality,
+        writes=sum(is_write),
+        instructions=sum(instructions),
+        unique_lines=len({address >> _LINE_SHIFT for address in addresses}),
+        row_locality=same_row / (count - 1) if count > 1 else 1.0,
     )
 
 

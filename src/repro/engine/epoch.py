@@ -357,9 +357,9 @@ class _EpochSession:
         cache.dirty_evictions += int(round(k * mean("cache_dirty_evictions")))
 
         report = self.engine._report
-        keys = set()
-        for delta in deltas:
-            keys.update(delta.counters)
+        # First-seen order, so the report's key order does not follow
+        # the per-process string hash; each key sums on its own.
+        keys = dict.fromkeys(key for delta in deltas for key in delta.counters)
         for key in keys:
             per_window = sum(d.counters.get(key, 0.0) for d in deltas) / n
             if per_window:

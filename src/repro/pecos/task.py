@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -102,18 +103,32 @@ class Task:
     registers: Registers = field(default_factory=Registers)
     vmas: list[VMA] = field(default_factory=list)
     pid: int = field(default_factory=lambda: next(_pid_counter))
-    parent: Optional["Task"] = None
     children: list["Task"] = field(default_factory=list)
     #: core whose run queue currently owns the task, if any
     cpu: Optional[int] = None
     #: pending wakeup work a sleeping task must handle before idling
     pending_work_items: int = 0
+    #: weak reference behind :attr:`parent`; the tree's only strong
+    #: links run parent to child, so a dropped tree is freed by
+    #: reference counting, without the cyclic collector
+    _parent: Optional["weakref.ref[Task]"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kernel_thread:
             self.flags = _FLAGS[self.flags._value_ | _KERNEL_THREAD]
 
     # -- tree -------------------------------------------------------------
+
+    @property
+    def parent(self) -> Optional["Task"]:
+        """The adopting task, while something else keeps it alive."""
+        ref = self._parent
+        return None if ref is None else ref()
+
+    @parent.setter
+    def parent(self, task: Optional["Task"]) -> None:
+        self._parent = None if task is None else weakref.ref(task)
 
     def adopt(self, child: "Task") -> "Task":
         child.parent = self

@@ -9,10 +9,12 @@ tool.  Two on-disk layouts share one magic:
   (instructions, address, flags) little-endian.  Reading a window at
   offset *k* costs O(k): the stream must be parsed from the start.
 * **v2 (columnar)** — ``header | instructions u32* | addresses u64* |
-  flags u8*``.  The three column blocks are fixed-offset, so a window
-  ``[lo, hi)`` is a constant-time slice; the columns are
-  ``memmap``-backed and shared read-only across forked campaign workers
-  (zero copies, zero re-parsing per trial).
+  flags u8*``, every column little-endian.  The three column blocks are
+  fixed-offset, so a window ``[lo, hi)`` is a constant-time slice; the
+  columns are ``memoryview`` casts of one read-only ``mmap`` of the
+  file, shared across forked campaign workers (zero copies, zero
+  re-parsing per trial).  A big-endian host writes byteswapped columns
+  and refuses to map them.
 
 :func:`load_trace` auto-detects the version; :func:`open_trace` returns
 a random-access :class:`ColumnarTrace` handle (process-local handles are
@@ -21,12 +23,13 @@ cached so every trial in a worker shares one mapping).
 
 from __future__ import annotations
 
+import mmap
 import struct
+import sys
+from array import array
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
-
-import numpy as np
 
 from repro.workloads.trace import TraceRecord
 
@@ -50,6 +53,8 @@ _VERSION_COLUMNAR = 2
 _HEADER = struct.Struct("<8sHQ")          # magic, version, count
 _RECORD = struct.Struct("<IQB")           # instructions, address, flags
 _FLAG_WRITE = 0x1
+#: ``is_write`` of every flag byte: bit 0, as a ``bool``
+_IS_WRITE = tuple(bool(flags & _FLAG_WRITE) for flags in range(256))
 
 _INSTR_BYTES = 4
 _ADDR_BYTES = 8
@@ -97,13 +102,18 @@ def save_trace_columnar(records, path: Union[str, Path]) -> int:
             instructions.append(instruction_count)
             addresses.append(address)
             writes.append(is_write)
-    count = len(instructions)
+    # ``array`` raises OverflowError on a value outside u32 / u64.
+    instruction_column = array("I", instructions)
+    address_column = array("Q", addresses)
+    if sys.byteorder == "big":
+        instruction_column.byteswap()
+        address_column.byteswap()
+    count = len(instruction_column)
     with path.open("wb") as handle:
         handle.write(_HEADER.pack(_MAGIC, _VERSION_COLUMNAR, count))
-        handle.write(np.asarray(instructions, dtype="<u4").tobytes())
-        handle.write(np.asarray(addresses, dtype="<u8").tobytes())
-        handle.write(np.asarray(
-            [1 if w else 0 for w in writes], dtype="<u1").tobytes())
+        handle.write(instruction_column)
+        handle.write(address_column)
+        handle.write(bytes(map(bool, writes)))
     return count
 
 
@@ -154,16 +164,19 @@ class TraceWindow:
         return self._trace._iter_range(self.lo, self.hi)
 
     def columns(self):
-        """(instructions, addresses, is_write) parallel column slices."""
+        """``(instructions, addresses, flags)`` as ``memoryview`` slices
+        of the mapped columns; ``is_write`` is bit 0 of each flag byte."""
         return self._trace._columns_range(self.lo, self.hi)
 
 
 class ColumnarTrace:
     """Random-access handle over a v2 columnar trace file.
 
-    The three columns are ``memmap``-backed (one shared page-cache
-    mapping per process, zero-copy windows).  :meth:`close` drops the
-    mappings; reading through a closed handle raises ``ValueError``.
+    The three columns are ``memoryview`` casts of one read-only ``mmap``
+    of the file (one shared page-cache mapping per process, zero-copy
+    windows).  :meth:`close` drops the handle's views, and the mapping
+    goes with the last view; reading through a closed handle raises
+    ``ValueError``.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -173,6 +186,10 @@ class ColumnarTrace:
             raise TraceFormatError(
                 f"{self.path}: v{version} traces have no columnar index; "
                 f"re-save with save_trace_columnar()")
+        if sys.byteorder != "little":
+            raise TraceFormatError(
+                f"{self.path}: columns are little-endian and this host is "
+                f"{sys.byteorder}-endian")
         self.count = count
         body = count * (_INSTR_BYTES + _ADDR_BYTES + _FLAG_BYTES)
         if self.path.stat().st_size < _HEADER.size + body:
@@ -180,13 +197,13 @@ class ColumnarTrace:
         instr_off = _HEADER.size
         addr_off = instr_off + count * _INSTR_BYTES
         flag_off = addr_off + count * _ADDR_BYTES
+        with self.path.open("rb") as handle:
+            view = memoryview(mmap.mmap(handle.fileno(), 0,
+                                        access=mmap.ACCESS_READ))
         self._columns = (
-            np.memmap(self.path, mode="r", dtype="<u4", offset=instr_off,
-                      shape=(count,)),
-            np.memmap(self.path, mode="r", dtype="<u8", offset=addr_off,
-                      shape=(count,)),
-            np.memmap(self.path, mode="r", dtype="<u1", offset=flag_off,
-                      shape=(count,)),
+            view[instr_off:addr_off].cast("I"),
+            view[addr_off:flag_off].cast("Q"),
+            view[flag_off:flag_off + count],
         )
 
     # -- views -------------------------------------------------------------
@@ -206,20 +223,20 @@ class ColumnarTrace:
 
     def _iter_range(self, lo: int, hi: int) -> Iterator[TraceRecord]:
         # Columns convert to Python ints a chunk at a time: one C-level
-        # call per column and chunk (reading a memmap element by element
+        # call per column and chunk (indexing a view element by element
         # costs a Python-level call each), in memory bounded by the
         # chunk whatever the range.
         instructions, addresses, flags = self._columns_range(lo, hi)
         make = partial(tuple.__new__, TraceRecord)
+        is_write = _IS_WRITE.__getitem__
         for start in range(0, hi - lo, _ITER_CHUNK):
             stop = start + _ITER_CHUNK
-            writes = (flags[start:stop] & _FLAG_WRITE).astype(bool)
             yield from map(make, zip(instructions[start:stop].tolist(),
                                      addresses[start:stop].tolist(),
-                                     writes.tolist()))
+                                     map(is_write, flags[start:stop])))
 
     def close(self) -> None:
-        """Drop the column mappings; a shared handle also leaves the
+        """Drop the column views; a shared handle also leaves the
         per-process cache, so the next :func:`open_trace` maps afresh."""
         self._columns = None
         for key, handle in list(_SHARED_HANDLES.items()):

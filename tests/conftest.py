@@ -1,8 +1,15 @@
 """Fixtures shared across test modules."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.workloads import TraceGenerator
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -19,3 +26,20 @@ def generated(monkeypatch):
 
     monkeypatch.setattr(TraceGenerator, "records", records)
     return calls
+
+
+@pytest.fixture
+def run_python():
+    """Run a script in a fresh interpreter that imports this checkout's
+    ``repro``, with extra environment variables; its stdout, or a
+    failed test showing its stderr."""
+    def run(script: str, **env: str) -> str:
+        env = dict(os.environ, **env)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run

@@ -16,9 +16,9 @@ from repro.sim.stats import StatsRegistry
 
 @pytest.fixture(params=["numpy"], scope="module", autouse=True)
 def case_id_prefix(request):
-    """Keep the ``numpy`` prefix the importing suites' case ids have
-    carried since they ran once per kernel mode, so the ids stay stable.
-    Nothing in the suites depends on it."""
+    """The ``numpy`` prefix is only a case id: the importing suites'
+    ids have carried it since they ran once per kernel mode, and keeping
+    it keeps them stable.  Nothing here uses or imports numpy."""
     return request.param
 
 

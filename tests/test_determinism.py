@@ -4,6 +4,8 @@ A reproduction repository lives or dies on this — every figure must come
 out the same on every run, or paper-vs-measured comparisons are noise.
 """
 
+import json
+
 import pytest
 
 from repro.analysis import figure2b, figure8
@@ -80,3 +82,28 @@ class TestExperimentDeterminism:
 
     def test_figure8_reproduces_exactly(self):
         assert figure8().rows == figure8().rows
+
+
+#: one long-run cell under ``epoch``, long enough that windows are
+#: skipped and their backend-counter deltas estimated
+_EPOCH_CELL = """
+import json
+from repro.core import Machine
+from repro.workloads import load_workload
+
+workload = load_workload("mcf", refs=100_000)
+machine = Machine.for_workload("lightpc", workload, engine="epoch")
+print(json.dumps(machine.run(workload).epoch))
+"""
+
+
+class TestHashSeedIndependence:
+    """Python salts ``str`` hashes per process (``PYTHONHASHSEED``), so
+    any output that follows set or hash order changes between runs of
+    the same tree."""
+
+    def test_epoch_report_ignores_the_hash_seed(self, run_python):
+        first = run_python(_EPOCH_CELL, PYTHONHASHSEED="1")
+        second = run_python(_EPOCH_CELL, PYTHONHASHSEED="2")
+        assert len(json.loads(first)["counter_deltas"]) > 1
+        assert first == second  # key order included

@@ -1,8 +1,12 @@
 """Integration tests for the Machine (platform life cycle)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import Machine, PlatformConfig
+from repro.pecos import Kernel
 from repro.power.psu import ATX_PSU, SERVER_PSU
 from repro.workloads import load_workload
 
@@ -235,3 +239,32 @@ class TestRepeatedPowerCycles:
         read = machine.backend.access(MemoryRequest(
             MemoryOp.READ, address=payload_address, time=0.0))
         assert read.data == b"\x7E" * 64
+
+
+class TestFreedByReferenceCounting:
+    """A discarded machine and a reset-away task tree sit in no
+    reference cycle, so reference counting frees them at once and peak
+    memory follows live data, not when the cyclic collector runs."""
+
+    @pytest.fixture(autouse=True)
+    def collector_off(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
+
+    @pytest.mark.parametrize("platform", ["legacy", "lightpc_b", "lightpc"])
+    def test_discarded_machine_is_freed(self, workload, platform):
+        machine = Machine.for_workload(platform, workload)
+        machine.run(workload)
+        freed = [weakref.ref(machine), weakref.ref(machine.kernel.init_task)]
+        del machine
+        assert [ref() for ref in freed] == [None, None]
+
+    def test_reset_world_frees_the_old_task_tree(self):
+        kernel = Kernel()
+        kernel.populate()
+        tasks = [weakref.ref(task) for task in kernel.all_tasks()]
+        kernel.reset_world()
+        assert tasks and all(task() is None for task in tasks)

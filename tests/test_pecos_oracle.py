@@ -20,9 +20,9 @@ kernel has.
 from __future__ import annotations
 
 import dataclasses
+import random
 import types
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -474,13 +474,11 @@ def test_core_exec_stats_match_asdict(values):
 
 
 def test_trace_windows_match_reference(tmp_path):
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     count = 10_000  # windows of several bulk-conversion chunks
-    instructions = rng.integers(0, 1 << 32, count, dtype=np.uint64)
-    addresses = rng.integers(0, 1 << 63, count, dtype=np.uint64) * 2 + 1
-    writes = rng.integers(0, 2, count).astype(bool)
-    records = list(zip(instructions.tolist(), addresses.tolist(),
-                       writes.tolist()))
+    # odd addresses up to 2**64 - 1, so bit 63 is set in about half
+    records = [(rng.randrange(1 << 32), rng.randrange(1 << 63) * 2 + 1,
+                rng.randrange(2) == 1) for _ in range(count)]
     path = tmp_path / "t.lpct"
     save_trace_columnar(records, path)
     trace = open_trace(path, shared=False)

@@ -1,5 +1,9 @@
 """Tests for trace save/load."""
 
+import hashlib
+import struct
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -184,3 +188,78 @@ class TestColumnar:
         save_trace(self._records(20), path)
         with pytest.raises(TraceFormatError):
             open_trace(path, shared=False)
+
+
+#: edge values of every column: u32 and u64 extremes, bit 63, both flags
+_EDGE_RECORDS = [
+    (0, 0, False),
+    ((1 << 32) - 1, (1 << 64) - 1, True),
+    (1, 1 << 63, True),
+    (12, (1 << 63) - 64, False),
+    (3, 4096, True),
+]
+#: SHA-256 of ``_EDGE_RECORDS`` as written by the numpy-backed writer the
+#: stdlib one replaced (``np.asarray(..., "<u4"/"<u8"/"<u1")`` columns)
+_EDGE_SHA256 = \
+    "2b44331b91171bfc619fb808333b0415d635946d210e0156cac29bb44f2a4448"
+
+
+def _layout(records, order="<"):
+    """A v2 file spelled out with ``struct``, independently of the writer."""
+    n = len(records)
+    instructions, addresses, writes = zip(*records)
+    return (struct.pack("<8sHQ", b"LPCTRACE", 2, n)
+            + struct.pack(f"{order}{n}I", *instructions)
+            + struct.pack(f"{order}{n}Q", *addresses)
+            + bytes(1 if write else 0 for write in writes))
+
+
+class TestColumnarLayout:
+    """The v2 bytes are pinned: little-endian u32, u64 and u8 columns."""
+
+    def test_file_is_the_spelled_out_layout(self, tmp_path):
+        path = tmp_path / "edge.coltrace"
+        assert save_trace_columnar(_EDGE_RECORDS, path) == len(_EDGE_RECORDS)
+        blob = path.read_bytes()
+        assert blob == _layout(_EDGE_RECORDS)
+        assert hashlib.sha256(blob).hexdigest() == _EDGE_SHA256
+        assert list(open_trace(path, shared=False).records()) == \
+            _EDGE_RECORDS
+
+    def test_is_write_is_bit_zero_of_the_flag_byte(self, tmp_path):
+        path = tmp_path / "flags.coltrace"
+        save_trace_columnar([(1, 64, False)] * 4, path)
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = bytes([0, 1, 2, 3])
+        path.write_bytes(bytes(blob))
+        records = list(open_trace(path, shared=False).records())
+        assert [record.is_write for record in records] == \
+            [False, True, False, True]
+        assert all(type(record.is_write) is bool for record in records)
+
+    @pytest.mark.parametrize("record", [
+        (1 << 32, 0, False), (-1, 0, False), (0, 1 << 64, False),
+        (0, -1, False)])
+    def test_out_of_range_value_raises(self, tmp_path, record):
+        with pytest.raises(OverflowError):
+            save_trace_columnar([record], tmp_path / "big.coltrace")
+
+    def test_big_endian_writer_swaps_to_little_endian(self, tmp_path,
+                                                      monkeypatch):
+        # On a little-endian host, the writer's big-endian branch swaps
+        # native bytes into the opposite order: exactly what it must do
+        # to native big-endian columns.
+        assert sys.byteorder == "little"
+        monkeypatch.setattr(sys, "byteorder", "big")
+        path = tmp_path / "swapped.coltrace"
+        save_trace_columnar(_EDGE_RECORDS, path)
+        assert path.read_bytes() == _layout(_EDGE_RECORDS, order=">")
+
+    def test_big_endian_reader_refuses(self, tmp_path, monkeypatch):
+        path = tmp_path / "edge.coltrace"
+        save_trace_columnar(_EDGE_RECORDS, path)
+        monkeypatch.setattr(sys, "byteorder", "big")
+        with pytest.raises(TraceFormatError, match="big-endian"):
+            open_trace(path, shared=False)
+        with pytest.raises(TraceFormatError, match="big-endian"):
+            list(load_trace(path))
