@@ -60,7 +60,12 @@ from repro.workloads.suites import (
     load_workload,
     spec,
 )
-from repro.workloads.trace_io import open_trace, read_window, trace_meta
+from repro.workloads.trace_io import (
+    RecordStream,
+    read_window,
+    shared_trace,
+    trace_meta,
+)
 
 __all__ = [
     "FuzzReport",
@@ -352,8 +357,11 @@ def trace_trial(trial: int, rng: random.Random,
     if not trace_path:
         raise ValueError("trace_trial needs a trace_path (Campaign.shared)")
     outcome = TrialOutcome()
-    meta = trace_meta(trace_path)
-    count = meta["records"]
+    # a columnar trace's count comes from the worker's shared handle; a
+    # row-format (v1) file has none and pays a header read per trial
+    trace = shared_trace(trace_path)
+    count = (trace_meta(trace_path)["records"] if trace is None
+             else trace.count)
     if refs and count != refs:
         # ``refs``/``trace_seed`` are the fingerprinted *content* pins;
         # a mismatched file means the transport path lied about them.
@@ -361,11 +369,9 @@ def trace_trial(trial: int, rng: random.Random,
             f"{trace_path}: {count} records, campaign expects {refs}")
     span = min(window, count)
     lo = rng.randrange(0, count - span + 1)
-    if meta["version"] >= 2:
-        stream = open_trace(trace_path).window(lo, lo + span)
+    if trace is not None:
+        stream = trace.window(lo, lo + span)
     else:
-        from repro.workloads.trace_io import RecordStream
-
         stream = RecordStream(read_window(trace_path, lo, lo + span))
     replay = ReplayWorkload(spec=spec(workload), streams=(stream,),
                             refs=span)

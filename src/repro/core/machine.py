@@ -87,25 +87,25 @@ class Machine:
         self.functional = functional
         self.power_model = PowerModel()
         self.engine: ExecutionEngine = resolve_engine(engine)
+        #: the engine as built, whose class and ``params`` :meth:`reset`
+        #: rebuilds (``set_engine`` and ``run(engine=...)`` do not
+        #: outlive a reset)
+        self._built_engine = self.engine
 
         backend = factory(self.config, functional)
         assert_memory_backend(backend, context=f"platform {platform!r}")
-        self.backend: MemoryBackend = backend
         self.stats = StatsRegistry()
         self.complex = MultiCoreComplex(
-            self.backend, cores=self.config.cores,
+            backend, cores=self.config.cores,
             core_config=self.config.core, engine=self.engine,
         )
-        self._register_stats()
+        # The complex's stat sources read its live cores, so they stay
+        # registered across resets; only memory.* follows the backend.
+        self.complex.register_stats(self.stats.scoped("cpu"))
+        self._cpu_stats = self.stats.mark()
         self.kernel = Kernel(self.config.kernel)
         self.kernel.populate()
-        self.sng: Optional[SnG] = None
-        if not self.backend.is_volatile:
-            self.sng = SnG(
-                kernel=self.kernel,
-                dirty_lines_fn=self.complex.dump_caches,
-                port=self.backend,
-            )
+        self._wire(backend)
         self._powered = True
         self.runs: list[RunResult] = []
 
@@ -135,35 +135,23 @@ class Machine:
 
         The warm-pool fast path: a campaign worker builds one machine
         template per platform config and resets it between trials
-        instead of reconstructing.  Everything a trial can dirty is
-        rebuilt or rewound — a factory-fresh backend and complex, a
-        dropped-and-re-registered stats tree, a fresh engine of the
-        current engine's class and constructor parameters
-        (:func:`~repro.engine.base.fresh_engine`), the kernel world
-        re-instantiated in place (the expensive dpm list is kept, its
-        drivers rewound), a fresh SnG — so a reset machine is
-        byte-identical to a newly constructed one.  That contract is
-        enforced by ``tests/test_campaign_fastpath.py``, which compares
-        run results and stats trees against a cold build.
+        instead of reconstructing.  A reset rebuilds what a trial may
+        leave behind in a form nothing can rewind: a factory-fresh
+        backend, a fresh engine of the class and constructor parameters
+        the machine was built with (:func:`~repro.engine.base.fresh_engine`)
+        and a fresh SnG.  It rewinds the rest in place: the kernel world
+        is re-instantiated (:meth:`Kernel.reset_world`: the dpm list is
+        kept, its drivers rewound), every core of the complex is rewound
+        (:meth:`MultiCoreComplex.reset`), and the stats registry goes
+        back to the complex's registrations with ``memory.*``
+        re-registered.  A reset machine is byte-identical to a newly
+        constructed one; ``tests/test_campaign_fastpath.py`` enforces
+        that against a cold build, field by field.
         """
-        factory = _BACKEND_FACTORIES[self.platform]
-        backend = factory(self.config, self.functional)
-        self.backend = backend
-        self.engine = fresh_engine(self.engine)
-        self.complex = MultiCoreComplex(
-            self.backend, cores=self.config.cores,
-            core_config=self.config.core, engine=self.engine,
-        )
-        self.stats.drop()
-        self._register_stats()
+        self.engine = fresh_engine(self._built_engine)
         self.kernel.reset_world()
-        self.sng = None
-        if not self.backend.is_volatile:
-            self.sng = SnG(
-                kernel=self.kernel,
-                dirty_lines_fn=self.complex.dump_caches,
-                port=self.backend,
-            )
+        self._wire(_BACKEND_FACTORIES[self.platform](self.config,
+                                                     self.functional))
         self._powered = True
         self.runs = []
         return self
@@ -171,7 +159,8 @@ class Machine:
     # -- backend wiring ----------------------------------------------------
 
     def attach_backend(self, backend: MemoryBackend) -> None:
-        """Swap the memory tier under a fresh complex (sensitivity sweeps).
+        """Swap the memory tier under a rewound complex (sensitivity
+        sweeps).
 
         The replacement must satisfy the port protocol; the stats scopes
         and the SnG orchestrator are re-wired to the new backend.
@@ -179,24 +168,28 @@ class Machine:
         assert_memory_backend(
             backend, context=f"platform {self.platform!r} backend swap"
         )
+        self._wire(backend)
+
+    def _wire(self, backend: MemoryBackend) -> None:
+        """Run the machine over ``backend``: the one wiring path of
+        construction, :meth:`reset` and :meth:`attach_backend`.
+
+        Every core is rewound onto ``backend`` and the machine's engine,
+        the stats registry goes back to the complex's registrations plus
+        ``memory.*`` from ``backend``, and a fresh SnG drives the
+        backend's ports (none over a volatile backend).
+        """
         self.backend = backend
-        self.complex = MultiCoreComplex(
-            backend, cores=self.config.cores, core_config=self.config.core,
-            engine=self.engine,
-        )
-        self.stats.drop()
-        self._register_stats()
-        self.sng = None
+        self.complex.reset(backend, self.engine)
+        self.stats.rewind(self._cpu_stats)
+        backend.register_stats(self.stats.scoped("memory"))
+        self.sng: Optional[SnG] = None
         if not backend.is_volatile:
             self.sng = SnG(
                 kernel=self.kernel,
                 dirty_lines_fn=self.complex.dump_caches,
                 port=backend,
             )
-
-    def _register_stats(self) -> None:
-        self.backend.register_stats(self.stats.scoped("memory"))
-        self.complex.register_stats(self.stats.scoped("cpu"))
 
     def stats_tree(self) -> dict:
         """One uniform hierarchical snapshot of every registered stat.

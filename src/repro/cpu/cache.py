@@ -126,8 +126,13 @@ class Cache:
         return flushed
 
     def invalidate_all(self) -> None:
-        for ways in self._sets:
+        for ways in filter(None, self._sets):  # the sets holding lines
             ways.clear()
+
+    def reset(self) -> None:
+        """Back to the just-built state: no lines, zeroed counters."""
+        self.invalidate_all()
+        self.reset_stats()
 
     def reset_stats(self) -> None:
         """Zero the hit/eviction counters (contents stay resident) —

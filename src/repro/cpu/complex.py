@@ -79,6 +79,14 @@ class MultiCoreComplex:
             for i in range(cores)
         ]
 
+    def reset(self, backend: MemoryBackend, engine: ExecutionEngine) -> None:
+        """Rewind every core in place to its just-built state over
+        ``backend`` and ``engine`` (:meth:`Core.reset`)."""
+        self.backend = backend
+        self.engine = engine
+        for core in self.cores:
+            core.reset(backend, engine)
+
     def set_engine(self, engine: EngineSpec) -> ExecutionEngine:
         """Repoint every core at ``engine``; returns the resolved engine."""
         self.engine = resolve_engine(engine)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from repro.cpu.cache import Cache, CacheConfig
-from repro.engine.base import EngineSpec, resolve_engine
+from repro.engine.base import EngineSpec, ExecutionEngine, resolve_engine
 from repro.memory.extent import FlushReport
 from repro.memory.port import MemoryBackend
 from repro.memory.request import MemoryOp, RequestPool
@@ -107,7 +107,9 @@ class Core:
         self.core_id = core_id
         self.config = config or CoreConfig()
         self.backend = backend
-        self.overhead = overhead or SoftwareOverhead()
+        #: the overhead :meth:`reset` restores
+        self._built_overhead = overhead or SoftwareOverhead()
+        self.overhead = self._built_overhead
         #: how this core drains traces and dumps its cache — see
         #: :mod:`repro.engine`; ``None`` selects the process default
         self.engine = resolve_engine(engine)
@@ -132,6 +134,24 @@ class Core:
         # the per-access charges, read once per assignment
         self._read_cost = overhead.read_cost()
         self._write_cost = overhead.write_cost()
+
+    def reset(self, backend: MemoryBackend, engine: ExecutionEngine) -> None:
+        """Rewind to the just-built state over ``backend`` and ``engine``.
+
+        The cache is emptied and its counters zeroed, ``stats`` is a new
+        :class:`CoreStats` (a returned result keeps the old one), the
+        clock and flush debt are zero and the built overhead is back.
+        The request pool stays: it holds only released requests, and
+        ``acquire`` sets every field a released request kept.
+        """
+        self.backend = backend
+        self.engine = engine
+        self.overhead = self._built_overhead
+        self.cache.reset()
+        self.stats = CoreStats()
+        self.now = 0.0
+        self._flush_debt = 0.0
+        self.last_flush_report = None
 
     def execute(self, instructions: int, address: int, is_write: bool,
                 thread_id: int = 0) -> float:

@@ -39,6 +39,7 @@ Two modelling choices worth flagging (also in DESIGN.md):
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -54,7 +55,7 @@ from repro.memory.request import (
 from repro.memory.rowbuffer import WriteAggregationBuffer
 from repro.ocpmem.ecc import SymbolECC, XORCodec
 from repro.ocpmem.nvdimm import BareNVDIMM, Layout
-from repro.ocpmem.wear import StartGap, WearRegisters
+from repro.ocpmem.wear import MoveFn, StartGap, WearRegisters
 from repro.sim.stats import LatencyStats, RatioStat, StatsRegistry
 
 __all__ = ["PSM", "PSMConfig", "MachineCheckError"]
@@ -119,6 +120,23 @@ class PSMConfig:
         return cls(**overrides)
 
 
+def _weak_move_line(psm: "PSM") -> MoveFn:
+    """``psm._move_line`` through a weak reference.
+
+    The PSM owns its Start-Gap, so a bound method as the Start-Gap's
+    move callback would make the two a cycle that only the cyclic
+    collector frees.
+    """
+    move_line = weakref.WeakMethod(psm._move_line)
+
+    def move(src_physical: int, dst_physical: int) -> None:
+        method = move_line()
+        assert method is not None  # only the live PSM moves its lines
+        method(src_physical, dst_physical)
+
+    return move
+
+
 class PSM:
     """The persistent support module fronting the Bare-NVDIMM channels."""
 
@@ -165,7 +183,7 @@ class PSM:
             lines=cfg.total_lines - 1,  # one physical spare line
             threshold=cfg.wear_threshold,
             seed=cfg.wear_seed,
-            move_fn=self._move_line if self.functional else None,
+            move_fn=_weak_move_line(self) if self.functional else None,
             rotate_seed_every=cfg.rotate_seed_every,
             randomize_unit=cfg.wear_randomize_unit,
         )

@@ -25,6 +25,7 @@ that build machines directly are untouched.
 from __future__ import annotations
 
 import atexit
+import functools
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Optional
@@ -107,9 +108,10 @@ def machine_for_workload(platform: str, workload, config=None,
     engine (its canonical name, or for an engine instance its class,
     name and constructor parameters) — so two trials share a template
     exactly when a fresh build would have produced interchangeable
-    machines.
+    machines.  For an engine selected by name (or the process default)
+    the key is computed once per argument tuple: the config is frozen
+    and hashable, and the default is read on every call.
     """
-    from repro.core.config import PlatformConfig
     from repro.core.machine import Machine
     from repro.engine.base import (
         canonical_engine_name,
@@ -117,25 +119,39 @@ def machine_for_workload(platform: str, workload, config=None,
         engine_key,
     )
 
-    base = config or PlatformConfig()
     footprint = (
         workload.spec.profile.working_set_lines * 64 * workload.threads
     )
-    sized = base.sized_for(footprint * 2)
-    if engine is None:
-        engine_id = default_engine_name()
-    elif isinstance(engine, str):
-        engine_id = canonical_engine_name(engine)
+    if engine is None or isinstance(engine, str):
+        name = (default_engine_name() if engine is None
+                else canonical_engine_name(engine))
+        key = _named_engine_pool_key(platform, config, footprint,
+                                     functional, name)
     else:
-        engine_id = engine_key(engine)
-    key = fingerprint({
+        key = _pool_key(platform, config, footprint, functional,
+                        engine_key(engine))
+    return lease_machine(key, lambda: Machine(
+        platform, _sized(config, footprint), functional, engine=engine))
+
+
+def _sized(config, footprint: int):
+    """``Machine.for_workload``'s config for a workload footprint."""
+    from repro.core.config import PlatformConfig
+
+    return (config or PlatformConfig()).sized_for(footprint * 2)
+
+
+def _pool_key(platform: str, config, footprint: int, functional: bool,
+              engine_id) -> str:
+    return fingerprint({
         "platform": platform,
-        "config": sized,
+        "config": _sized(config, footprint),
         "functional": functional,
         "engine": engine_id,
     })
-    return lease_machine(
-        key, lambda: Machine(platform, sized, functional, engine=engine))
+
+
+_named_engine_pool_key = functools.lru_cache(maxsize=64)(_pool_key)
 
 
 # -- session-wide warm executors --------------------------------------------

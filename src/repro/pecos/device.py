@@ -16,6 +16,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, attrgetter
+from typing import Optional
+
 __all__ = [
     "DCB",
     "DeviceDriver",
@@ -48,10 +52,20 @@ _PREPARED = DeviceState.PREPARED
 _SUSPENDED = DeviceState.SUSPENDED
 _SUSPENDED_NOIRQ = DeviceState.SUSPENDED_NOIRQ
 
+_PREPARE_NS = attrgetter("prepare_ns")
+_SUSPEND_NOIRQ_NS = attrgetter("suspend_noirq_ns")
+_RESUME_NOIRQ_NS = attrgetter("resume_noirq_ns")
+_RESUME_NS = attrgetter("resume_ns")
+_COMPLETE_NS = attrgetter("complete_ns")
 
-@dataclass(slots=True)
+
+@dataclass(frozen=True, slots=True)
 class DCB:
-    """Device control block: the persistent snapshot of one device."""
+    """Device control block: the persistent snapshot of one device.
+
+    Immutable, so a driver can hand the same block to every Stop that
+    finds its MMIO image unchanged.
+    """
 
     device: str
     context_bytes: int
@@ -87,6 +101,10 @@ class DeviceDriver:
     state: DeviceState = DeviceState.ACTIVE
     irq_enabled: bool = True
     _mmio: bytes = field(default=b"", repr=False)
+    #: the DCB of the last suspend, reused while the MMIO image is the
+    #: one it holds
+    _dcb: Optional[DCB] = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self) -> None:
         seed = sum(self.name.encode()) & 0xFF
@@ -131,55 +149,56 @@ class DevicePMList:
         return len(self.drivers)
 
     def reset(self) -> None:
-        """Rewind every driver to its constructed state; drop the DCBs."""
+        """Rewind every driver to its constructed state; drop the DCBs.
+
+        A completed Stop/Go cycle leaves most drivers as constructed
+        already, and those are left alone.
+        """
         for driver in self.drivers:
-            driver.reset()
+            if (driver.state is not _ACTIVE or driver.irq_enabled is not True
+                    or driver._mmio is not driver._pristine_mmio):
+                driver.reset()
         self.dcbs.clear()
 
     def mmio_bytes(self) -> int:
         """The MMIO bytes a full dump or restore moves."""
         return sum([driver.mmio_bytes for driver in self.drivers])
 
-    # Each chain runs one loop per dpm pass over the whole list, named
-    # after the Linux callback it stands for; a driver found in the wrong
-    # state stops the chain with a DevicePMError naming the pass.
+    # Each chain prices its passes in dpm order, one pass after another,
+    # as the Linux callbacks they stand for run.  Only a chain's first
+    # pass can find a driver in the wrong state: it leaves every driver
+    # in the state the next pass needs.  A refused driver stops the
+    # chain with a DevicePMError naming the pass, the drivers before it
+    # already moved.
 
     def suspend_all(self) -> float:
         """Run the full suspend chain in dpm order; returns total ns."""
         drivers = self.drivers
-        total = 0.0
         for driver in drivers:  # dpm_prepare
             if driver.state is not _ACTIVE:
                 raise DevicePMError(
                     f"{driver.name}: prepare from {driver.state}")
             driver.state = _PREPARED
-            total += driver.prepare_ns
-        for driver in drivers:  # dpm_suspend
-            if driver.state is not _PREPARED:
-                raise DevicePMError(
-                    f"{driver.name}: suspend from {driver.state}")
-            driver.irq_enabled = False
-            driver.state = _SUSPENDED
-            cost = driver.suspend_ns
-            if driver.manual:
-                cost *= 1.5  # hand-rolled SPI/GPIO quiescing
-            total += cost
+        total = reduce(add, map(_PREPARE_NS, drivers), 0.0)
+        total = reduce(add, [  # dpm_suspend; SPI/GPIO quiesce by hand
+            driver.suspend_ns * 1.5 if driver.manual else driver.suspend_ns
+            for driver in drivers], total)
+        total = reduce(add, map(_SUSPEND_NOIRQ_NS, drivers), total)
         dcbs = self.dcbs
-        for driver in drivers:  # dpm_suspend_noirq
-            if driver.state is not _SUSPENDED:
-                raise DevicePMError(
-                    f"{driver.name}: noirq from {driver.state}")
+        for driver in drivers:  # dpm_suspend, then dpm_suspend_noirq
+            driver.irq_enabled = False
             driver.state = _SUSPENDED_NOIRQ
-            name = driver.name
-            dcbs[name] = DCB(name, driver.context_bytes, driver._mmio, False)
-            total += driver.suspend_noirq_ns
+            dcb = driver._dcb
+            if dcb is None or dcb.mmio_image is not driver._mmio:
+                dcb = driver._dcb = DCB(driver.name, driver.context_bytes,
+                                        driver._mmio, False)
+            dcbs[driver.name] = dcb
         return total
 
     def resume_all(self) -> float:
         """Inverse-order resume chain from the stored DCBs."""
         backwards = self.drivers[::-1]
         dcbs = self.dcbs
-        total = 0.0
         for driver in backwards:  # dpm_resume_noirq
             name = driver.name
             dcb = dcbs.get(name)
@@ -193,19 +212,11 @@ class DevicePMList:
             driver._mmio = dcb.mmio_image
             driver.irq_enabled = True
             driver.state = _SUSPENDED
-            total += driver.resume_noirq_ns
-        for driver in backwards:  # dpm_resume
-            if driver.state is not _SUSPENDED:
-                raise DevicePMError(
-                    f"{driver.name}: resume from {driver.state}")
-            driver.state = _PREPARED
-            total += driver.resume_ns
-        for driver in backwards:  # dpm_complete
-            if driver.state is not _PREPARED:
-                raise DevicePMError(
-                    f"{driver.name}: complete from {driver.state}")
+        total = reduce(add, map(_RESUME_NOIRQ_NS, backwards), 0.0)
+        total = reduce(add, map(_RESUME_NS, backwards), total)
+        total = reduce(add, map(_COMPLETE_NS, backwards), total)
+        for driver in backwards:  # dpm_resume, then dpm_complete
             driver.state = _ACTIVE
-            total += driver.complete_ns
         dcbs.clear()
         return total
 

@@ -11,14 +11,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from repro.pecos.bootloader import Bootloader
 from repro.pecos.device import default_dpm_list
 from repro.pecos.scheduler import Scheduler
-from repro.pecos.task import Registers, Task, TaskState, VMA, VMAKind
+from repro.pecos.task import Registers, Task, TaskState, VMAKind, spawn
 
 __all__ = ["Kernel", "KernelConfig", "TaskSpec", "WorldSpec", "world_spec"]
+
+_CHILDREN = attrgetter("children")
 
 
 @dataclass(frozen=True)
@@ -139,14 +142,7 @@ class Kernel:
         if self._populated:
             raise RuntimeError("kernel already populated")
         spec = world_spec(self.config)
-        adopt = self.init_task.adopt
-        tasks = [
-            adopt(Task(name, kernel_thread, state, registers=registers,
-                       vmas=[VMA(*vma) for vma in vmas],
-                       pending_work_items=pending_work_items))
-            for name, kernel_thread, registers, vmas, state,
-            pending_work_items in spec.tasks
-        ]
+        tasks = spawn(self.init_task, spec.tasks)
         self.scheduler.enqueue_balanced([tasks[i] for i in spec.queued])
         self._populated = True
 
@@ -172,7 +168,12 @@ class Kernel:
     # -- queries -------------------------------------------------------------
 
     def all_tasks(self) -> list[Task]:
-        """Every PCB reachable from init_task (excluding init itself)."""
+        """Every PCB reachable from init_task (excluding init itself),
+        in preorder."""
+        children = self.init_task.children
+        if not any(map(_CHILDREN, children)):
+            # init's children are all leaves, as in a populated world
+            return list(children)
         tasks = list(self.init_task.walk())
         del tasks[0]  # init_task, which the walk yields first
         return tasks

@@ -214,18 +214,26 @@ class SnG:
         # Worker timelines run in parallel; each parks its waken tasks and
         # then the tasks already on its run queue.
         worker_ns = [0.0] * cores
+        wake_park_ns = t.task_wake_ns + t.task_park_ns
+        pending_work_ns = t.pending_work_ns
+        park = self._park
         for cpu, bucket in enumerate(assignments):
+            busy = 0.0
             for task in bucket:
-                worker_ns[cpu] += t.task_wake_ns + t.task_park_ns
-                worker_ns[cpu] += task.pending_work_items * t.pending_work_ns
+                busy += wake_park_ns
+                busy += task.pending_work_items * pending_work_ns
                 task.pending_work_items = 0
-                self._park(task)
+                park(task)
+            worker_ns[cpu] = busy
+        park_ns = t.task_park_ns
         for queue in kernel.scheduler.run_queues:
+            busy = worker_ns[queue.cpu]
             for task in queue.tasks():
-                worker_ns[queue.cpu] += t.task_park_ns
+                busy += park_ns
                 task.set_need_resched()
+            worker_ns[queue.cpu] = busy
         for task in kernel.scheduler.drain_all():
-            self._park(task)
+            park(task)
         # Each core finally places its idle task and synchronizes.
         idle_sync_ns = t.idle_place_ns
         process_stop_ns = (
@@ -298,11 +306,14 @@ class SnG:
         return report
 
     def _park(self, task: Task) -> None:
-        """Context-switch a task out for good (registers land in the PCB)."""
+        """Context-switch a task out for good.
+
+        Its registers already sit in the PCB: :class:`Registers` is
+        immutable, so saving them again would store an equal value.
+        """
         if self.signals.has_pending(task):
             # the kernel-exit path drains pending signals first (entry.S)
             self.signals.deliver_pending(task)
-        task.save_registers(task.registers.advanced(0))
         task.lockdown()
 
     def _snapshot_pcbs(self) -> bytes:
@@ -313,8 +324,7 @@ class SnG:
         dirty_vma_bytes)``; the snapshot is the concatenation in
         traversal order.  A per-pid cache keyed on everything but the
         pid skips re-serializing tasks whose state is unchanged since
-        the previous cut — re-parked tasks save
-        ``registers.advanced(0)``, which compares *equal*, so
+        the previous cut — a re-parked task keeps its registers, so
         steady-state cuts re-pickle only tasks that actually progressed.
         Equal values pickle to equal bytes, which is why Go's byte-match
         audit (:meth:`verify_resumed_state`) still holds under reuse.
@@ -328,7 +338,7 @@ class SnG:
             registers = task.registers
             key = (task.name, registers.pc, registers.sp,
                    registers.gpr_checksum, registers.page_table_root,
-                   task.dirty_vma_bytes())
+                   task.dirty_vma_bytes() if task.vmas else 0)
             cached = cache.get(pid)
             if cached is not None and cached[0] == key:
                 blob = cached[1]

@@ -15,7 +15,8 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-__all__ = ["Registers", "Task", "TaskFlags", "TaskState", "VMA", "VMAKind"]
+__all__ = ["Registers", "Task", "TaskFlags", "TaskState", "VMA", "VMAKind",
+           "spawn"]
 
 _pid_counter = itertools.count(1)
 
@@ -189,3 +190,38 @@ class Task:
 
     def dirty_vma_bytes(self) -> int:
         return sum([v.dirty_bytes for v in self.vmas])
+
+
+def spawn(parent: Task, specs) -> list[Task]:
+    """New tasks adopted by ``parent``, one per ``(name, kernel_thread,
+    registers, vmas, state, pending_work_items)`` of ``specs``, in order.
+
+    Each VMA is given as its fields.  A task gets exactly the fields
+    ``Task(name, kernel_thread, state, registers=registers, vmas=...,
+    pending_work_items=...)`` followed by ``parent.adopt(task)`` would
+    give it, its pid drawn from the global counter in order.  They are
+    stored one by one, in the constructor's order (so the instances
+    share its attribute layout), at about half the generated
+    constructor's cost: a warm crash trial populates 120 tasks.
+    """
+    parent_ref = weakref.ref(parent)
+    new = Task.__new__
+    flags = (_FLAGS[0], _FLAGS[_KERNEL_THREAD])
+    tasks: list[Task] = []
+    for (name, kernel_thread, registers, vmas, state,
+         pending_work_items) in specs:
+        task = new(Task)
+        task.name = name
+        task.kernel_thread = kernel_thread
+        task.state = state
+        task.flags = flags[bool(kernel_thread)]
+        task.registers = registers
+        task.vmas = [VMA(*vma) for vma in vmas]
+        task.pid = next(_pid_counter)
+        task.children = []
+        task.cpu = None
+        task.pending_work_items = pending_work_items
+        task._parent = parent_ref
+        tasks.append(task)
+    parent.children.extend(tasks)
+    return tasks

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import FunctionType
+from types import FunctionType, MethodType
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -275,6 +275,9 @@ class TimeSeries:
 #: zero-argument callable producing any of these (including nested dicts).
 StatSource = Union["LatencyStats", "RatioStat", "Counter", int, float, object]
 
+#: the source types a snapshot passes through unresolved
+_NUMBERS = (int, float)
+
 _PATH_SEGMENT = re.compile(r"^[A-Za-z0-9_]+$")
 #: a whole dotted path whose every segment passes ``_PATH_SEGMENT`` (whose
 #: ``$`` also admits one trailing newline), checked in one call
@@ -414,6 +417,23 @@ class StatsRegistry:
                     del interior[parent]
         return len(doomed)
 
+    def mark(self) -> tuple[dict, dict]:
+        """Every registration as it stands, for :meth:`rewind`.
+
+        Covers the whole registry, whichever view it is taken from.
+        """
+        return dict(self._entries), dict(self._interior)
+
+    def rewind(self, mark: tuple[dict, dict]) -> None:
+        """Back to the registrations of ``mark``, in place: what was
+        registered since is dropped, what was dropped since comes back,
+        and every view keeps sharing the registry."""
+        entries, interior = mark
+        self._entries.clear()
+        self._entries.update(entries)
+        self._interior.clear()
+        self._interior.update(interior)
+
     # -- export -------------------------------------------------------------
 
     def _scoped_entries(self) -> list[tuple[str, StatSource]]:
@@ -436,10 +456,11 @@ class StatsRegistry:
         kind = type(source)
         if kind is int or kind is float:
             return source
-        if kind is FunctionType:
+        if kind is FunctionType or kind is MethodType:
             return StatsRegistry._resolve(source())
         if kind is dict:
-            return {key: StatsRegistry._resolve(value)
+            resolve = StatsRegistry._resolve
+            return {key: value if type(value) in _NUMBERS else resolve(value)
                     for key, value in source.items()}
         if isinstance(source, LatencyStats):
             return source.summary()
@@ -462,12 +483,17 @@ class StatsRegistry:
     def snapshot(self) -> dict:
         """The stats tree under this scope as plain nested dicts."""
         tree: dict = {}
+        #: dotted parent path -> its node, so siblings walk down once
+        nodes = {"": tree}
         resolve = self._resolve
         for path, source in self._scoped_entries():
-            node = tree
-            *parents, leaf = path.split(".")
-            for part in parents:
-                node = node.setdefault(part, {})
+            parent, _, leaf = path.rpartition(".")
+            node = nodes.get(parent)
+            if node is None:
+                node = tree
+                for part in parent.split("."):
+                    node = node.setdefault(part, {})
+                nodes[parent] = node
             node[leaf] = resolve(source)
         return tree
 

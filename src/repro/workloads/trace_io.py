@@ -24,12 +24,13 @@ cached so every trial in a worker shares one mapping).
 from __future__ import annotations
 
 import mmap
+import os
 import struct
 import sys
 from array import array
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from repro.workloads.trace import TraceRecord
 
@@ -43,6 +44,7 @@ __all__ = [
     "read_window",
     "save_trace",
     "save_trace_columnar",
+    "shared_trace",
     "trace_meta",
     "trace_stats",
 ]
@@ -264,6 +266,24 @@ def open_trace(path: Union[str, Path], shared: bool = True) -> ColumnarTrace:
     if handle is None:
         handle = ColumnarTrace(path)
         _SHARED_HANDLES[key] = handle
+    return handle
+
+
+def shared_trace(path: Union[str, Path]) -> Optional[ColumnarTrace]:
+    """:func:`open_trace`'s process-shared handle of a columnar (v2)
+    trace, or None for a row-format (v1) file.
+
+    The handle is also cached under the absolute path as given, so a
+    warm worker's later calls neither re-read the header nor resolve
+    the path; the handle's :meth:`~ColumnarTrace.close` drops that
+    entry too.
+    """
+    alias = os.path.abspath(path)
+    handle = _SHARED_HANDLES.get(alias)
+    if handle is None:
+        if trace_meta(path)["version"] != _VERSION_COLUMNAR:
+            return None
+        handle = _SHARED_HANDLES[alias] = open_trace(path)
     return handle
 
 

@@ -19,6 +19,7 @@ import os
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.crashfuzz import fuzz_machine, fuzz_trace
 from repro.analysis.sensitivity import read_latency_sweep
@@ -37,8 +38,10 @@ from repro.orchestrate import (
     pack_results,
 )
 from repro.orchestrate.pool import machine_for_workload
+from repro.pmem.modes import SoftwareOverhead
 from repro.power.psu import ATX_PSU
 from repro.workloads import load_workload
+from tests.test_pecos_oracle import world_digest
 
 
 @dataclasses.dataclass
@@ -267,6 +270,156 @@ class TestMachineResetConformance:
         assert machine.stats_tree() == fresh.stats_tree()
 
 
+# -- reset conformance under random dirtying --------------------------------
+
+#: platform -> functional mode of the machine the stream dirties
+_POOLED_SHAPES = {"legacy": False, "lightpc_b": True, "lightpc": True}
+#: one machine per platform, built once and dirtied and reset by every
+#: example, as a campaign worker's pooled template is
+_POOLED: dict = {}
+#: eight threads, so every core and every cache gets work
+_MULTI = load_workload("redis", refs=480)
+_AES = load_workload("aes", refs=400)
+_ENGINES = ("scalar", "window", "extent", "epoch")
+
+dirty_steps = st.lists(st.one_of(
+    st.just(("multi",)),
+    st.tuples(st.just("aes"), st.sampled_from(_ENGINES)),
+    st.tuples(st.just("power_fail"), st.booleans()),
+    st.just(("attach_backend",)),
+    st.tuples(st.just("set_engine"), st.sampled_from(("scalar", "epoch"))),
+    st.tuples(st.just("overhead"), st.integers(0, 7)),
+    st.tuples(st.just("mmio"), st.integers(0, 1 << 12)),
+    st.tuples(st.just("vma"), st.integers(0, 1 << 12),
+              st.integers(1, 1 << 16)),
+    st.tuples(st.just("stat"), st.sampled_from(("cpu", "elsewhere"))),
+), min_size=1, max_size=6)
+
+
+def _build(platform: str) -> Machine:
+    return Machine.for_workload(platform, _MULTI,
+                                functional=_POOLED_SHAPES[platform])
+
+
+def _dirty(machine: Machine, step: tuple, index: int) -> None:
+    kind = step[0]
+    if kind in ("multi", "aes", "attach_backend") and not machine._powered:
+        machine.recover()
+    if kind == "multi":
+        machine.run(_MULTI)
+    elif kind == "aes":
+        machine.run(_AES, engine=(WindowEngine() if step[1] == "window"
+                                  else step[1]))
+    elif kind == "power_fail":
+        if machine._powered:
+            machine.power_fail(ATX_PSU)
+            if step[1]:
+                machine.recover()
+    elif kind == "attach_backend":
+        backend = machine.backend
+        if backend.is_volatile:
+            from repro.memory.dram import DRAMSubsystem
+
+            backend = DRAMSubsystem(dataclasses.replace(
+                machine.config.dram, queue_ns=29.0))
+        else:
+            from repro.memory.device import PRAMTiming
+            from repro.ocpmem.psm import PSM
+
+            backend = PSM(dataclasses.replace(
+                backend.config, pram_timing=PRAMTiming(read_ns=999.0)),
+                functional=machine.functional)
+        machine.attach_backend(backend)
+    elif kind == "set_engine":
+        machine.set_engine(step[1])
+    elif kind == "overhead":
+        machine.complex.cores[step[1]].overhead = SoftwareOverhead(
+            per_read_ns=3.0, per_write_ns=5.0, coverage=0.35,
+            extra_flush_writes=1.0)
+    elif kind == "mmio":
+        drivers = machine.kernel.dpm.drivers
+        drivers[step[1] % len(drivers)].scribble_mmio()
+    elif kind == "vma":
+        tasks = machine.kernel.user_tasks()
+        task = tasks[step[1] % len(tasks)]
+        task.vmas[step[1] % len(task.vmas)].touch(step[2])
+    elif step[1] == "cpu":
+        machine.stats.scoped("cpu").register(f"extra{index}", index)
+    else:
+        machine.stats.register(f"scratch.extra{index}", lambda: index)
+
+
+def _key_order(tree: dict) -> list:
+    return [(key, _key_order(value)) if isinstance(value, dict) else key
+            for key, value in tree.items()]
+
+
+def _core_digest(machine: Machine, core) -> tuple:
+    cache = core.cache
+    engine = core.engine
+    return (
+        core.now, core._flush_debt, core.stats.as_dict(),
+        [list(ways.items()) for ways in cache._sets],
+        (cache.read_hits, cache.write_hits, cache.evictions,
+         cache.dirty_evictions),
+        core.overhead, type(engine), getattr(engine, "params", {}),
+        engine is machine.engine, core.backend is machine.backend,
+        core.last_flush_report,
+    )
+
+
+def _machine_digest(machine: Machine) -> dict:
+    snapshot = machine.stats.snapshot()
+    complex_ = machine.complex
+    return {
+        "paths": machine.stats.paths(),
+        "snapshot": snapshot,
+        "key order": _key_order(snapshot),
+        "cores": [_core_digest(machine, core) for core in complex_.cores],
+        "complex": (complex_.backend is machine.backend,
+                    complex_.engine is machine.engine),
+        "engine": (type(machine.engine),
+                   getattr(machine.engine, "params", {})),
+        "world": world_digest(machine.kernel, machine.sng),
+        "sng": None if machine.sng is None else (
+            machine.sng.port is machine.backend,
+            machine.sng.kernel is machine.kernel),
+        "powered": machine._powered,
+        "runs": machine.runs,
+    }
+
+
+def _fixed_run(machine: Machine) -> tuple:
+    """An aes run, then Stop, Go and the resumed-state check."""
+    result = machine.run(_AES)
+    fail = machine.power_fail(ATX_PSU)
+    go = machine.recover()
+    verified = None if machine.sng is None \
+        else machine.sng.verify_resumed_state()
+    return result, fail, go, verified
+
+
+class TestResetConformanceStream:
+    """Whatever a trial dirties, ``reset()`` undoes: a pooled machine
+    dirtied by a random stream and then reset is a fresh build, field by
+    field, and runs the fixed trial a fresh build runs."""
+
+    @pytest.mark.parametrize("platform", sorted(_POOLED_SHAPES))
+    @settings(max_examples=25, deadline=None)
+    @given(steps=dirty_steps)
+    def test_reset_after_random_dirtying_matches_fresh(self, platform,
+                                                        steps):
+        machine = _POOLED.get(platform)
+        if machine is None:
+            machine = _POOLED[platform] = _build(platform)
+        for index, step in enumerate(steps):
+            _dirty(machine, step, index)
+        machine.reset()
+        fresh = _build(platform)
+        assert _machine_digest(machine) == _machine_digest(fresh)
+        assert _fixed_run(machine) == _fixed_run(fresh)
+
+
 class TestMachinePool:
     def test_engine_configurations_lease_separate_templates(
             self, monkeypatch):
@@ -291,6 +444,61 @@ class TestMachinePool:
         assert (pool.built, pool.reused) == (2, 1)
         assert again.engine.params == EpochEngine(
             window=512, tolerance=0.02).params
+
+    def test_pool_key_fingerprints_what_construction_depends_on(
+            self, monkeypatch):
+        """The memoized key of a name-selected engine is the
+        fingerprint of the platform, sized config, functional mode and
+        engine name, read from the process default on every lease; an
+        engine instance keys on its ``engine_key``."""
+        from repro.core import PlatformConfig
+        from repro.engine.base import (
+            default_engine_name,
+            engine_key,
+            set_default_engine,
+        )
+        from repro.orchestrate import pool as pool_module
+
+        pool = MachinePool()
+        monkeypatch.setattr(pool_module, "_MACHINE_POOL", pool)
+        workload = load_workload("aes", refs=1_500)
+        sized = PlatformConfig().sized_for(
+            workload.spec.profile.working_set_lines * 64
+            * workload.threads * 2)
+
+        def key(engine) -> str:
+            return fingerprint({"platform": "lightpc", "config": sized,
+                                "functional": True, "engine": engine})
+
+        def lease(engine=None):
+            machine = machine_for_workload("lightpc", workload,
+                                           functional=True, engine=engine)
+            return machine, next(reversed(pool._machines))
+
+        default = default_engine_name()
+        assert default != "scalar"
+        machine, leased = lease()
+        assert leased == key(default)
+        assert machine.engine.name == default
+        assert lease("scalar")[1] == key("scalar")
+        assert lease(default)[0] is machine  # the memoized key again
+        previous = set_default_engine("scalar")
+        try:
+            scalar, leased = lease()
+        finally:
+            set_default_engine(previous)
+        assert leased == key("scalar")
+        assert scalar.engine.name == "scalar" and scalar is not machine
+        assert (pool.built, pool.reused) == (2, 2)
+
+        tight = EpochEngine(window=512, tolerance=0.02)
+        loose = EpochEngine(window=1024)
+        first, tight_key = lease(tight)
+        second, loose_key = lease(loose)
+        assert tight_key == key(engine_key(tight))
+        assert loose_key == key(engine_key(loose))
+        assert tight_key != loose_key and first is not second
+        assert lease(EpochEngine(window=512, tolerance=0.02))[0] is first
 
     def test_lease_builds_once_then_resets(self):
         workload = load_workload("aes", refs=1_500)

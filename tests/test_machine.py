@@ -262,6 +262,49 @@ class TestFreedByReferenceCounting:
         del machine
         assert [ref() for ref in freed] == [None, None]
 
+    @pytest.mark.parametrize("platform", ["lightpc_b", "lightpc"])
+    def test_discarded_functional_machine_is_freed(self, workload, platform):
+        """A functional PSM's Start-Gap moves lines through a weak
+        reference back to its PSM, so the PSM is no cycle either."""
+        machine = Machine.for_workload(platform, workload, functional=True)
+        machine.run(workload)
+        machine.power_fail(ATX_PSU)
+        machine.recover()
+        assert machine.sng.verify_resumed_state()
+        freed = [weakref.ref(machine), weakref.ref(machine.backend),
+                 weakref.ref(machine.backend.wear)]
+        del machine
+        assert [ref() for ref in freed] == [None, None, None]
+
+    def test_warm_crash_trials_leave_no_cyclic_garbage(self, tmp_path,
+                                                       monkeypatch):
+        """Pooled trace trials: what each reset discards (the backend,
+        the engine, the SnG, the task tree) dies by reference counting."""
+        import random
+
+        from repro.analysis.crashfuzz import (
+            materialize_fuzz_trace,
+            trace_trial,
+        )
+        from repro.orchestrate import pool as pool_module
+        from repro.orchestrate.pool import MachinePool
+        from repro.workloads.trace_io import open_trace
+
+        pool = MachinePool()
+        monkeypatch.setattr(pool_module, "_MACHINE_POOL", pool)
+        path = str(materialize_fuzz_trace("aes", 6_000, 42, tmp_path))
+        try:
+            trace_trial(0, random.Random(0), trace_path=path)  # the build
+            gc.collect()
+            for trial in range(32):
+                outcome = trace_trial(trial, random.Random(trial),
+                                      trace_path=path)
+                assert outcome.violations == []
+            assert (pool.built, pool.reused) == (1, 32)
+            assert gc.collect() == 0
+        finally:
+            open_trace(path).close()
+
     def test_reset_world_frees_the_old_task_tree(self):
         kernel = Kernel()
         kernel.populate()

@@ -1,5 +1,7 @@
 """Tests for PCBs, the scheduler, and task state transitions."""
 
+import dataclasses
+
 import pytest
 
 from repro.pecos import (
@@ -86,6 +88,31 @@ class TestTask:
         ]
         assert t.total_vma_bytes() == 5120
         assert t.dirty_vma_bytes() == 150
+
+
+class TestSpawn:
+    def test_spawned_tasks_hold_what_the_constructor_gives(self):
+        from repro.pecos.kernel import KernelConfig, world_spec
+        from repro.pecos.task import spawn
+
+        specs = world_spec(KernelConfig(user_processes=4,
+                                        kernel_threads=3)).tasks
+        init, reference = Task(name="init"), Task(name="init")
+        spawned = spawn(init, specs)
+        built = [reference.adopt(Task(
+            name, kernel_thread, state, registers=registers,
+            vmas=[VMA(*vma) for vma in vmas],
+            pending_work_items=pending_work_items))
+            for name, kernel_thread, registers, vmas, state,
+            pending_work_items in specs]
+        assert init.children == spawned
+        for task, expected in zip(spawned, built, strict=True):
+            assert list(vars(task)) == list(vars(expected))
+            assert task == dataclasses.replace(expected, pid=task.pid)
+            assert type(task.flags) is TaskFlags
+            assert task.parent is init
+        pids = [task.pid for task in spawned]
+        assert pids == list(range(pids[0], pids[0] + len(pids)))
 
 
 class TestScheduler:

@@ -230,3 +230,27 @@ class TestZeroSampleRendering:
         assert summary["p95"] == s.percentile(95)
         assert summary["p99"] == s.percentile(99)
         assert summary["min"] == 1.0 and summary["max"] == 100.0
+
+
+class TestRegistryMark:
+    def test_rewind_restores_the_marked_registrations(self):
+        from repro.sim import StatsRegistry
+
+        registry = StatsRegistry()
+        cpu = registry.scoped("cpu")
+        cpu.register("core0.exec", lambda: {"n": 1})
+        cpu.register("core1.exec", 2)
+        mark = registry.mark()
+        registry.scoped("memory").register("read", LatencyStats())
+        cpu.register("extra", 3)
+        assert cpu.drop("core1") == 1
+        registry.rewind(mark)
+        assert registry.paths() == ["cpu.core0.exec", "cpu.core1.exec"]
+        assert cpu.paths() == ["core0.exec", "core1.exec"]  # views share
+        with pytest.raises(ValueError, match="collides"):
+            cpu.register("core1", 4)
+        registry.scoped("memory").register("read", 5)  # free again
+        assert registry.snapshot() == {
+            "cpu": {"core0": {"exec": {"n": 1}}, "core1": {"exec": 2}},
+            "memory": {"read": 5}}
+

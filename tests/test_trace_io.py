@@ -16,6 +16,7 @@ from repro.workloads.trace_io import (
     read_window,
     save_trace,
     save_trace_columnar,
+    shared_trace,
     trace_meta,
     trace_stats,
 )
@@ -153,6 +154,23 @@ class TestColumnar:
         first = open_trace(path)
         assert open_trace(path) is first
         assert open_trace(path, shared=False) is not first
+
+    def test_shared_trace_is_the_shared_handle_or_none(self, tmp_path,
+                                                      monkeypatch):
+        records = self._records(50)
+        path = tmp_path / "t.coltrace"
+        save_trace_columnar(records, path)
+        monkeypatch.chdir(tmp_path)
+        first = shared_trace("t.coltrace")
+        assert first is open_trace(path) and first.count == 50
+        assert shared_trace(str(path)) is first
+        first.close()  # drops every cache entry of the handle
+        second = shared_trace(path)
+        assert second is not first and list(second.records()) == records
+        second.close()
+        row = tmp_path / "row.trace"
+        save_trace(records, row)
+        assert shared_trace(row) is None
 
     def test_window_round_trip_and_use_after_close(self, tmp_path):
         records = self._records()
