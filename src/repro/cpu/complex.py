@@ -9,7 +9,7 @@ OC-PMEM conflict experiments depend on.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.cpu.core import Core, CoreConfig, CoreStats
@@ -156,7 +156,9 @@ class MultiCoreComplex:
         wall = max((core.now for core in self.cores), default=start_ns)
         return ComplexResult(
             wall_ns=wall - start_ns,
-            per_core=[core.stats for core in self.cores],
+            # copies: the cores count on, and a later run must not
+            # rewrite this result
+            per_core=[replace(core.stats) for core in self.cores],
             frequency_ghz=self.core_config.frequency_ghz,
         )
 

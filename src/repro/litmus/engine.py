@@ -4,13 +4,23 @@
 ``access`` per store and per load, the ``flush``/``drain`` lifecycle
 ports for FLUSH and FENCE, and for an SNG_CUT the dirty lines written
 back through :func:`~repro.memory.extent.default_flush_extents`, then
-a port flush and a wear-register capture.  Every port operation ticks
-the :class:`~repro.memory.port.FaultInjector` once, in the order of the
-program's timeline (:func:`~repro.litmus.ir.build_timeline`), so each
-crash index names one timeline tick.  The program is executed once per
-crash point with a fresh backend chain and an injector armed at that
-index, and every recovered state is checked against the persistency
-oracle.
+a port flush and a wear-register capture.  Every port operation is one
+tick of a :class:`~repro.memory.port.FaultInjector` with
+``count_drains=True``, in the order of the program's timeline
+(:func:`~repro.litmus.ir.build_timeline`), so each crash index names
+one timeline tick.
+
+:func:`run_program` drives each program once.  A power cut at tick
+``i`` leaves the media the first ``i`` operations programmed and the
+wear registers the last completed cut captured, so a counting
+interposer reads that state back just before it forwards operation
+``i``: a *survivor*, a second backend of the program's topology that
+reads the driven chain's persistent media
+(:meth:`~repro.ocpmem.psm.PSM.read_media_of`), is power-cycled, given
+the committed register blob and read back.  The survivor only reads,
+so the drive goes on as if no cut had been observed, and the run to
+completion is read off the driven chain itself.  Every recovered state
+is checked against the persistency oracle.
 
 Enumeration is pruned by the SHA-256 digest of the crash prefix's
 state-mutating event subsequence (:func:`repro.litmus.ir.prefix_digest`):
@@ -35,10 +45,8 @@ from repro.litmus.ir import (
     LitmusProgram,
     OpKind,
     build_timeline,
-    iter_crash_points,
+    crash_prefixes,
     line_value,
-    prefix_digest,
-    prefix_events,
     total_ticks,
 )
 from repro.litmus.oracle import (
@@ -49,8 +57,9 @@ from repro.litmus.oracle import (
 )
 from repro.memory.extent import DirtyExtentMap, default_flush_extents
 from repro.memory.port import AddressRange, AddressRangePartition, \
-    FaultInjector, InjectedPowerFailure, MemoryBackend
-from repro.memory.request import CACHELINE_BYTES, MemoryOp, MemoryRequest
+    InjectedPowerFailure, Interposer, MemoryBackend
+from repro.memory.request import CACHELINE_BYTES, MemoryOp, MemoryRequest, \
+    MemoryResponse
 from repro.ocpmem.psm import PSM, PSMConfig
 
 __all__ = [
@@ -72,7 +81,15 @@ def _litmus_config() -> PSMConfig:
                      wear_threshold=_FROZEN_WEAR)
 
 
-def _make_inner(program: LitmusProgram) -> MemoryBackend:
+def litmus_backend(program: LitmusProgram) -> MemoryBackend:
+    """A fresh functional backend of the litmus topology for ``program``.
+
+    Single-region programs get one frozen-wear functional PSM;
+    multi-region programs an :class:`AddressRangePartition` over one PSM
+    per region.  The compound-fault drills build their interposer chains
+    on top of exactly this topology so drill and litmus verdicts are
+    comparable.
+    """
     if program.regions == 1:
         return PSM(_litmus_config(), functional=True)
     span = -(-program.lines // program.regions)
@@ -85,18 +102,6 @@ def _make_inner(program: LitmusProgram) -> MemoryBackend:
     return AddressRangePartition(regions)
 
 
-def litmus_backend(program: LitmusProgram) -> MemoryBackend:
-    """A fresh functional backend of the litmus topology for ``program``.
-
-    Single-region programs get one frozen-wear functional PSM;
-    multi-region programs an :class:`AddressRangePartition` over one PSM
-    per region.  The compound-fault drills build their interposer chains
-    on top of exactly this topology so drill and litmus verdicts are
-    comparable.
-    """
-    return _make_inner(program)
-
-
 @dataclass
 class ProgramVerdict:
     """Everything one program's exhaustive enumeration established."""
@@ -104,7 +109,8 @@ class ProgramVerdict:
     program: LitmusProgram
     #: injector ticks of one drive — the size of the crash space
     crash_points: int
-    #: states actually executed (dedup survivors + the completion run)
+    #: states observed: one per crash point the dedup kept, plus the
+    #: run to completion
     executed: int = 0
     #: crash points skipped because their mutating prefix was already seen
     deduped: int = 0
@@ -169,10 +175,15 @@ def drive_program(port, program: LitmusProgram) -> DriveResult:
     return result
 
 
-def observe_state(port, program: LitmusProgram) -> dict[int, tuple[int, bool]]:
-    """Read back every observe line: line -> (version byte, torn)."""
+def observe_state(port, program: LitmusProgram,
+                  lines: Optional[list[int]] = None,
+                  ) -> dict[int, tuple[int, bool]]:
+    """Read back every observe line: line -> (version byte, torn).
+
+    ``lines`` is ``program.observe_lines()``, for a caller that has it.
+    """
     observed: dict[int, tuple[int, bool]] = {}
-    for line in program.observe_lines():
+    for line in program.observe_lines() if lines is None else lines:
         response = port.access(MemoryRequest(
             MemoryOp.READ, address=line * CACHELINE_BYTES, time=0.0))
         data = response.data
@@ -183,22 +194,51 @@ def observe_state(port, program: LitmusProgram) -> dict[int, tuple[int, bool]]:
     return observed
 
 
-def _execute(program: LitmusProgram,
-             crash_at: Optional[int]) -> dict[int, tuple[int, bool]]:
-    """One run of ``program``, cut at ``crash_at`` ticks.
+class _CrashObserver(Interposer):
+    """Ticks like ``FaultInjector(count_drains=True)`` and, before it
+    forwards the operation of each tick in ``crash_points``, records
+    what a power cut at that tick leaves: ``survivor`` power-cycled,
+    given the last captured register blob, and read back."""
 
-    Returns the post-run observation: line -> (version byte, torn),
-    read back after ``power_fail`` + wear-register restore for crashed
-    runs, or directly for the run to completion (``crash_at=None``).
-    """
-    port = FaultInjector(_make_inner(program), crash_at_op=crash_at,
-                         count_drains=True)
-    drive = drive_program(port, program)
-    if drive.crashed:
-        port.power_fail()
-        if drive.committed is not None:
-            port.restore_wear_registers(drive.committed)
-    return observe_state(port, program)
+    def __init__(self, inner: MemoryBackend, survivor: MemoryBackend,
+                 program: LitmusProgram, lines: list[int],
+                 crash_points: set[int]) -> None:
+        super().__init__(inner)
+        self.survivor = survivor
+        self.program = program
+        self.lines = lines
+        self.crash_points = crash_points
+        self.op_index = 0
+        self.committed: Optional[bytes] = None
+        #: crash tick -> the state read back after a cut there
+        self.observed: dict[int, dict[int, tuple[int, bool]]] = {}
+
+    def _tick(self) -> None:
+        index = self.op_index
+        if index in self.crash_points:
+            survivor = self.survivor
+            survivor.power_cycle()
+            if self.committed is not None:
+                survivor.restore_wear_registers(self.committed)
+            self.observed[index] = observe_state(
+                survivor, self.program, self.lines)
+        self.op_index = index + 1
+
+    def access(self, request: MemoryRequest) -> MemoryResponse:
+        self._tick()
+        return self.inner.access(request)
+
+    def flush(self, time: float) -> float:
+        self._tick()
+        return self.inner.flush(time)
+
+    def drain(self, time: float) -> float:
+        self._tick()
+        return self.inner.drain(time)
+
+    def capture_registers(self) -> bytes:
+        self.committed = self.inner.capture_registers()
+        return self.committed
 
 
 def run_program(
@@ -210,22 +250,32 @@ def run_program(
     timeline = build_timeline(program)
     lines = program.observe_lines()
     verdict = ProgramVerdict(program, crash_points=total_ticks(timeline))
-    rendered = program.render()
+    kept: list[tuple[Optional[int], list[tuple]]] = []
     seen: set[str] = set()
-    for crash_at in iter_crash_points(timeline):
+    for crash_at, key, events in crash_prefixes(timeline):
         if crash_at is not None:
-            key = prefix_digest(timeline, crash_at)
             if key in seen:
                 verdict.deduped += 1
                 continue
             seen.add(key)
-        observed = _execute(program, crash_at)
-        verdict.executed += 1
+        kept.append((crash_at, events))
 
-        events = prefix_events(timeline, crash_at)
+    driven = litmus_backend(program)
+    survivor = litmus_backend(program)
+    survivor.read_media_of(driven)
+    port = _CrashObserver(driven, survivor, program, lines, {
+        crash_at for crash_at, _ in kept if crash_at is not None})
+    drive_program(port, program)
+    observed = port.observed
+    observed[None] = observe_state(driven, program, lines)
+
+    verdict.executed = len(kept)
+    rendered = program.render()
+    for crash_at, events in kept:
         allowed = allowed_after(events, lines, model)
         for line, version, ok_set, torn in check_observation(
-                observed, allowed, model, final=crash_at is None):
+                observed[crash_at], allowed, model,
+                final=crash_at is None):
             verdict.violations.append(Counterexample(
                 program=rendered, crash_at=crash_at,
                 line=line, observed=version, allowed=ok_set, torn=torn,

@@ -31,6 +31,7 @@ __all__ = [
     "OpKind",
     "TimelineEntry",
     "build_timeline",
+    "crash_prefixes",
     "line_value",
     "prefix_digest",
     "prefix_events",
@@ -215,6 +216,30 @@ def prefix_digest(timeline: list[TimelineEntry],
             digest.update(repr(event).encode("ascii"))
             digest.update(b"\x00")
     return digest.hexdigest()
+
+
+def crash_prefixes(timeline: list[TimelineEntry]
+                   ) -> Iterator[tuple[Optional[int], str, list[tuple]]]:
+    """``(crash_at, prefix_digest, prefix_events)`` of every crash point.
+
+    The crash points come in :func:`iter_crash_points` order, the
+    completion (``None``) last, and all of them from one walk over the
+    timeline with one running hash of the same bytes
+    :func:`prefix_digest` hashes.
+    """
+    digest = hashlib.sha256()
+    events: list[tuple] = []
+    tick = 0
+    for entry in timeline:
+        if entry.ticks:
+            yield tick, digest.hexdigest(), events[:]
+            tick += entry.ticks
+        event = entry.event
+        events.append(event)
+        if event[0] in _MUTATING:
+            digest.update(repr(event).encode("ascii"))
+            digest.update(b"\x00")
+    yield None, digest.hexdigest(), events
 
 
 def iter_crash_points(timeline: list[TimelineEntry]) -> Iterator[Optional[int]]:

@@ -385,6 +385,16 @@ class AddressRangePartition:
         for region, region_blob in zip(self.regions, blobs):
             region.backend.restore_wear_registers(region_blob)
 
+    def read_media_of(self, source: "AddressRangePartition") -> None:
+        """Each region reads the persistent media of ``source``'s region
+        over the same range (for a PSM, :meth:`PSM.read_media_of
+        <repro.ocpmem.psm.PSM.read_media_of>`)."""
+        spans = [(r.start, r.end) for r in self.regions]
+        if spans != [(r.start, r.end) for r in source.regions]:
+            raise ValueError("media of a partition over other regions")
+        for region, source_region in zip(self.regions, source.regions):
+            region.backend.read_media_of(source_region.backend)
+
     def counters(self) -> dict[str, float]:
         merged: dict[str, float] = {}
         for index, region in enumerate(self.regions):
@@ -437,10 +447,10 @@ class FaultInjector(Interposer):
     def schedule(self, crash_at_op: Optional[int]) -> None:
         """Re-arm the injector: schedule a new cut and rewind the count.
 
-        Crash-point enumerators sweep ``crash_at_op`` over every index
-        of the same operation stream; this resets ``op_index`` and
-        ``tripped`` so each sweep starts from a fresh count (the backend
-        itself must be rebuilt or power-cycled by the caller).
+        ``op_index`` and ``tripped`` start over as in a new injector, so
+        the next operation is tick 0.  The backend keeps its state: a
+        caller that reuses one injector for several cuts of the same
+        operation stream rebuilds or power-cycles the backend in between.
         """
         self.crash_at_op = crash_at_op
         self.op_index = 0

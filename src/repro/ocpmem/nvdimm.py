@@ -177,6 +177,18 @@ class BareNVDIMM:
         """Does slot ``address`` of ``die`` carry the containment bit?"""
         return (die, address) in self._corrupted
 
+    def read_media_of(self, other: "BareNVDIMM") -> None:
+        """Share ``other``'s stored blocks and containment marks.
+
+        Each die keeps its own timing state but reads (and would write)
+        the same media as the matching die of ``other``.
+        """
+        if (other.lines, other.layout) != (self.lines, self.layout):
+            raise ValueError("media of another geometry")
+        for die, source in zip(self.dies, other.dies):
+            die.storage = source.storage
+        self._corrupted = other._corrupted
+
     def wipe(self) -> None:
         """Reset-port support: clear all media contents and fault state."""
         for die in self.dies:

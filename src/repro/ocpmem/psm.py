@@ -587,6 +587,26 @@ class PSM:
             seed=self.config.wear_seed, gap_cycles=0,
         ))
 
+    def read_media_of(self, source: "PSM") -> None:
+        """Read ``source``'s persistent media from now on.
+
+        The PRAM dies' stored blocks and their containment marks are
+        ``source``'s own objects, not a copy, so a read here sees
+        whatever ``source`` has programmed by then.  Everything volatile
+        (row buffers, pending lines, die and channel occupancy, the wear
+        registers) stays this PSM's, so :meth:`power_cycle` and
+        :meth:`restore_wear_registers` here recover ``source``'s media as
+        a power cut would, while ``source`` runs on untouched.  Only
+        read through this PSM afterwards: a write or a reset would
+        change ``source``'s media.
+        """
+        if len(source.nvdimms) != len(self.nvdimms):
+            raise ValueError(
+                f"media of {len(source.nvdimms)} DIMMs, have "
+                f"{len(self.nvdimms)}")
+        for dimm, source_dimm in zip(self.nvdimms, source.nvdimms):
+            dimm.read_media_of(source_dimm)
+
     # -- EP-cut register capture -------------------------------------------
 
     def capture_registers(self) -> bytes:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,7 @@ from repro.litmus.ir import (
     LitmusOp,
     LitmusProgram,
     OpKind,
+    crash_prefixes,
     iter_crash_points,
     line_value,
     prefix_digest,
@@ -46,6 +48,7 @@ from repro.litmus.oracle import (
 )
 from repro.memory.port import FaultInjector, Interposer
 from repro.memory.request import CACHELINE_BYTES, MemoryOp
+from tests.litmus_oracle import _execute
 
 
 def _program(*ops: LitmusOp, lines: int = 8,
@@ -107,6 +110,18 @@ class TestIR:
         # a broken fence_is_barrier model distinguishes these prefixes,
         # so dedup must too — fences stay in the digest
         assert prefix_digest(plain, 2) != prefix_digest(fenced, 2)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_crash_prefixes_match_the_per_point_walks(self, shape):
+        for seed in range(8):
+            timeline = build_timeline(
+                generate_program(random.Random(seed), shape))
+            points = list(crash_prefixes(timeline))
+            assert [crash_at for crash_at, _, _ in points] == \
+                list(iter_crash_points(timeline))
+            for crash_at, digest, events in points:
+                assert digest == prefix_digest(timeline, crash_at)
+                assert events == prefix_events(timeline, crash_at)
 
     def test_iter_crash_points_ends_with_completion(self):
         timeline = build_timeline(_program(S(0, 1), F(0)))
@@ -246,8 +261,6 @@ class TestLoweringTimeline:
 class TestEngine:
     def test_crash_at_op_zero_observes_initial_state(self):
         program = _program(S(0, 1), F(0))
-        from repro.litmus.engine import _execute
-
         observed = _execute(program, 0)
         assert all(version == 0 and not torn
                    for version, torn in observed.values())
@@ -257,8 +270,6 @@ class TestEngine:
         verdict = run_program(program)
         assert verdict.ok
         timeline = build_timeline(program)
-        from repro.litmus.engine import _execute
-
         for crash_at in range(2, total_ticks(timeline)):
             version, torn = _execute(program, crash_at)[2]
             assert version in (1, 2) and not torn
@@ -361,6 +372,72 @@ class TestCampaign:
         assert report.trials == report.programs == 5
         assert report.executed + report.deduped >= report.crash_points
         assert report.summary().endswith("OK")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestPinnedReports:
+    """Campaign reports as the per-crash-point re-drive printed them."""
+
+    SUMMARIES = {
+        "all": "litmus: 20 trials, 20 programs, 229 crash points "
+               "(243 states executed, 6 deduped) -> OK",
+        "dirty-extent-straddle":
+            "litmus-dirty-extent-straddle: 20 trials, 20 programs, "
+            "236 crash points (256 states executed, 0 deduped) -> OK",
+        "flush-without-fence":
+            "litmus-flush-without-fence: 20 trials, 20 programs, "
+            "100 crash points (120 states executed, 0 deduped) -> OK",
+        "fuzz": "litmus-fuzz: 20 trials, 20 programs, 192 crash points "
+                "(188 states executed, 24 deduped) -> OK",
+        "partition-straddle":
+            "litmus-partition-straddle: 20 trials, 20 programs, "
+            "324 crash points (344 states executed, 0 deduped) -> OK",
+        "store-store-reorder":
+            "litmus-store-store-reorder: 20 trials, 20 programs, "
+            "148 crash points (148 states executed, 20 deduped) -> OK",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SUMMARIES))
+    def test_summary_per_shape(self, shape):
+        report = run_litmus(trials=20, shape=shape, seed=0)
+        assert report.summary() == self.SUMMARIES[shape]
+
+    def test_broken_fence_rule_violations(self):
+        report = run_litmus(trials=6, shape="store-store-reorder", seed=0,
+                            rules={"fence_is_barrier": True})
+        assert report.summary() == (
+            "litmus-store-store-reorder: 6 trials, 6 programs, 45 crash "
+            "points (45 states executed, 6 deduped) -> 6 VIOLATIONS")
+        assert report.violations == [
+            "trial 2: store-store-reorder[8 lines]: store L3=v1; "
+            "store L2=v2; flush L3; store L3=v3; store L2=v4; fence; "
+            "load L2; load L3 [crash at op 6]: line 2 reads v2, "
+            "allowed {v4}",
+            "trial 2 (minimized): store-store-reorder+min[8 lines]: "
+            "store L2=v4; fence; load L3 [crash at op 2]: line 2 reads "
+            "v0, allowed {v4}",
+            "trial 3: store-store-reorder[8 lines]: store L6=v1; "
+            "store L7=v2; flush L6; store L6=v3; store L7=v4; fence; "
+            "load L7; load L6 [crash at op 6]: line 6 reads v1, "
+            "allowed {v3}",
+            "trial 3 (minimized): store-store-reorder+min[8 lines]: "
+            "store L7=v4; fence; load L6 [crash at op 2]: line 7 reads "
+            "v0, allowed {v4}",
+            "trial 5: store-store-reorder[7 lines]: store L6=v1; "
+            "store L4=v2; flush L6; store L6=v3; store L4=v4; fence; "
+            "load L4; load L6 [crash at op 6]: line 4 reads v2, "
+            "allowed {v4}",
+            "trial 5 (minimized): store-store-reorder+min[7 lines]: "
+            "store L4=v4; fence; load L6 [crash at op 2]: line 4 reads "
+            "v0, allowed {v4}",
+        ]
+
+    def test_cli_report_matches_the_golden(self, capsys):
+        assert main(["litmus", "--trials", "200", "--seed", "0"]) == 0
+        golden = GOLDEN / "litmus-trials200-seed0.txt"
+        assert capsys.readouterr().out == golden.read_text()
 
 
 class TestLitmusCLI:

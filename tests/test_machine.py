@@ -72,6 +72,19 @@ class TestRun(object):
             s.reads + s.writes for s in quiet.runs[0].complex_result.per_core)
         assert noisy_refs > quiet_refs
 
+    def test_later_run_leaves_an_earlier_result_alone(self):
+        small = load_workload("aes", refs=500)
+        machine = Machine.for_workload("lightpc", small)
+        first = machine.run(small)
+        per_core = [stats.as_dict() for stats in first.complex_result.per_core]
+        ipc = first.ipc
+        assert per_core[0]["instructions"] == 4305
+        assert round(ipc, 3) == 0.192
+        machine.run(small)
+        assert [stats.as_dict()
+                for stats in first.complex_result.per_core] == per_core
+        assert first.ipc == ipc
+
     def test_power_platforms_differ(self, workload):
         legacy = Machine.for_workload("legacy", workload)
         light = Machine.for_workload("lightpc", workload)

@@ -220,6 +220,27 @@ class TestAddressRangePartition:
         with pytest.raises(PortNotSupportedError):
             hybrid.reset(0.0)          # the DRAM region lacks the port
 
+    def test_read_media_of_fans_out_region_by_region(self):
+        def persistent():
+            return AddressRangePartition([
+                AddressRange(0, 1 << 16, _psm()),
+                AddressRange(1 << 16, 1 << 17, _psm()),
+            ])
+
+        source, reader = persistent(), persistent()
+        reader.read_media_of(source)
+        for address, byte in ((64, 0x0A), ((1 << 16) + 64, 0x0B)):
+            source.access(MemoryRequest(MemoryOp.WRITE, address,
+                                        data=bytes([byte]) * 64))
+        source.flush(0.0)
+        reader.power_cycle()
+        for address, byte in ((64, 0x0A), ((1 << 16) + 64, 0x0B)):
+            response = reader.access(MemoryRequest(MemoryOp.READ, address))
+            assert response.data == bytes([byte]) * 64
+        other = AddressRangePartition([AddressRange(0, 1 << 17, _psm())])
+        with pytest.raises(ValueError):
+            other.read_media_of(source)
+
     def test_counters_and_stats_prefixed_per_region(self):
         hybrid = self._hybrid()
         hybrid.access(MemoryRequest(MemoryOp.WRITE, address=0))

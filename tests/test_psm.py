@@ -142,6 +142,51 @@ class TestFunctionalPath:
             assert r.data == payload, f"line {i} corrupted by wear leveling"
 
 
+class TestReadMediaOf:
+    """A second PSM reading a driven PSM's media, as the litmus engine
+    reads a crash point's recovered state."""
+
+    def test_reads_what_the_source_programmed_since(self):
+        source = _psm(functional=True)
+        reader = _psm(functional=True)
+        reader.read_media_of(source)
+        write(source, 128, data=b"\x11" * 64)
+        assert read(reader, 128).data != b"\x11" * 64  # still buffered
+        source.flush(100.0)
+        assert read(reader, 128).data == b"\x11" * 64
+
+    def test_recovering_the_reader_leaves_the_source_running(self):
+        source = _psm(functional=True)
+        reader = _psm(functional=True)
+        reader.read_media_of(source)
+        write(source, 0, data=b"\x22" * 64)
+        source.flush(100.0)
+        write(source, 0, data=b"\x33" * 64)   # pending in a row buffer
+        reader.power_cycle()
+        assert read(reader, 0).data == b"\x22" * 64
+        assert read(source, 0).data == b"\x33" * 64
+
+    def test_sees_the_source_containment_marks(self):
+        source = _psm(functional=True)
+        reader = _psm(functional=True)
+        reader.read_media_of(source)
+        write(source, 0, data=b"\x44" * 64)
+        source.flush(100.0)
+        _, dimm, local = source._translate(0)
+        dimm.corrupt_slot(local, 0)
+        response = read(reader, 0)
+        assert response.reconstructed
+        assert response.data == b"\x44" * 64
+
+    def test_other_geometry_rejected(self):
+        with pytest.raises(ValueError):
+            _psm(functional=True).read_media_of(_psm(functional=True,
+                                                     dimms=2))
+        with pytest.raises(ValueError):
+            _psm(functional=True).read_media_of(
+                _psm(functional=True, lines_per_dimm=512))
+
+
 class TestReconstruction:
     def test_read_after_write_reconstructs(self):
         psm = _psm(functional=True)
