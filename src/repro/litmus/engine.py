@@ -22,6 +22,14 @@ so the drive goes on as if no cut had been observed, and the run to
 completion is read off the driven chain itself.  Every recovered state
 is checked against the persistency oracle.
 
+A recovered state depends on nothing but the media (stored bytes and
+containment marks) and the restored registers, since the survivor is
+power-cycled before every read-back.  So a crash tick whose stamp,
+``(survivor.media_version(), committed blob)``, equals the last
+read-back's records that read-back's state again instead of reading
+the same state once more; most crash ticks follow a load, a fence or a
+store still held in a row buffer, none of which writes the media.
+
 Enumeration is pruned by the SHA-256 digest of the crash prefix's
 state-mutating event subsequence (:func:`repro.litmus.ir.prefix_digest`):
 crash points separated only by loads/fences/markers reach the same
@@ -109,8 +117,8 @@ class ProgramVerdict:
     program: LitmusProgram
     #: injector ticks of one drive — the size of the crash space
     crash_points: int
-    #: states observed: one per crash point the dedup kept, plus the
-    #: run to completion
+    #: states checked: one per crash point the dedup kept, read back or
+    #: reused from an identical read-back, plus the run to completion
     executed: int = 0
     #: crash points skipped because their mutating prefix was already seen
     deduped: int = 0
@@ -198,7 +206,8 @@ class _CrashObserver(Interposer):
     """Ticks like ``FaultInjector(count_drains=True)`` and, before it
     forwards the operation of each tick in ``crash_points``, records
     what a power cut at that tick leaves: ``survivor`` power-cycled,
-    given the last captured register blob, and read back."""
+    given the last captured register blob, and read back; or, while the
+    stamp of the last read-back still holds, that read-back's state."""
 
     def __init__(self, inner: MemoryBackend, survivor: MemoryBackend,
                  program: LitmusProgram, lines: list[int],
@@ -212,16 +221,24 @@ class _CrashObserver(Interposer):
         self.committed: Optional[bytes] = None
         #: crash tick -> the state read back after a cut there
         self.observed: dict[int, dict[int, tuple[int, bool]]] = {}
+        #: (media version, committed blob) of the last read-back, and
+        #: the state it read
+        self._stamp: Optional[tuple[int, Optional[bytes]]] = None
+        self._state: dict[int, tuple[int, bool]] = {}
 
     def _tick(self) -> None:
         index = self.op_index
         if index in self.crash_points:
             survivor = self.survivor
-            survivor.power_cycle()
-            if self.committed is not None:
-                survivor.restore_wear_registers(self.committed)
-            self.observed[index] = observe_state(
-                survivor, self.program, self.lines)
+            stamp = (survivor.media_version(), self.committed)
+            if stamp != self._stamp:
+                self._stamp = stamp
+                survivor.power_cycle()
+                if self.committed is not None:
+                    survivor.restore_wear_registers(self.committed)
+                self._state = observe_state(
+                    survivor, self.program, self.lines)
+            self.observed[index] = self._state
         self.op_index = index + 1
 
     def access(self, request: MemoryRequest) -> MemoryResponse:

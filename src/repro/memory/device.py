@@ -89,14 +89,19 @@ class _Storage:
     touches this, so the block map stays empty and costs nothing.  An
     empty map is how the device models tell that nothing was ever
     written.
+
+    ``version`` counts the calls to :meth:`write` and :meth:`wipe`, so
+    a reader that shares the store can tell whether its contents may
+    have changed since it last looked without comparing them.
     """
 
-    __slots__ = ("capacity", "_bytes")
+    __slots__ = ("capacity", "_bytes", "version")
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         #: block index -> the block's bytes
         self._bytes: dict[int, bytearray] = {}
+        self.version = 0
 
     def check(self, address: int, size: int) -> None:
         if address < 0 or address + size > self.capacity:
@@ -108,6 +113,7 @@ class _Storage:
     def write(self, address: int, data: bytes) -> None:
         size = len(data)
         self.check(address, size)
+        self.version += 1
         blocks = self._bytes
         block, offset = divmod(address, _BLOCK_BYTES)
         if offset == 0 and size == _BLOCK_BYTES:  # one whole block
@@ -149,6 +155,7 @@ class _Storage:
 
     def wipe(self) -> None:
         self._bytes.clear()
+        self.version += 1
 
 
 class PRAMDevice:

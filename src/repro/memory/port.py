@@ -395,6 +395,11 @@ class AddressRangePartition:
         for region, source_region in zip(self.regions, source.regions):
             region.backend.read_media_of(source_region.backend)
 
+    def media_version(self) -> int:
+        """The regions' media versions summed (for a PSM,
+        :meth:`PSM.media_version <repro.ocpmem.psm.PSM.media_version>`)."""
+        return sum(r.backend.media_version() for r in self.regions)
+
     def counters(self) -> dict[str, float]:
         merged: dict[str, float] = {}
         for index, region in enumerate(self.regions):

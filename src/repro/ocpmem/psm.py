@@ -607,6 +607,18 @@ class PSM:
         for dimm, source_dimm in zip(self.nvdimms, source.nvdimms):
             dimm.read_media_of(source_dimm)
 
+    def media_version(self) -> int:
+        """A count that grows with every write or wipe of the PRAM media.
+
+        Equal counts mean the stored bytes and containment marks are as
+        they were: every mark change comes with a store write.  Row
+        buffer hits, reads and the volatile state leave it alone; a PSM
+        reading another's media (:meth:`read_media_of`) sees the other's
+        writes.
+        """
+        return sum(die.storage.version
+                   for dimm in self.nvdimms for die in dimm.dies)
+
     # -- EP-cut register capture -------------------------------------------
 
     def capture_registers(self) -> bytes:

@@ -27,10 +27,12 @@ from __future__ import annotations
 import atexit
 import functools
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.orchestrate.cache import fingerprint
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "MachinePool",
@@ -179,6 +181,9 @@ def warm_executor(jobs: int) -> ProcessPoolExecutor:
     """
     pool = _EXECUTORS.get(jobs)
     if pool is None:
+        # imported here so a serial campaign never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=jobs,
                                    initializer=_worker_init)
         _EXECUTORS[jobs] = pool

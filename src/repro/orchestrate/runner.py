@@ -33,13 +33,6 @@ from __future__ import annotations
 import os
 import queue as queue_module
 import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -386,6 +379,12 @@ class CampaignRunner:
             # pool workers cannot safely do; parent threads each babysit
             # one watched child process instead — same parallelism, and
             # the deterministic merge is oblivious to the difference.
+            from concurrent.futures import (
+                FIRST_COMPLETED,
+                ThreadPoolExecutor,
+                wait,
+            )
+
             with ThreadPoolExecutor(max_workers=self.jobs) as pool:
                 futures = {
                     pool.submit(run_shard_watched, campaign,
@@ -415,12 +414,19 @@ class CampaignRunner:
             self._drain_pool(warm_executor(self.jobs), campaign,
                              shards, pending, record_executed)
         else:
+            # imported where a pool starts, so that a serial campaign
+            # never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=self.jobs) as pool:
                 self._drain_pool(pool, campaign, shards, pending,
                                  record_executed)
 
     def _drain_pool(self, pool, campaign, shards, pending,
                     record_executed) -> None:
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             futures = {
                 pool.submit(run_shard_packed, campaign,

@@ -20,9 +20,11 @@ must not lose the mapping, because Go simply restores again.
 
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.faults import (
     STUCK,
     TRANSIENT,
@@ -53,6 +55,8 @@ from repro.memory.port import InjectedPowerFailure
 from repro.memory.request import CACHELINE_BYTES, MemoryOp, MemoryRequest
 from repro.ocpmem.psm import PSM, PSMConfig
 from repro.orchestrate import trial_rng
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def store(line, version):
@@ -351,6 +355,19 @@ class TestCrashDuringGoWearRegression:
 class TestDrillCampaign:
     def report_bytes(self, report):
         return repr(dataclasses.astuple(report)).encode()
+
+    @pytest.mark.parametrize("argv, status, golden", [
+        (["--trials", "120", "--seed", "0"], 0, "drill-trials120-seed0.txt"),
+        (["--trials", "40", "--seed", "7", "--break-remap"], 1,
+         "drill-trials40-seed7-break-remap.txt"),
+    ], ids=["seed0", "seed7-break-remap"])
+    def test_cli_report_matches_the_golden(self, argv, status, golden,
+                                           capsys):
+        """The drill shares the litmus backends, ``observe_state`` and
+        the PRAM byte store with the litmus engine; its reports are
+        pinned to bytes committed from an earlier tree."""
+        assert main(["drill", *argv]) == status
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
     def test_trials_are_pure_functions_of_seed_and_index(self):
         a = drill_trial(3, trial_rng(11, 3, namespace="drill"))

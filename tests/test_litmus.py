@@ -15,6 +15,7 @@ import dataclasses
 import pickle
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.cli import main
 from repro.litmus import (
     SHAPES,
     build_timeline,
+    engine,
     generate_program,
     minimize_counterexample,
     run_litmus,
@@ -289,6 +291,28 @@ class TestEngine:
         # crashes at ticks 2 and 3 share tick 1's mutating prefix
         assert verdict.deduped == 2
         assert verdict.ok
+
+    @pytest.mark.parametrize("shape, pinned", [
+        ("store-store-reorder", (1, 8, 3)),
+        ("partition-straddle", (2, 18, 4)),
+    ])
+    def test_reads_back_only_when_the_media_changed(self, shape, pinned):
+        """(regions, states executed, ``observe_state`` calls): crash
+        points with the media and the committed registers of the last
+        read-back reuse its state, so there are fewer calls than states;
+        the run to completion is one of them."""
+        program = generate_program(random.Random(0), shape)
+        calls = []
+        observe_state = engine.observe_state
+
+        def counted(port, program, lines=None):
+            calls.append(port)
+            return observe_state(port, program, lines)
+
+        with mock.patch.object(engine, "observe_state", counted):
+            verdict = run_program(program)
+        assert (program.regions, verdict.executed, len(calls)) == pinned
+        assert len(calls) < verdict.executed
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_shapes_pass_on_all_paths(self, shape):

@@ -1,11 +1,14 @@
 """The one-drive crash-point enumeration against the re-drive reference.
 
 :func:`repro.litmus.engine.run_program` drives each program once and
-reads every crash point off a survivor backend that shares the driven
-chain's media; ``tests/litmus_oracle.py`` re-drives a fresh chain per
-crash point.  Both must reach the same verdict, read the same
-responses at every crash point they observe, report the same
-counterexamples and minimize a violating program to the same program.
+reads crash points off a survivor backend that shares the driven
+chain's media, reusing the last read-back while neither the media nor
+the committed registers changed; ``tests/litmus_oracle.py`` re-drives a
+fresh chain per crash point and reads every one back.  Both must reach
+the same verdict and record the same state at every crash point, every
+read-back the engine does make must equal the reference's at that crash
+point, and both must report the same counterexamples and minimize a
+violating program to the same program.
 
 A read-back is compared whole, not only by its version bytes:
 - the wear registers it reads through.  A Start-Gap move copies a line
@@ -59,22 +62,53 @@ class _ResponseTap(Interposer):
 
 
 def _logged(run, program, model):
-    """``run(program, model)`` and every read-back it made, in order:
-    (wear registers, observation, the responses of its reads)."""
-    log = []
+    """``run(program, model)``, what it read back and what it recorded.
+
+    Every read-back is keyed by the crash point it served (None: the
+    run to completion) and kept whole: (wear registers, observation,
+    the responses of its reads).  The recorded state of a crash point
+    is the engine observer's entry, read fresh or reused; the
+    reference reads every crash point back, so its read-backs' are.
+    """
+    readbacks: dict = {}
+    observers: list = []
+    serving: list = [None]     # the crash point being read back
     observe_state = engine.observe_state
+    execute = litmus_oracle._execute
 
     def logged(port, program, lines=None):
         registers = port.capture_registers()
         tap = _ResponseTap(port)
         observed = observe_state(tap, program, lines)
-        log.append((registers, observed, tap.responses))
+        assert serving[0] not in readbacks, ("read back twice", serving[0])
+        readbacks[serving[0]] = (registers, observed, tap.responses)
         return observed
 
+    class Observer(engine._CrashObserver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            observers.append(self)
+
+        def _tick(self):
+            serving[0] = self.op_index
+            super()._tick()
+            serving[0] = None
+
+    def execute_logged(program, crash_at):
+        serving[0] = crash_at
+        return execute(program, crash_at)
+
     with mock.patch.object(engine, "observe_state", logged), \
-            mock.patch.object(litmus_oracle, "observe_state", logged):
+            mock.patch.object(engine, "_CrashObserver", Observer), \
+            mock.patch.object(litmus_oracle, "observe_state", logged), \
+            mock.patch.object(litmus_oracle, "_execute", execute_logged):
         verdict = run(program, model=model)
-    return verdict, log
+    if observers:
+        recorded = dict(observers[0].observed)
+    else:
+        recorded = {crash_at: observed
+                    for crash_at, (_, observed, _) in readbacks.items()}
+    return verdict, readbacks, recorded
 
 
 def _minimized(run_program, program, model):
@@ -83,15 +117,22 @@ def _minimized(run_program, program, model):
 
 
 def assert_lockstep(program, model):
-    verdict, log = _logged(engine.run_program, program, model)
-    reference, reference_log = _logged(
+    verdict, readbacks, recorded = _logged(engine.run_program, program, model)
+    reference, reference_readbacks, reference_recorded = _logged(
         litmus_oracle.run_program, program, model)
     assert (verdict.crash_points, verdict.executed, verdict.deduped) == (
         reference.crash_points, reference.executed, reference.deduped)
-    assert len(log) == len(reference_log) == verdict.executed
-    for index, (observation, expected) in enumerate(
-            zip(log, reference_log)):
-        assert observation == expected, (program.render(), index)
+    assert len(reference_readbacks) == verdict.executed
+    # every kept crash point's state, read fresh or reused
+    assert recorded.keys() == reference_recorded.keys()
+    for crash_at, observed in recorded.items():
+        assert observed == reference_recorded[crash_at], (
+            program.render(), crash_at)
+    # every read-back the engine made, whole
+    assert None in readbacks
+    for crash_at, readback in readbacks.items():
+        assert readback == reference_readbacks[crash_at], (
+            program.render(), crash_at)
     assert [v.render() for v in verdict.violations] == \
         [v.render() for v in reference.violations]
     assert verdict.violations == reference.violations

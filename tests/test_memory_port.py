@@ -241,6 +241,24 @@ class TestAddressRangePartition:
         with pytest.raises(ValueError):
             other.read_media_of(source)
 
+    def test_media_version_sums_the_regions(self):
+        low, high = _psm(), _psm()
+        partition = AddressRangePartition([
+            AddressRange(0, 1 << 16, low),
+            AddressRange(1 << 16, 1 << 17, high),
+        ])
+        assert partition.media_version() == 0
+        partition.access(MemoryRequest(MemoryOp.WRITE, (1 << 16) + 64,
+                                       data=b"\x0c" * 64))
+        partition.flush(0.0)
+        assert low.media_version() == 0 < high.media_version()
+        partition.access(MemoryRequest(MemoryOp.WRITE, 64,
+                                       data=b"\x0d" * 64))
+        partition.flush(0.0)
+        assert 0 < low.media_version()
+        assert partition.media_version() == \
+            low.media_version() + high.media_version()
+
     def test_counters_and_stats_prefixed_per_region(self):
         hybrid = self._hybrid()
         hybrid.access(MemoryRequest(MemoryOp.WRITE, address=0))

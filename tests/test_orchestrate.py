@@ -277,6 +277,17 @@ class TestRunnerShape:
         with pytest.raises(ValueError):
             CampaignRunner(shard_size=0)
 
+    def test_serial_campaign_loads_no_process_pool(self, run_python):
+        """Only the paths that start a pool import it: a jobs=1 campaign
+        pays for neither ``multiprocessing`` nor the executor."""
+        script = (
+            "import sys\n"
+            "from repro.litmus.campaign import run_litmus\n"
+            "assert run_litmus(trials=4, seed=0).ok\n"
+            "print(sorted(name for name in sys.modules if name in (\n"
+            "    'multiprocessing', 'concurrent.futures.process')))\n")
+        assert run_python(script).strip() == "[]"
+
 
 class TestWatchdog:
     """Per-shard watchdog: hung trials are killed and retried once with

@@ -178,6 +178,34 @@ class TestReadMediaOf:
         assert response.reconstructed
         assert response.data == b"\x44" * 64
 
+    def test_media_version_counts_media_writes_only(self):
+        psm = _psm(functional=True)
+        start = psm.media_version()
+        write(psm, 0, data=b"\x55" * 64)          # absorbed by a row buffer
+        assert psm.media_version() == start
+        psm.flush(100.0)                          # drains the page
+        drained = psm.media_version()
+        assert drained > start
+        read(psm, 0)
+        psm.power_cycle()
+        psm.restore_wear_registers(psm.capture_registers())
+        read(psm, 64)
+        assert psm.media_version() == drained
+        psm.reset(0.0)                            # wipes the media
+        assert psm.media_version() > drained
+
+    def test_reader_sees_the_source_media_version(self):
+        source = _psm(functional=True)
+        reader = _psm(functional=True)
+        reader.read_media_of(source)
+        assert reader.media_version() == source.media_version()
+        write(source, 0, data=b"\x66" * 64)
+        source.flush(100.0)
+        assert reader.media_version() == source.media_version() > 0
+        reader.power_cycle()
+        read(reader, 0)
+        assert reader.media_version() == source.media_version()
+
     def test_other_geometry_rejected(self):
         with pytest.raises(ValueError):
             _psm(functional=True).read_media_of(_psm(functional=True,
