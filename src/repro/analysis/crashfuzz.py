@@ -60,12 +60,7 @@ from repro.workloads.suites import (
     load_workload,
     spec,
 )
-from repro.workloads.trace_io import (
-    RecordStream,
-    read_window,
-    shared_trace,
-    trace_meta,
-)
+from repro.workloads.trace_io import shared_trace
 
 __all__ = [
     "FuzzReport",
@@ -132,10 +127,8 @@ def _run_campaign(
     cache_dir,
     progress: Optional[CampaignProgress],
     shared: Optional[dict] = None,
-    reuse_pool: bool = True,
 ) -> FuzzReport:
-    runner = CampaignRunner(jobs=jobs, cache_dir=cache_dir, progress=progress,
-                            reuse_pool=reuse_pool)
+    runner = CampaignRunner(jobs=jobs, cache_dir=cache_dir, progress=progress)
     # Streaming merge: shards contribute columnar sums (and cached
     # shards just their meta header) — numerically identical to folding
     # per-trial outcomes through _merge_outcomes, without ever
@@ -309,25 +302,19 @@ def _crash_recover_verify(machine: Machine, trial: int, psu: PSUModel,
 
 def machine_trial(trial: int, rng: random.Random,
                   psu: PSUModel = ATX_PSU,
-                  engine: Optional[str] = None,
-                  warm: bool = True) -> TrialOutcome:
+                  engine: Optional[str] = None) -> TrialOutcome:
     """One whole-platform power-fail/recover cycle at a random run length.
 
-    ``warm`` leases the machine from the worker's
-    :class:`~repro.orchestrate.pool.MachinePool` (reset between trials)
-    instead of rebuilding it; the reset contract makes the two modes
-    byte-identical, which the golden-determinism pins and the fast-path
-    conformance battery both enforce.
+    The machine is leased from the worker's
+    :class:`~repro.orchestrate.pool.MachinePool` (reset between trials);
+    the reset contract makes it byte-identical to a fresh build, which
+    the fuzz goldens and the fast-path conformance battery enforce.
     """
     outcome = TrialOutcome()
     refs = rng.randrange(1_000, 6_000)
     workload = load_workload("aes", refs=refs, seed=trial)
-    if warm:
-        machine = machine_for_workload("lightpc", workload, functional=True,
-                                       engine=engine)
-    else:
-        machine = Machine.for_workload("lightpc", workload, functional=True,
-                                       engine=engine)
+    machine = machine_for_workload("lightpc", workload, functional=True,
+                                   engine=engine)
     machine.run(workload)
     outcome.operations += refs
     _crash_recover_verify(machine, trial, psu, outcome)
@@ -339,29 +326,29 @@ def trace_trial(trial: int, rng: random.Random,
                 workload: str = "aes",
                 psu: PSUModel = ATX_PSU,
                 engine: Optional[str] = None,
-                warm: bool = True,
                 refs: int = 0,
                 trace_seed: int = 0,
                 trace_path: str = "") -> TrialOutcome:
     """Replay one random window of a shared trace, then crash/recover.
 
-    The trace-window fuzzer: the campaign materialises one trace file
-    up front and every trial replays a random ``window`` of it.  With a
-    columnar (v2) trace the window is a constant-time zero-copy view of
-    a process-shared mapping; with a row (v1) trace each trial pays the
-    honest sequential parse to its offset — the cost profile the
-    campaign benchmark compares.  ``trace_path`` arrives through
-    ``Campaign.shared`` (it names *where* the records live, never what
-    they are, so it stays out of the cache fingerprint).
+    The trace-window fuzzer: the campaign materialises one columnar
+    (v2) trace file up front and every trial replays a random
+    ``window`` of it, a constant-time zero-copy view of a
+    process-shared mapping, on a machine leased from the worker's pool.
+    ``trace_path`` arrives through ``Campaign.shared`` (it names
+    *where* the records live, never what they are, so it stays out of
+    the cache fingerprint).
     """
     if not trace_path:
         raise ValueError("trace_trial needs a trace_path (Campaign.shared)")
-    outcome = TrialOutcome()
-    # a columnar trace's count comes from the worker's shared handle; a
-    # row-format (v1) file has none and pays a header read per trial
     trace = shared_trace(trace_path)
-    count = (trace_meta(trace_path)["records"] if trace is None
-             else trace.count)
+    if trace is None:
+        raise ValueError(
+            f"{trace_path}: a row-format (v1) trace has no columnar "
+            f"windows; write a columnar one with "
+            f"`repro trace export --columnar`")
+    outcome = TrialOutcome()
+    count = trace.count
     if refs and count != refs:
         # ``refs``/``trace_seed`` are the fingerprinted *content* pins;
         # a mismatched file means the transport path lied about them.
@@ -369,18 +356,11 @@ def trace_trial(trial: int, rng: random.Random,
             f"{trace_path}: {count} records, campaign expects {refs}")
     span = min(window, count)
     lo = rng.randrange(0, count - span + 1)
-    if trace is not None:
-        stream = trace.window(lo, lo + span)
-    else:
-        stream = RecordStream(read_window(trace_path, lo, lo + span))
-    replay = ReplayWorkload(spec=spec(workload), streams=(stream,),
+    replay = ReplayWorkload(spec=spec(workload),
+                            streams=(trace.window(lo, lo + span),),
                             refs=span)
-    if warm:
-        machine = machine_for_workload("lightpc", replay, functional=True,
-                                       engine=engine)
-    else:
-        machine = Machine.for_workload("lightpc", replay, functional=True,
-                                       engine=engine)
+    machine = machine_for_workload("lightpc", replay, functional=True,
+                                   engine=engine)
     machine.run(replay)
     outcome.operations += span
     _crash_recover_verify(machine, trial, psu, outcome)
@@ -417,17 +397,16 @@ def fuzz_sector(trials: int = 12, writes: int = 30, seed: int = 2, *,
 
 
 def fuzz_machine(trials: int = 4, seed: int = 3, psu: PSUModel = ATX_PSU, *,
-                 engine: Optional[str] = None, warm: bool = True,
+                 engine: Optional[str] = None,
                  jobs: int = 1, cache_dir=None,
                  progress: Optional[CampaignProgress] = None) -> FuzzReport:
     """Whole-platform power-fail/recover cycles at random run lengths.
 
     ``engine`` selects the execution engine the fuzzed machines run
     through (registry name); it joins the campaign fingerprint so
-    cached shards never alias across engines.  ``warm=False`` opts a
-    campaign out of the worker machine pool (fresh build per trial).
+    cached shards never alias across engines.
     """
-    params: dict = {"psu": psu, "warm": warm}
+    params: dict = {"psu": psu}
     if engine is not None:
         from repro.engine.base import canonical_engine_name
 
@@ -461,7 +440,6 @@ def fuzz_trace(trials: int = 200, window: int = 192, seed: int = 4, *,
                workload: str = "aes", refs: int = 120_000,
                trace_seed: int = 42, trace_path=None, trace_dir=None,
                psu: PSUModel = ATX_PSU, engine: Optional[str] = None,
-               warm: bool = True, reuse_pool: bool = True,
                jobs: int = 1, cache_dir=None,
                progress: Optional[CampaignProgress] = None) -> FuzzReport:
     """Power-fail/recover cycles over random windows of one shared trace.
@@ -469,10 +447,8 @@ def fuzz_trace(trials: int = 200, window: int = 192, seed: int = 4, *,
     The campaign-throughput fast path end to end: a columnar trace
     materialised once, zero-copy windows per trial, pooled machines in
     warm workers, columnar shard summaries back.  ``trace_path``
-    overrides materialisation (the benchmark points it at a v1 file to
-    price the old path); the path itself stays out of the fingerprint.
-    ``reuse_pool=False`` spawns (and tears down) a fresh process pool
-    for this campaign — the cold-pool baseline the benchmark prices.
+    overrides materialisation with an already written columnar trace of
+    the same content; the path itself stays out of the fingerprint.
     """
     if trace_path is None:
         trace_path = materialize_fuzz_trace(workload, refs, trace_seed,
@@ -480,15 +456,14 @@ def fuzz_trace(trials: int = 200, window: int = 192, seed: int = 4, *,
     # refs/trace_seed pin the trace *content* into the fingerprint even
     # though the path (transport) stays out of it.
     params: dict = {"window": window, "workload": workload, "psu": psu,
-                    "warm": warm, "refs": refs, "trace_seed": trace_seed}
+                    "refs": refs, "trace_seed": trace_seed}
     if engine is not None:
         from repro.engine.base import canonical_engine_name
 
         params["engine"] = canonical_engine_name(engine)
     return _run_campaign("trace", trace_trial, trials, seed, params,
                          jobs, cache_dir, progress,
-                         shared={"trace_path": str(trace_path)},
-                         reuse_pool=reuse_pool)
+                         shared={"trace_path": str(trace_path)})
 
 
 def main() -> None:  # pragma: no cover - exercised as a CLI

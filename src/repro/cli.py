@@ -208,11 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--progress", action="store_true",
                       help="print trials/sec, ETA and violation counts "
                            "to stderr as the campaign runs")
-    fuzz.add_argument("--cold", action="store_true",
-                      help="opt out of the campaign fast path (fresh "
-                           "machine per trial instead of the worker pool) "
-                           "for targets that execute machines; results "
-                           "are byte-identical either way")
     _add_engine_argument(fuzz)
 
     litmus = sub.add_parser(
@@ -453,8 +448,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         if engine is not None and \
                 "engine" in inspect.signature(fuzzer).parameters:
             kwargs["engine"] = engine
-        if args.cold and "warm" in inspect.signature(fuzzer).parameters:
-            kwargs["warm"] = False
         if args.trials:
             kwargs["trials"] = args.trials
         if args.seed is not None:

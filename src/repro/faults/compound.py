@@ -17,7 +17,7 @@ inside a cut's dirty-line write-back serves exactly the lines before it
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.memory.port import FaultInjector, MemoryBackend
 
@@ -29,16 +29,15 @@ class CompoundFaultInjector(FaultInjector):
 
     ``cuts`` are strictly increasing global operation indices.  The
     first is armed at construction; each :meth:`power_fail` (the rails
-    actually dying) re-arms the next.  ``cuts_fired`` counts cuts that
-    tripped, for drill accounting.
+    actually dying) re-arms the next.  Drains count as operations, so a
+    cut can land on a fence.  ``cuts_fired`` counts cuts that tripped,
+    for drill accounting.
     """
 
     def __init__(
         self,
         inner: MemoryBackend,
         cuts: Sequence[int] = (),
-        *,
-        count_drains: bool = True,
     ) -> None:
         schedule = tuple(cuts)
         previous = -1
@@ -51,7 +50,7 @@ class CompoundFaultInjector(FaultInjector):
         super().__init__(
             inner,
             crash_at_op=schedule[0] if schedule else None,
-            count_drains=count_drains,
+            count_drains=True,
         )
         self.cuts = schedule
         #: index into ``cuts`` of the next cut to arm after a power_fail
@@ -86,10 +85,3 @@ class CompoundFaultInjector(FaultInjector):
         if self.crash_at_op is not None and not self.tripped:
             remaining += 1
         return remaining
-
-    def schedule(self, crash_at_op: Optional[int]) -> None:
-        """Single-cut re-arming is a litmus-enumerator contract; a
-        compound schedule is fixed at construction."""
-        raise NotImplementedError(
-            "CompoundFaultInjector takes its whole schedule at "
-            "construction; build a fresh injector per plan")

@@ -92,7 +92,7 @@ def execute_plan(
     """
     media = MediaFaultModel(litmus_backend(program), faults=plan.media,
                             remap_enabled=remap_enabled)
-    port = CompoundFaultInjector(media, cuts=plan.cuts, count_drains=True)
+    port = CompoundFaultInjector(media, cuts=plan.cuts)
     observe = program.observe_lines()
     drive = drive_program(port, program)
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, replace
 from typing import (
-    Callable,
     Mapping,
     Optional,
     Protocol,
@@ -420,7 +419,7 @@ class AddressRangePartition:
 
 
 class FaultInjector(Interposer):
-    """Fault-injection interposer: scheduled power cuts, write corruption.
+    """Fault-injection interposer: a power cut at a scheduled operation.
 
     The crash fuzzers drive a stream through this port and let it raise
     :class:`InjectedPowerFailure` at the scheduled operation index —
@@ -434,30 +433,17 @@ class FaultInjector(Interposer):
         self,
         inner: MemoryBackend,
         crash_at_op: Optional[int] = None,
-        corrupt_data_fn: Optional[Callable[[int, bytes], bytes]] = None,
         count_drains: bool = False,
     ) -> None:
         super().__init__(inner)
         self.crash_at_op = crash_at_op
-        self.corrupt_data_fn = corrupt_data_fn
         #: Count ``drain`` as a schedulable operation.  Off by default —
         #: the crash fuzzers predate drain accounting and their cached
-        #: shard fingerprints assume drains are free — but the litmus
-        #: engine turns it on so a power cut can land exactly on a
+        #: shard fingerprints assume drains are free — but the compound
+        #: drill always counts them (the litmus engine's crash observer
+        #: ticks the same way), so a power cut can land exactly on a
         #: fence, which is where fence-persists misconceptions hide.
         self.count_drains = count_drains
-        self.op_index = 0
-        self.tripped = False
-
-    def schedule(self, crash_at_op: Optional[int]) -> None:
-        """Re-arm the injector: schedule a new cut and rewind the count.
-
-        ``op_index`` and ``tripped`` start over as in a new injector, so
-        the next operation is tick 0.  The backend keeps its state: a
-        caller that reuses one injector for several cuts of the same
-        operation stream rebuilds or power-cycles the backend in between.
-        """
-        self.crash_at_op = crash_at_op
         self.op_index = 0
         self.tripped = False
 
@@ -472,12 +458,6 @@ class FaultInjector(Interposer):
 
     def access(self, request: MemoryRequest) -> MemoryResponse:
         self._tick()
-        if (self.corrupt_data_fn is not None and request.is_write
-                and request.data is not None):
-            request = replace(
-                request,
-                data=self.corrupt_data_fn(request.address, request.data),
-            )
         return self.inner.access(request)
 
     def flush(self, time: float) -> float:

@@ -2,7 +2,8 @@
 
 A :class:`Campaign` names a trial function and how many times to call
 it; the :class:`CampaignRunner` decides *how* the calls happen (inline
-or across a warm ``ProcessPoolExecutor``, cold or from a shard cache).
+or across a warm ``ProcessPoolExecutor``, executed or from a shard
+cache).
 The determinism contract is structural rather than promised:
 
 * every trial draws from its own RNG derived from
@@ -19,8 +20,7 @@ pickling — and is byte-identical to any parallel run, which
 
 The campaign fast path rides three mechanisms below this module:
 workers come from the session-wide warm executors of
-:mod:`repro.orchestrate.pool` (``reuse_pool=False`` restores the old
-spawn-per-campaign behaviour); shards cross the process boundary as
+:mod:`repro.orchestrate.pool`; shards cross the process boundary as
 struct-of-arrays :class:`~repro.orchestrate.results.PackedShard`
 summaries instead of pickled object lists; and consumers that only
 need campaign aggregates call :meth:`CampaignRunner.run_summaries`,
@@ -232,7 +232,6 @@ class CampaignRunner:
         target_shards: int = DEFAULT_TARGET_SHARDS,
         progress: Optional[CampaignProgress] = None,
         trial_timeout: Optional[float] = None,
-        reuse_pool: bool = True,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -248,9 +247,6 @@ class CampaignRunner:
         self.progress = progress
         #: per-trial watchdog in seconds; None disables the watchdog
         self.trial_timeout = trial_timeout
-        #: reuse the session-wide warm executor (False = spawn a fresh
-        #: pool per run and tear it down after — the cold-pool baseline)
-        self.reuse_pool = reuse_pool
         self.last_stats = CampaignStats()
 
     # -- sharding ---------------------------------------------------------
@@ -399,34 +395,21 @@ class CampaignRunner:
                         record_executed(futures[future],
                                         pack_results(future.result()))
         else:
-            self._run_pooled(campaign, shards, pending, record_executed)
+            self._drain_pool(campaign, shards, pending, record_executed)
 
         self.last_stats = stats
         if progress is not None:
             progress.finish()
         return [outputs[shard_index] for shard_index in range(len(shards))]
 
-    def _run_pooled(self, campaign: Campaign,
+    def _drain_pool(self, campaign: Campaign,
                     shards: list[tuple[int, int]], pending: list[int],
                     record_executed) -> None:
-        """Fan pending shards across a process pool (warm by default)."""
-        if self.reuse_pool:
-            self._drain_pool(warm_executor(self.jobs), campaign,
-                             shards, pending, record_executed)
-        else:
-            # imported where a pool starts, so that a serial campaign
-            # never loads multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                self._drain_pool(pool, campaign, shards, pending,
-                                 record_executed)
-
-    def _drain_pool(self, pool, campaign, shards, pending,
-                    record_executed) -> None:
+        """Fan pending shards across the session's warm process pool."""
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
 
+        pool = warm_executor(self.jobs)
         try:
             futures = {
                 pool.submit(run_shard_packed, campaign,
@@ -442,8 +425,7 @@ class CampaignRunner:
         except BrokenProcessPool:
             # A worker died (OOM, signal).  The shared executor is
             # poisoned; drop it so the next campaign gets a fresh one.
-            if self.reuse_pool:
-                invalidate_executor(self.jobs)
+            invalidate_executor(self.jobs)
             raise
 
     def _store(self, base: str, shard: tuple[int, int],

@@ -1,8 +1,7 @@
 """Conventional Optane-like PMEM complex: DIMM internals, controllers,
-operating modes, DAX, and a libpmemobj-like persistent object library."""
+operating modes, and a libpmemobj-like persistent object library."""
 
 from repro.pmem.controller import NMEMController, PMEMController
-from repro.pmem.dax import DaxMapping, DaxTranslationError, DevDaxFile
 from repro.pmem.dimm import PMEMDIMM, PMEMDIMMTiming
 from repro.pmem.lsq import LoadStoreQueue, LSQEntry
 from repro.pmem.modes import (
@@ -23,9 +22,6 @@ from repro.pmem.pmdk import (
 )
 
 __all__ = [
-    "DaxMapping",
-    "DaxTranslationError",
-    "DevDaxFile",
     "LoadStoreQueue",
     "LSQEntry",
     "MODE_NAMES",

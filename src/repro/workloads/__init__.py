@@ -21,12 +21,10 @@ from repro.workloads.suites import (
 from repro.workloads.trace import LocalityProfile, TraceGenerator, TraceRecord
 from repro.workloads.trace_io import (
     ColumnarTrace,
-    RecordStream,
     TraceFormatError,
     TraceWindow,
     load_trace,
     open_trace,
-    read_window,
     save_trace,
     save_trace_columnar,
     trace_meta,
@@ -39,7 +37,6 @@ __all__ = [
     "characterize",
     "ColumnarTrace",
     "LocalityProfile",
-    "RecordStream",
     "ReplayWorkload",
     "STREAM_KERNELS",
     "StreamKernel",
@@ -55,7 +52,6 @@ __all__ = [
     "load_workload",
     "materialize_traces",
     "open_trace",
-    "read_window",
     "replay_workload",
     "save_trace",
     "save_trace_columnar",

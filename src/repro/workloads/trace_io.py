@@ -6,8 +6,8 @@ exact stream behind a number, or to replay a captured trace from another
 tool.  Two on-disk layouts share one magic:
 
 * **v1 (row-major)** — ``header | record*`` where each record packs
-  (instructions, address, flags) little-endian.  Reading a window at
-  offset *k* costs O(k): the stream must be parsed from the start.
+  (instructions, address, flags) little-endian.  It streams from the
+  start only, so campaigns window v2 files and refuse v1 ones.
 * **v2 (columnar)** — ``header | instructions u32* | addresses u64* |
   flags u8*``, every column little-endian.  The three column blocks are
   fixed-offset, so a window ``[lo, hi)`` is a constant-time slice; the
@@ -30,18 +30,16 @@ import sys
 from array import array
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from repro.workloads.trace import TraceRecord
 
 __all__ = [
     "ColumnarTrace",
-    "RecordStream",
     "TraceFormatError",
     "TraceWindow",
     "load_trace",
     "open_trace",
-    "read_window",
     "save_trace",
     "save_trace_columnar",
     "shared_trace",
@@ -306,55 +304,10 @@ def load_trace(path: Union[str, Path]) -> Iterator[TraceRecord]:
                               bool(flags & _FLAG_WRITE))
 
 
-def read_window(path: Union[str, Path], lo: int, hi: int) -> list[TraceRecord]:
-    """Records ``[lo, hi)`` of a trace file, version-appropriately.
-
-    v2 files answer in O(hi - lo) through the columnar index; v1 files
-    pay the honest sequential parse from record zero — exactly the cost
-    the columnar format exists to delete, which is why the campaign
-    benchmark uses this function for both of its arms.
-    """
-    import itertools
-
-    path = Path(path)
-    version, count = _read_header(path)
-    if hi > count:
-        raise IndexError(f"window [{lo}, {hi}) outside {count}-record trace")
-    if version == _VERSION_COLUMNAR:
-        return list(open_trace(path).window(lo, hi))
-    return list(itertools.islice(load_trace(path), lo, hi))
-
-
 def trace_meta(path: Union[str, Path]) -> dict[str, int]:
     """Header-only facts about a trace file: format version and count."""
     version, count = _read_header(Path(path))
     return {"version": version, "records": count}
-
-
-class RecordStream:
-    """Materialised records presented through the trace-view protocol.
-
-    What :func:`read_window` windows of a *v1* file get wrapped in, so
-    a row-format trial presents the engine layer the exact interface a
-    zero-copy :class:`TraceWindow` does (``stationary``, ``count``,
-    re-iterability) — the two arms of the campaign benchmark differ
-    only in what the window *costs*, never in what the engine sees.
-    """
-
-    stationary = True
-
-    def __init__(self, records: Sequence[TraceRecord]) -> None:
-        self._records = list(records)
-
-    @property
-    def count(self) -> int:
-        return len(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
 
 
 def trace_stats(path: Union[str, Path]) -> dict[str, float]:

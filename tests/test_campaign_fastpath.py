@@ -6,8 +6,9 @@ This file enforces the fast-path contract rather than trusting it:
   one — run results, power-fail/recover outcomes, the full stats tree
   and the engine's class and parameters (the
   :class:`~repro.orchestrate.pool.MachinePool` contract);
-* warm-pool campaigns are byte-identical to cold-parallel and serial
-  runs across seeds, for all four campaign consumers;
+* warm-pool campaigns are byte-identical to serial runs and to
+  references that build a fresh machine per trial, across seeds, for
+  every campaign consumer;
 * :class:`~repro.orchestrate.results.PackedShard` reconstructs the
   original result objects exactly and falls back to pickling cleanly;
 * a corrupt shard-cache entry is deleted on load failure, so the miss
@@ -21,6 +22,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import crashfuzz, sensitivity
 from repro.analysis.crashfuzz import fuzz_machine, fuzz_trace
 from repro.analysis.sensitivity import read_latency_sweep
 from repro.core import Machine
@@ -37,7 +39,7 @@ from repro.orchestrate import (
     fingerprint,
     pack_results,
 )
-from repro.orchestrate.pool import machine_for_workload
+from repro.orchestrate.pool import machine_for_workload, shutdown_executors
 from repro.pmem.modes import SoftwareOverhead
 from repro.power.psu import ATX_PSU
 from repro.workloads import load_workload
@@ -536,24 +538,37 @@ class TestMachinePool:
 SEEDS = (3, 11, 2026)
 
 
+def _fresh_machine(platform, workload, config=None, functional=False,
+                   engine=None):
+    """What a campaign trial leases, built afresh on every call."""
+    return Machine.for_workload(platform, workload, config,
+                                functional=functional, engine=engine)
+
+
 class TestWarmIdentity:
-    """serial == cold-parallel == warm-pool, per consumer, per seed."""
+    """serial == warm-pool == a fresh build per trial, per consumer, per
+    seed.  The fresh-build references run inline with the lease patched
+    out, so they never reach the shared executor's workers."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_fuzz_machine_identity(self, seed):
+    def test_fuzz_machine_identity(self, seed, monkeypatch):
         serial = fuzz_machine(trials=4, seed=seed)
-        cold = fuzz_machine(trials=4, seed=seed, warm=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(crashfuzz, "machine_for_workload", _fresh_machine)
+            fresh = fuzz_machine(trials=4, seed=seed)
         pooled = fuzz_machine(trials=4, seed=seed, jobs=2)
-        assert serial == cold == pooled
+        assert serial == fresh == pooled
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_fuzz_trace_identity(self, seed, tmp_path):
+    def test_fuzz_trace_identity(self, seed, tmp_path, monkeypatch):
         kwargs = dict(trials=6, window=96, seed=seed, refs=6_000,
                       trace_dir=tmp_path)
         serial = fuzz_trace(**kwargs)
-        cold = fuzz_trace(warm=False, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(crashfuzz, "machine_for_workload", _fresh_machine)
+            fresh = fuzz_trace(**kwargs)
         pooled = fuzz_trace(jobs=2, **kwargs)
-        assert serial == cold == pooled
+        assert serial == fresh == pooled
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_litmus_identity(self, seed):
@@ -567,18 +582,27 @@ class TestWarmIdentity:
         pooled = run_drill(trials=4, seed=seed, jobs=2)
         assert serial == pooled
 
-    def test_sensitivity_identity(self, tmp_path):
+    def test_sensitivity_identity(self, tmp_path, monkeypatch):
         kwargs = dict(multipliers=(1.0, 2.0), refs=1_500,
                       trace_dir=tmp_path)
         serial = read_latency_sweep(**kwargs)
-        cold = read_latency_sweep(warm=False, **kwargs)
+        with monkeypatch.context() as patch:
+            # fresh machines running the generated workload, not the
+            # replay of its materialised traces
+            patch.setattr(sensitivity, "machine_for_workload",
+                          _fresh_machine)
+            patch.setattr(sensitivity, "replay_workload",
+                          lambda name, paths, refs: load_workload(
+                              name, refs=refs))
+            fresh = read_latency_sweep(**kwargs)
         pooled = read_latency_sweep(jobs=2, **kwargs)
-        assert serial == cold == pooled
+        assert serial == fresh == pooled
 
     def test_cold_pool_matches_warm_pool(self):
         campaign = _campaign(trials=24, seed=5)
         warm = CampaignRunner(jobs=2).run(campaign)
-        cold = CampaignRunner(jobs=2, reuse_pool=False).run(campaign)
+        shutdown_executors()    # the next run starts a new pool
+        cold = CampaignRunner(jobs=2).run(campaign)
         inline = CampaignRunner(jobs=1).run(campaign)
         assert warm == cold == inline
 

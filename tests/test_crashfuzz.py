@@ -6,6 +6,9 @@ condition.  The pool campaign is the one that caught a real undo-log
 termination bug during development — keep these honest.
 """
 
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.crashfuzz import (
@@ -14,7 +17,10 @@ from repro.analysis.crashfuzz import (
     fuzz_psm,
     fuzz_sector,
 )
+from repro.cli import main
 from repro.power.psu import SERVER_PSU
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestCampaigns:
@@ -51,6 +57,20 @@ class TestCampaigns:
         report = fuzz_sector(trials=2, writes=10, seed=1)
         assert "sector-device" in report.summary()
         assert "OK" in report.summary()
+
+    def test_cli_reports_match_the_goldens(self, capsys, monkeypatch,
+                                           tmp_path):
+        """The machine-executing campaigns on pooled machines, pinned to
+        the bytes an earlier tree printed both on pooled machines and
+        with a fresh build per trial."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        for argv, golden in (
+                (["machine", "--trials", "40", "--seed", "11"],
+                 "fuzz-machine-trials40-seed11.txt"),
+                (["trace", "--trials", "200", "--seed", "3"],
+                 "fuzz-trace-trials200-seed3.txt")):
+            assert main(["fuzz", *argv]) == 0
+            assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
 class TestFailedStopSemantics:

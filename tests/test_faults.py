@@ -175,11 +175,6 @@ class TestCompoundFaultInjector:
         with pytest.raises(ValueError):
             CompoundFaultInjector(self.backend(), cuts=(-1, 2))
 
-    def test_single_cut_rearming_is_closed(self):
-        port = CompoundFaultInjector(self.backend(), cuts=(1,))
-        with pytest.raises(NotImplementedError):
-            port.schedule(5)
-
 
 class TestMediaFaultModel:
     def port(self, faults, **kwargs):

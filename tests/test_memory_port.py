@@ -480,21 +480,6 @@ class TestFaultInjectorBoundaries:
                 MemoryOp.READ, request.address, time=0.0))
             assert not response.data or not any(response.data)
 
-    def test_schedule_rearm_resets_the_count(self):
-        port = self._injector(None)
-        for i in range(5):
-            port.access(MemoryRequest(MemoryOp.WRITE, i * 64,
-                                      data=b"\x01" * 64, time=0.0))
-        assert port.op_index == 5
-        port.schedule(1)
-        assert port.op_index == 0 and not port.tripped
-        port.access(MemoryRequest(MemoryOp.READ, 0, time=0.0))
-        with pytest.raises(InjectedPowerFailure):
-            port.access(MemoryRequest(MemoryOp.READ, 0, time=0.0))
-        port.schedule(None)
-        assert not port.tripped
-        port.access(MemoryRequest(MemoryOp.READ, 0, time=0.0))
-
     def test_drains_are_free_by_default_but_schedulable(self):
         free = self._injector(1)
         free.access(MemoryRequest(MemoryOp.WRITE, 0, data=b"\x01" * 64,

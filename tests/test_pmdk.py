@@ -1,11 +1,9 @@
-"""Tests for the DAX layer and the libpmemobj-like object library."""
+"""Tests for the libpmemobj-like object library."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.pmem import (
-    DaxTranslationError,
-    DevDaxFile,
     OID_NULL,
     PersistentObjectPool,
     PoolCorruptionError,
@@ -14,45 +12,6 @@ from repro.pmem import (
 )
 
 POOL_CAPACITY = 1 << 20
-
-
-class TestDax:
-    def test_mmap_and_translate(self):
-        dev = DevDaxFile("/dev/pmem0", capacity=1 << 20)
-        mapping = dev.mmap(va_base=0x7000_0000, file_offset=4096, length=8192)
-        assert mapping.translate(0x7000_0000) == 4096
-        assert mapping.translate(0x7000_0000 + 8191) == 4096 + 8191
-
-    def test_translate_outside_mapping_rejected(self):
-        dev = DevDaxFile("/dev/pmem0", capacity=1 << 20)
-        mapping = dev.mmap(0x1000, 0, 64)
-        with pytest.raises(DaxTranslationError):
-            mapping.translate(0x1000 + 64)
-
-    def test_file_range_bounds(self):
-        dev = DevDaxFile("/dev/pmem0", capacity=4096)
-        with pytest.raises(DaxTranslationError):
-            dev.mmap(0, 0, 8192)
-
-    def test_overlapping_va_rejected(self):
-        dev = DevDaxFile("/dev/pmem0", capacity=1 << 20)
-        dev.mmap(0x1000, 0, 4096)
-        with pytest.raises(DaxTranslationError):
-            dev.mmap(0x1800, 8192, 4096)
-
-    def test_resolve_across_mappings(self):
-        dev = DevDaxFile("/dev/pmem0", capacity=1 << 20)
-        dev.mmap(0x1000, 0, 4096)
-        dev.mmap(0x9000, 65536, 4096)
-        assert dev.resolve(0x9000) == 65536
-        with pytest.raises(DaxTranslationError):
-            dev.resolve(0x5000)
-
-    def test_munmap(self):
-        dev = DevDaxFile("/dev/pmem0", capacity=1 << 20)
-        mapping = dev.mmap(0x1000, 0, 4096)
-        dev.munmap(mapping)
-        assert dev.find_mapping(0x1000) is None
 
 
 class TestPoolBasics:

@@ -13,7 +13,6 @@ from repro.workloads.trace_io import (
     TraceFormatError,
     load_trace,
     open_trace,
-    read_window,
     save_trace,
     save_trace_columnar,
     shared_trace,
@@ -119,16 +118,8 @@ class TestColumnar:
         assert list(window) == records[100:180]
         assert list(window) == records[100:180]  # re-iterable
         assert window.stationary is True
-
-    def test_read_window_version_agnostic(self, tmp_path):
-        records = self._records()
-        row, col = tmp_path / "row.trace", tmp_path / "col.trace"
-        save_trace(records, row)
-        save_trace_columnar(records, col)
-        assert read_window(row, 37, 101) == records[37:101]
-        assert read_window(col, 37, 101) == records[37:101]
         with pytest.raises(IndexError):
-            read_window(col, 0, len(records) + 1)
+            trace.window(0, len(records) + 1)
 
     def test_trace_meta(self, tmp_path):
         records = self._records(count=123)
@@ -201,11 +192,22 @@ class TestColumnar:
         with pytest.raises(TraceFormatError):
             open_trace(path, shared=False)
 
-    def test_row_file_has_no_columnar_index(self, tmp_path):
+    def test_row_file_has_no_columnar_index(self, tmp_path, monkeypatch):
+        import random
+
+        from repro.analysis import crashfuzz
+
         path = tmp_path / "t.trace"
         save_trace(self._records(20), path)
         with pytest.raises(TraceFormatError):
             open_trace(path, shared=False)
+        # a trace-window trial refuses it before it leases a machine
+        monkeypatch.setattr(crashfuzz, "machine_for_workload",
+                            lambda *args, **kwargs: pytest.fail("leased"))
+        with pytest.raises(ValueError,
+                           match="repro trace export --columnar"):
+            crashfuzz.trace_trial(0, random.Random(0),
+                                  trace_path=str(path))
 
 
 #: edge values of every column: u32 and u64 extremes, bit 63, both flags
