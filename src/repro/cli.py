@@ -218,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="litmus shape to generate (default: all; "
                              "see repro.litmus.SHAPES)")
     litmus.add_argument("--trials", type=_positive_int, default=None,
-                        help="generated programs; each is enumerated "
-                             "exhaustively on every execution path")
+                        help="generated programs; each is driven once "
+                             "and checked at every crash point")
     litmus.add_argument("--seed", type=int, default=None,
                         help="campaign seed (default: the litmus "
                              "campaign's own)")

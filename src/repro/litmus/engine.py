@@ -19,8 +19,16 @@ reads the driven chain's persistent media
 (:meth:`~repro.ocpmem.psm.PSM.read_media_of`), is power-cycled, given
 the committed register blob and read back.  The survivor only reads,
 so the drive goes on as if no cut had been observed, and the run to
-completion is read off the driven chain itself.  Every recovered state
-is checked against the persistency oracle.
+completion is read off the driven chain itself.
+
+The PSMs of the driven backend and of its survivor are built once per
+region count and PSM config, kept in a small cache, and rewound
+(:meth:`~repro.ocpmem.psm.PSM.rewind`) before each later program with
+as many regions; a rewind wipes the media in place, so the survivor
+goes on reading the driven backend's.  Every recovered state is checked
+against the persistency oracle, whose allowed states for all kept
+crash points come from one fold over the program's timeline
+(:func:`~repro.litmus.oracle.allowed_prefixes`).
 
 A recovered state depends on nothing but the media (stored bytes and
 containment marks) and the restored registers, since the survivor is
@@ -46,6 +54,7 @@ durability rules this oracle checks.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -60,7 +69,7 @@ from repro.litmus.ir import (
 from repro.litmus.oracle import (
     Counterexample,
     PersistencyModel,
-    allowed_after,
+    allowed_prefixes,
     check_observation,
 )
 from repro.memory.extent import DirtyExtentMap, default_flush_extents
@@ -89,6 +98,18 @@ def _litmus_config() -> PSMConfig:
                      wear_threshold=_FROZEN_WEAR)
 
 
+def _topology(program: LitmusProgram, psms: list[PSM]) -> MemoryBackend:
+    """``program``'s backend over one PSM per region."""
+    if program.regions == 1:
+        return psms[0]
+    span = -(-program.lines // program.regions)
+    return AddressRangePartition([
+        AddressRange(index * span * CACHELINE_BYTES,
+                     min((index + 1) * span, program.lines) * CACHELINE_BYTES,
+                     psm)
+        for index, psm in enumerate(psms)])
+
+
 def litmus_backend(program: LitmusProgram) -> MemoryBackend:
     """A fresh functional backend of the litmus topology for ``program``.
 
@@ -98,16 +119,47 @@ def litmus_backend(program: LitmusProgram) -> MemoryBackend:
     on top of exactly this topology so drill and litmus verdicts are
     comparable.
     """
-    if program.regions == 1:
-        return PSM(_litmus_config(), functional=True)
-    span = -(-program.lines // program.regions)
-    regions = []
-    for index in range(program.regions):
-        start = index * span * CACHELINE_BYTES
-        end = min((index + 1) * span, program.lines) * CACHELINE_BYTES
-        regions.append(AddressRange(
-            start, end, PSM(_litmus_config(), functional=True)))
-    return AddressRangePartition(regions)
+    return _topology(program, [PSM(_litmus_config(), functional=True)
+                               for _ in range(program.regions)])
+
+
+#: (region count, PSM config) -> the driven chain's PSMs and the
+#: survivor's, least recently used first.  Only a partition's routing
+#: depends on the program's line count, so the PSMs are shared by every
+#: program with as many regions, and the default config needs two keys.
+_PAIRS: OrderedDict[tuple, tuple[list[PSM], list[PSM]]] = OrderedDict()
+_PAIRS_KEPT = 8
+
+
+def _backend_pair(program: LitmusProgram
+                  ) -> tuple[MemoryBackend, MemoryBackend]:
+    """``program``'s driven backend and the survivor reading its media,
+    both as just built.
+
+    The PSMs of a pair are built once per region count and config and
+    rewound (:meth:`PSM.rewind <repro.ocpmem.psm.PSM.rewind>`) for each
+    later program; a multi-region program gets a partition over them
+    with its own spans.  A rewind wipes the media in place, so each
+    survivor PSM reads its driven PSM's stores and marks throughout.
+    """
+    config = _litmus_config()
+    key = (program.regions, config)
+    pair = _PAIRS.pop(key, None)
+    if pair is None:
+        driven = [PSM(config, functional=True)
+                  for _ in range(program.regions)]
+        survivor = [PSM(config, functional=True)
+                    for _ in range(program.regions)]
+        for psm, source in zip(survivor, driven):
+            psm.read_media_of(source)
+        pair = driven, survivor
+    else:
+        for psm in pair[0] + pair[1]:
+            psm.rewind()
+    _PAIRS[key] = pair
+    if len(_PAIRS) > _PAIRS_KEPT:
+        _PAIRS.popitem(last=False)
+    return _topology(program, pair[0]), _topology(program, pair[1])
 
 
 @dataclass
@@ -207,7 +259,12 @@ class _CrashObserver(Interposer):
     forwards the operation of each tick in ``crash_points``, records
     what a power cut at that tick leaves: ``survivor`` power-cycled,
     given the last captured register blob, and read back; or, while the
-    stamp of the last read-back still holds, that read-back's state."""
+    stamp of the last read-back still holds, that read-back's state.
+
+    One observer serves one program, so no stamp outlives it: the
+    survivor's PSMs are cached ones, rewound with the driven backend's
+    before the program, and read back afresh at the first kept crash
+    tick."""
 
     def __init__(self, inner: MemoryBackend, survivor: MemoryBackend,
                  program: LitmusProgram, lines: list[int],
@@ -277,9 +334,7 @@ def run_program(
             seen.add(key)
         kept.append((crash_at, events))
 
-    driven = litmus_backend(program)
-    survivor = litmus_backend(program)
-    survivor.read_media_of(driven)
+    driven, survivor = _backend_pair(program)
     port = _CrashObserver(driven, survivor, program, lines, {
         crash_at for crash_at, _ in kept if crash_at is not None})
     drive_program(port, program)
@@ -288,8 +343,10 @@ def run_program(
 
     verdict.executed = len(kept)
     rendered = program.render()
-    for crash_at, events in kept:
-        allowed = allowed_after(events, lines, model)
+    # the completion comes last and its prefix holds every other one
+    states = allowed_prefixes(
+        kept[-1][1], [len(events) for _, events in kept], lines, model)
+    for (crash_at, events), allowed in zip(kept, states):
         for line, version, ok_set, torn in check_observation(
                 observed[crash_at], allowed, model,
                 final=crash_at is None):

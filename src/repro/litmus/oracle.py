@@ -12,6 +12,9 @@ The model is the LightPC port contract as documented in DESIGN.md §5:
 ``allowed_after`` folds a timeline prefix into, per line, the version
 guaranteed durable at the last barrier plus the set of versions stored
 since — any of which a legal implementation may have drained early.
+``allowed_prefixes`` is the same fold run once over a whole timeline,
+yielding the allowed states of each of its prefixes in turn; it is the
+only implementation, and ``allowed_after`` is its one-prefix case.
 The rule booleans exist so tests can *break* the model on purpose
 (e.g. pretend fences persist) and prove the engine reports the
 violation with a minimized counterexample.
@@ -20,13 +23,14 @@ violation with a minimized counterexample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 __all__ = [
     "AllowedState",
     "Counterexample",
     "PersistencyModel",
     "allowed_after",
+    "allowed_prefixes",
     "check_observation",
 ]
 
@@ -75,49 +79,75 @@ class AllowedState:
         return {self.base}
 
 
+def allowed_prefixes(
+    events: Sequence[tuple],
+    cuts: Iterable[int],
+    lines: Iterable[int],
+    model: Optional[PersistencyModel] = None,
+) -> Iterator[dict[int, AllowedState]]:
+    """:func:`allowed_after` of ``events[:cut]`` for each of ``cuts``.
+
+    ``cuts`` ascend.  The events are folded once, in order.  The fold
+    never changes a state it has made: an event that moves a line's
+    allowed set replaces that line's state.  So a cut yields a shallow
+    copy of the running mapping, and two mappings yielded share the
+    states of lines no event between them moved; read them, do not
+    change them.
+    """
+    model = model or PersistencyModel()
+    states: dict[int, AllowedState] = {line: AllowedState() for line in lines}
+    # recovery_is_idempotent=False: every version a line stored so far
+    history: Optional[dict[int, set[int]]] = \
+        None if model.recovery_is_idempotent else {}
+
+    def barrier() -> None:
+        for line, state in states.items():
+            if state.maybe:  # an empty maybe-set already has base == latest
+                states[line] = AllowedState(state.latest, set(), state.latest)
+
+    done = 0
+    for cut in cuts:
+        for event in events[done:cut]:
+            kind = event[0]
+            if kind == "store":
+                _, line, version = event
+                state = states.get(line) or AllowedState()
+                states[line] = AllowedState(
+                    state.base, state.maybe | {version}, version)
+                if history is not None:
+                    history.setdefault(line, set()).add(version)
+            elif kind == "flush":
+                if model.flush_is_barrier:
+                    barrier()
+            elif kind == "fence":
+                if model.fence_is_barrier:
+                    barrier()
+            # loads, writebacks, commits and checkpoints never move the
+            # allowed set: a writeback only re-dirties a row buffer (its
+            # data is already in the maybe-set) and commit is about wear
+            # registers, not data.
+        done = cut
+        allowed = dict(states)
+        if history is not None:
+            # Wrong-loose recoverable-state rule: fold every version a
+            # line ever stored back into its maybe-set, as if repeated
+            # recovery could legally resurrect (or lose) barrier-committed
+            # data.  Only the copy widens; the fold goes on unwidened.
+            for line, versions in history.items():
+                state = allowed[line]
+                allowed[line] = AllowedState(
+                    state.base, state.maybe | versions, state.latest)
+        yield allowed
+
+
 def allowed_after(
     events: Iterable[tuple],
     lines: Iterable[int],
     model: Optional[PersistencyModel] = None,
 ) -> dict[int, AllowedState]:
     """Fold an applied-event prefix into per-line allowed outcomes."""
-    model = model or PersistencyModel()
     events = list(events)
-    states: dict[int, AllowedState] = {line: AllowedState() for line in lines}
-
-    def barrier() -> None:
-        for state in states.values():
-            state.base = state.latest
-            state.maybe.clear()
-
-    for event in events:
-        kind = event[0]
-        if kind == "store":
-            _, line, version = event
-            state = states.setdefault(line, AllowedState())
-            state.latest = version
-            state.maybe.add(version)
-        elif kind == "flush":
-            if model.flush_is_barrier:
-                barrier()
-        elif kind == "fence":
-            if model.fence_is_barrier:
-                barrier()
-        # loads, writebacks, commits and checkpoints never move the
-        # allowed set: a writeback only re-dirties a row buffer (its
-        # data is already in the maybe-set) and commit is about wear
-        # registers, not data.
-    if not model.recovery_is_idempotent:
-        # Wrong-loose recoverable-state rule: fold every version a line
-        # ever stored back into its maybe-set, as if repeated recovery
-        # could legally resurrect (or lose) barrier-committed data.
-        history: dict[int, set[int]] = {}
-        for event in events:
-            if event[0] == "store":
-                history.setdefault(event[1], set()).add(event[2])
-        for line, versions in history.items():
-            states.setdefault(line, AllowedState()).maybe.update(versions)
-    return states
+    return next(allowed_prefixes(events, (len(events),), lines, model))
 
 
 @dataclass(frozen=True)

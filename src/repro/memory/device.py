@@ -93,6 +93,9 @@ class _Storage:
     ``version`` counts the calls to :meth:`write` and :meth:`wipe`, so
     a reader that shares the store can tell whether its contents may
     have changed since it last looked without comparing them.
+
+    The Bare-NVDIMM's functional line reads look a block up in
+    ``_bytes`` in place rather than copying it out through :meth:`read`.
     """
 
     __slots__ = ("capacity", "_bytes", "version")
@@ -319,6 +322,18 @@ class PRAMDevice:
         """Power loss + restore: contents persist, occupancy state does not."""
         self.busy_until = 0.0
         self._cooling.clear()
+
+    def rewind(self) -> None:
+        """Return to the state the constructor left, in place: stored
+        bytes wiped (the store object stays, so a die sharing it still
+        does; the wipe counts in its ``version``), the die idle, counts
+        and wear zeroed, wear tracking off."""
+        self.storage.wipe()
+        self.power_cycle()
+        self.read_count = 0
+        self.write_count = 0
+        self.wear.clear()
+        self.track_wear = False
 
     def max_wear(self) -> int:
         return max(self.wear.values(), default=0)

@@ -29,7 +29,7 @@ fail deep inside a run.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Mapping,
     Optional,
@@ -326,7 +326,9 @@ class AddressRangePartition:
         region = self._region_of(request)
         if not region.rebase:
             return region.backend.access(request)
-        inner = replace(request, address=request.address - region.start)
+        inner = MemoryRequest(
+            request.op, request.address - region.start, request.size,
+            request.time, request.data, request.thread_id, request.metadata)
         response = region.backend.access(inner)
         return MemoryResponse(
             request,

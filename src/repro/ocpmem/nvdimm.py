@@ -35,6 +35,11 @@ Layout = Literal["dual_channel", "dram_like"]
 _DIES = 8
 _HALF = PRAM_DEVICE_BYTES          # 32 B data half per die
 _SLOT_BYTES = _HALF * 2            # half + co-located parity
+_HALF_BITS = 8 * _HALF
+_HALF_MASK = (1 << _HALF_BITS) - 1
+#: what a slot pair nothing ever wrote reads as: one shared line
+_ZERO_LINE = bytes(CACHELINE_BYTES)
+_ZERO_SLOT = bytes(_SLOT_BYTES)
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,48 @@ class BareNVDIMM:
         raw = self.dies[die].peek(address, _SLOT_BYTES)
         return raw[:_HALF], raw[_HALF:]
 
+    # The two reads below serve the PSM's functional read path.  A slot
+    # is one whole 64 B block of its die's byte store (the half, then the
+    # parity), so they read that block in place instead of copying it
+    # out through :meth:`load_at`.
+
+    def line_at(self, die: int, address: int) -> Optional[bytes]:
+        """The line whose halves sit at slot ``address`` of ``die`` and
+        of its sibling, or None when they disagree with ``die``'s parity.
+
+        Equal to joining two :meth:`load_at` halves after an XCC parity
+        check, with the check as one integer XOR; a slot pair nothing
+        ever wrote reads as one shared zero line.
+        """
+        block = address // _SLOT_BYTES
+        dies = self.dies
+        raw0 = dies[die].storage._bytes.get(block)
+        raw1 = dies[die + 1].storage._bytes.get(block)
+        if raw0 is None:
+            if raw1 is None:
+                return _ZERO_LINE
+            raw0 = _ZERO_SLOT
+        elif raw1 is None:
+            raw1 = _ZERO_SLOT
+        slot0 = int.from_bytes(raw0, "little")
+        if (slot0 ^ int.from_bytes(raw1, "little")) & _HALF_MASK \
+                != slot0 >> _HALF_BITS:
+            return None
+        return b"".join((raw0[:_HALF], raw1[:_HALF]))
+
+    def rebuilt_line(self, die: int, address: int, which: int) -> bytes:
+        """The line regenerated from slot ``address`` of ``die`` alone,
+        which holds half ``which`` and the parity: the other half is
+        their XOR (XCC reconstruction)."""
+        raw = self.dies[die].storage._bytes.get(address // _SLOT_BYTES)
+        if raw is None:
+            return _ZERO_LINE
+        slot = int.from_bytes(raw, "little")
+        other = ((slot ^ (slot >> _HALF_BITS)) & _HALF_MASK).to_bytes(
+            _HALF, "little")
+        half = raw[:_HALF]
+        return b"".join((half, other) if which == 0 else (other, half))
+
     def corrupt_slot(self, line: int, which: int) -> None:
         """Fault injection: flip bits in one die's copy of a line half.
 
@@ -194,6 +241,15 @@ class BareNVDIMM:
         for die in self.dies:
             die.storage.wipe()
             die.power_cycle()
+        self._corrupted.clear()
+
+    def rewind(self) -> None:
+        """Return every die and the containment marks to the state the
+        constructor left, in place (:meth:`PRAMDevice.rewind
+        <repro.memory.device.PRAMDevice.rewind>`), so a DIMM reading
+        this one's media (:meth:`read_media_of`) still does."""
+        for die in self.dies:
+            die.rewind()
         self._corrupted.clear()
 
     # -- timing helpers ---------------------------------------------------------

@@ -376,10 +376,11 @@ class PSM:
         physical_line, dimm, local_line = self._translate(request.address)
         group, first, address = dimm.slot_of(local_line)
 
-        # 1. row buffer holds the youngest copy?
+        # 1. row buffer holds the youngest copy?  (A group no write has
+        # opened a buffer for since the last power cycle holds nothing.)
         if cfg.write_aggregation:
-            buf = self._buffer(dimm.dimm_id, group)
-            if buf.read_hit(local_line * CACHELINE_BYTES):
+            buf = self._buffers.get((dimm.dimm_id, group))
+            if buf is not None and buf.read_hit(local_line * CACHELINE_BYTES):
                 complete = t + cfg.buffer_ns + cfg.port_ns
                 self.read_latency.record(complete - request.time)
                 return MemoryResponse(
@@ -401,9 +402,11 @@ class PSM:
 
         die0 = dimm.dies[first]
         die1 = dimm.dies[first + 1]
-        if self.functional:
-            corrupt0 = dimm.is_corrupt_at(first, address)
-            corrupt1 = dimm.is_corrupt_at(first + 1, address)
+        # only a functional DIMM holding containment marks has any to ask
+        if self.functional and dimm._corrupted:
+            marks = dimm._corrupted
+            corrupt0 = (first, address) in marks
+            corrupt1 = (first + 1, address) in marks
         else:
             corrupt0 = corrupt1 = False
         # each die can serve the line once it is idle and the row cooled
@@ -465,12 +468,11 @@ class PSM:
         self._channel_busy[dimm.dimm_id] = t + 20.0
         data: Optional[bytes] = None
         if self.functional:
-            half0, parity0 = dimm.load_at(first, address)
-            half1, _ = dimm.load_at(first + 1, address)
-            if not self.xcc.verify(half0, half1, parity0):
-                # Shouldn't happen without injected faults; contained.
+            data = dimm.line_at(first, address)
+            if data is None:
+                # The halves fail the parity check: shouldn't happen
+                # without injected faults; contained.
                 return self._contained_error(request, t, dimm, local_line)
-            data = half0 + half1
         self.read_latency.record(complete - request.time)
         return MemoryResponse(
             request, complete_time=complete, data=data, blocked_ns=wait
@@ -491,9 +493,8 @@ class PSM:
     ) -> Optional[bytes]:
         if not self.functional:
             return None
-        half, parity = dimm.load_at(die, address)
-        other = self.xcc.reconstruct(half, parity)
-        return (half + other) if survivor == 0 else (other + half)
+        self.xcc.reconstructions += 1  # what XORCodec.reconstruct counts
+        return dimm.rebuilt_line(die, address, survivor)
 
     def _contained_error(
         self, request: MemoryRequest, t: float, dimm: BareNVDIMM, local_line: int
@@ -586,6 +587,41 @@ class PSM:
             start=0, gap=self.wear.lines, write_count=0,
             seed=self.config.wear_seed, gap_cycles=0,
         ))
+
+    def rewind(self) -> None:
+        """Return to the state the constructor left, in place.
+
+        Every die's timing, counts and wear map, the stored bytes and
+        containment marks (:meth:`BareNVDIMM.rewind
+        <repro.ocpmem.nvdimm.BareNVDIMM.rewind>`), Start-Gap, the row
+        buffers, pending lines and channel occupancy, the counters and
+        the stat objects read as a fresh build's.  Objects are emptied,
+        not replaced: a PSM reading this one's media
+        (:meth:`read_media_of`) still does, the media of a PSM this one
+        reads are wiped too, and a
+        :class:`~repro.sim.stats.StatsRegistry` that registered the
+        latency distributions still reads them.  The wipe counts in
+        :meth:`media_version`, which may therefore read higher than a
+        fresh build's.
+        """
+        for dimm in self.nvdimms:
+            dimm.rewind()
+        self.wear.rewind(self.config.wear_seed)
+        self.xcc.encodes = self.xcc.reconstructions = 0
+        if self.symbol_ecc is not None:
+            self.symbol_ecc.corrections = 0
+        self._buffers.clear()
+        self._pending.clear()
+        self._channel_busy.clear()
+        self.read_latency.reset()
+        self.write_latency.reset()
+        self.buffer_hits.hits = self.buffer_hits.total = 0
+        self.reconstructions = 0
+        self.read_blocked_ns = 0.0
+        self.write_stall_ns = 0.0
+        self.background_ns = 0.0
+        self.media_line_writes = 0
+        self.mce_count = 0
 
     def read_media_of(self, source: "PSM") -> None:
         """Read ``source``'s persistent media from now on.

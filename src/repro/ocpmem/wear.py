@@ -151,14 +151,29 @@ class StartGap:
         self.randomize_unit = randomize_unit
         self._units = max(1, lines // randomize_unit)
         self._reseed(seed)
+        self.physical_writes: dict[int, int] = {}
+        self.rewind(seed)
+        self.track_wear = track_wear
+
+    def rewind(self, seed: int) -> None:
+        """Return to the state the constructor leaves for ``seed``, in
+        place, with wear tracking off.
+
+        The randomizer is rebuilt only if a seed rotation replaced it;
+        otherwise it stays, with its memo, which depends on the seed
+        alone.
+        """
+        if self._randomizer.seed != seed:
+            self._reseed(seed)
         self.start = 0
-        self.gap = lines  # physical line `lines` is the initial spare
+        self.gap = self.lines  # physical line `lines` is the initial spare
         self.write_count = 0
         self.gap_cycles = 0
         self.gap_moves = 0
         self.seed_rotations = 0
-        self.track_wear = track_wear
-        self.physical_writes: dict[int, int] = {}
+        self.track_wear = False
+        self.physical_writes.clear()
+        self._rotated_at_cycle = -1
 
     # -- mapping ------------------------------------------------------------
 
@@ -239,8 +254,6 @@ class StartGap:
         self.gap -= 1
         self.gap_moves += 1
         return self.GAP_MOVE_NS
-
-    _rotated_at_cycle = -1
 
     def _maybe_rotate_seed(self) -> float:
         if self._rotated_at_cycle == self.gap_cycles:

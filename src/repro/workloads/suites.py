@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -219,6 +220,12 @@ def _materialize_stream(stream: _Replayable, directory: Path,
     generator, is never replayed as this stream.  Each writer writes its
     own temporary file and renames it into place, so processes that
     materialise the same file at once never take each other's away.
+
+    A stem names one stream identity, so the stem's files under other
+    digests were written by other revisions of the package: once its
+    own file is in place, the writer deletes them.  On POSIX a file
+    another process has mapped stays readable after the unlink; where
+    the platform refuses to delete it, the file stays.
     """
     from repro.orchestrate.cache import fingerprint, source_digest
     from repro.workloads.trace_io import save_trace_columnar
@@ -231,6 +238,13 @@ def _materialize_stream(stream: _Replayable, directory: Path,
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         save_trace_columnar(stream, tmp)
         os.replace(tmp, path)
+        other_digest = re.compile(re.escape(stem) + r"-[0-9a-f]{16}\.coltrace")
+        for other in directory.iterdir():
+            if other != path and other_digest.fullmatch(other.name):
+                try:
+                    other.unlink()
+                except OSError:  # deleted already, or refused (mapped)
+                    pass
     return path
 
 

@@ -9,19 +9,24 @@ drive the program from its first op with a :class:`FaultInjector`
 armed at that index, power-fail, restore the committed wear registers
 and read the observe lines back.
 
+The allowed states come from :func:`allowed_after`, the oracle fold as
+it was before :func:`repro.litmus.oracle.allowed_prefixes` replaced it
+with one fold per program, so the reference checks each crash point
+with a fold of its own prefix.
+
 ``tests/test_litmus_lockstep.py`` demands the same verdicts, the same
 wear registers and read responses at every crash point, the same
 counterexamples and the same minimized programs from both.  No product path runs this module;
 it lives beside ``psm_oracle.py`` and ``pecos_oracle.py`` as a
-reference.  The bodies of :func:`_execute` and :func:`run_program` are
-verbatim, except that the backend chain comes from
-:func:`~repro.litmus.engine.litmus_backend`, into which the private
+reference.  The bodies of :func:`_execute`, :func:`run_program` and
+:func:`allowed_after` are verbatim, except that the backend chain comes
+from :func:`~repro.litmus.engine.litmus_backend`, into which the private
 helper they called was folded.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.litmus.engine import (
     ProgramVerdict,
@@ -38,14 +43,59 @@ from repro.litmus.ir import (
     total_ticks,
 )
 from repro.litmus.oracle import (
+    AllowedState,
     Counterexample,
     PersistencyModel,
-    allowed_after,
     check_observation,
 )
 from repro.memory.port import FaultInjector
 
-__all__ = ["run_program"]
+__all__ = ["allowed_after", "run_program"]
+
+
+def allowed_after(
+    events: Iterable[tuple],
+    lines: Iterable[int],
+    model: Optional[PersistencyModel] = None,
+) -> dict[int, AllowedState]:
+    """Fold an applied-event prefix into per-line allowed outcomes."""
+    model = model or PersistencyModel()
+    events = list(events)
+    states: dict[int, AllowedState] = {line: AllowedState() for line in lines}
+
+    def barrier() -> None:
+        for state in states.values():
+            state.base = state.latest
+            state.maybe.clear()
+
+    for event in events:
+        kind = event[0]
+        if kind == "store":
+            _, line, version = event
+            state = states.setdefault(line, AllowedState())
+            state.latest = version
+            state.maybe.add(version)
+        elif kind == "flush":
+            if model.flush_is_barrier:
+                barrier()
+        elif kind == "fence":
+            if model.fence_is_barrier:
+                barrier()
+        # loads, writebacks, commits and checkpoints never move the
+        # allowed set: a writeback only re-dirties a row buffer (its
+        # data is already in the maybe-set) and commit is about wear
+        # registers, not data.
+    if not model.recovery_is_idempotent:
+        # Wrong-loose recoverable-state rule: fold every version a line
+        # ever stored back into its maybe-set, as if repeated recovery
+        # could legally resurrect (or lose) barrier-committed data.
+        history: dict[int, set[int]] = {}
+        for event in events:
+            if event[0] == "store":
+                history.setdefault(event[1], set()).add(event[2])
+        for line, versions in history.items():
+            states.setdefault(line, AllowedState()).maybe.update(versions)
+    return states
 
 
 def _execute(program: LitmusProgram,

@@ -8,27 +8,31 @@ from repro.analysis.sensitivity import read_latency_sweep, write_pulse_sweep
 
 
 class TestSensitivity:
-    def test_read_sweep_structure(self):
+    def test_read_sweep_structure(self, tmp_path):
         result = read_latency_sweep(multipliers=(1.0, 2.0),
-                                    workload="aes", refs=2_000)
+                                    workload="aes", refs=2_000,
+                                    trace_dir=tmp_path)
         assert len(result.rows) == 2
         assert result.rows[0][0] == 1.0
         assert "ratio_at_1x" in result.notes
 
-    def test_read_sweep_monotone(self):
+    def test_read_sweep_monotone(self, tmp_path):
         result = read_latency_sweep(multipliers=(1.0, 3.0),
-                                    workload="aes", refs=3_000)
+                                    workload="aes", refs=3_000,
+                                    trace_dir=tmp_path)
         assert result.rows[1][2] > result.rows[0][2]
 
-    def test_write_sweep_structure(self):
+    def test_write_sweep_structure(self, tmp_path):
         result = write_pulse_sweep(multipliers=(1.0, 2.0),
-                                   workload="aes", refs=2_000)
+                                   workload="aes", refs=2_000,
+                                   trace_dir=tmp_path)
         assert [row[0] for row in result.rows] == [1.0, 2.0]
         assert "gap_grows_with_pulse" in result.notes
 
-    def test_write_sweep_gap_widens(self):
+    def test_write_sweep_gap_widens(self, tmp_path):
         result = write_pulse_sweep(multipliers=(0.5, 3.0),
-                                   workload="snap", refs=3_000)
+                                   workload="snap", refs=3_000,
+                                   trace_dir=tmp_path)
         gaps = result.column("b_over_lightpc")
         assert gaps[-1] > gaps[0]
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import multiprocessing
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,13 +229,14 @@ class TestMaterialize:
     def test_fuzz_trace_follows_the_profile(self, tmp_path, monkeypatch):
         before = materialize_fuzz_trace("aes", 2000, 42, tmp_path)
         assert materialize_fuzz_trace("aes", 2000, 42, tmp_path) == before
+        writes_before = self._aes_writes(before)
         self._swap_aes_profile(monkeypatch)
         after = materialize_fuzz_trace("aes", 2000, 42, tmp_path)
         assert after != before
         current = TraceGenerator(spec("aes").profile, seed=42 * 1009)
         assert self._aes_writes(after) == \
             sum(r.is_write for r in current.records(2000))
-        assert self._aes_writes(after) > self._aes_writes(before)
+        assert self._aes_writes(after) > writes_before
 
     def test_workload_traces_follow_the_profile(self, tmp_path, monkeypatch):
         (before,) = materialize_traces(load_workload("aes", refs=2000),
@@ -274,6 +276,27 @@ class TestMaterialize:
 
         monkeypatch.setattr(cache, "source_digest", lambda: "another")
         assert materialize_fuzz_trace("aes", 500, 42, tmp_path) != before
+
+    @pytest.mark.skipif(os.name != "posix",
+                        reason="unlinking a mapped file is POSIX")
+    def test_one_stem_leaves_one_file(self, tmp_path, monkeypatch):
+        """Writing a stem under a second digest (another revision's)
+        deletes the first file; other stems stay, and a mapping of the
+        deleted file still reads."""
+        from repro.orchestrate import cache
+
+        first = materialize_fuzz_trace("aes", 500, 42, tmp_path)
+        mapped = open_trace(first, shared=False)
+        # stems that share a prefix with this one
+        others = [tmp_path / f"aes-w5000-s42-{'0' * 16}.coltrace",
+                  tmp_path / f"aes-w500-s4-{'0' * 16}.coltrace"]
+        for other in others:
+            other.write_bytes(b"")
+        monkeypatch.setattr(cache, "source_digest", lambda: "another")
+        second = materialize_fuzz_trace("aes", 500, 42, tmp_path)
+        assert second != first
+        assert sorted(tmp_path.iterdir()) == sorted([second, *others])
+        assert list(mapped.records()) == list(open_trace(second).records())
 
 
 class TestStream:
